@@ -21,7 +21,6 @@ from .hmm import backward_smooth, fit_em, forward_filter, predict_states
 from .io import parse_model, read_series, write_model, write_series, write_table
 from .kalman import kalman_filter, kalman_predict, rts_smoother
 from .models import DiscreteHMM, LinearGaussianModel
-from .numerics import gaussian_logpdf
 from .particle import bootstrap_filter, fixed_lag_smoother, lgssm_as_generic
 from .rng import SeededGenerator
 from .simulate import simulate_hmm, simulate_lgssm
@@ -225,16 +224,7 @@ def _cmd_loglik(args) -> int:
         log_likelihood = forward.log_likelihood
     else:
         forward = kalman_filter(model, obs)
-        increments = np.array(
-            [
-                gaussian_logpdf(
-                    obs.values[t],
-                    model.C @ forward.predicted_means[t],
-                    model.C @ forward.predicted_covs[t] @ model.C.T + model.R,
-                )
-                for t in range(len(obs))
-            ]
-        )
+        increments = forward.log_increments
         log_likelihood = forward.log_likelihood
     if args.out:
         rows = [(t + 1, increments[t]) for t in range(len(obs))]
@@ -267,7 +257,9 @@ def _cmd_fit(args) -> int:
             )
         fitted, trace = fit_em(model, obs, tol=args.tol, max_iter=args.max_iter)
         log_likelihood = forward_filter(fitted, obs).log_likelihood
-        iterations = len(trace)
+        # The trace gains an entry per accepted step after the initial one,
+        # so it holds max_iter + 1 entries when the limit binds.
+        iterations = min(len(trace), args.max_iter)
         converged = len(trace) <= args.max_iter
     else:
         fitted, report = fit_mle(model, obs, tol=args.tol, max_iter=args.max_iter)

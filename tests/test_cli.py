@@ -200,6 +200,8 @@ class TestLoglik:
         assert body[:, 1].sum() == pytest.approx(
             summary["log_likelihood"], abs=1e-10
         )
+        result = kalman_filter(LG, read_series(lg_data))
+        np.testing.assert_array_equal(body[:, 1], result.log_increments)
 
 
 class TestPredict:
@@ -252,6 +254,19 @@ class TestFit:
         obs = read_series(data)
         start_ll = forward_filter(HMM, obs).log_likelihood
         assert summary["log_likelihood"] >= start_ll - 1e-9
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_em_iterations_when_the_limit_binds(self, capsys, tmp_path, hmm_model,
+                                                max_iter):
+        data = str(tmp_path / "train.csv")
+        run(capsys, ["simulate", "--model", hmm_model, "--T", "80", "--seed",
+                     "11", "--out", data])
+        code, summary = run(capsys, ["fit", "--model", hmm_model, "--data", data,
+                                     "--tol", "1e-12", "--max-iter", str(max_iter),
+                                     "--out", str(tmp_path / "fitted.json")])
+        assert code == 0
+        assert summary["converged"] is False
+        assert summary["iterations"] == max_iter
 
     def test_mle_default_for_gaussian(self, capsys, tmp_path, lg_model, lg_data):
         out = str(tmp_path / "fitted.json")
