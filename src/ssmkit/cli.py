@@ -21,7 +21,7 @@ from .hmm import backward_smooth, fit_em, forward_filter, predict_states
 from .io import parse_model, read_series, write_model, write_series, write_table
 from .kalman import kalman_filter, kalman_predict, rts_smoother
 from .models import DiscreteHMM, LinearGaussianModel
-from .particle import bootstrap_filter, fixed_lag_smoother, lgssm_as_generic
+from .particle import _filter_and_smooth, bootstrap_filter, lgssm_as_generic
 from .rng import SeededGenerator
 from .simulate import simulate_hmm, simulate_lgssm
 
@@ -295,29 +295,25 @@ def _cmd_pf(args) -> int:
     if args.lag is not None and args.lag < 0:
         raise _UsageError("--lag must be non-negative")
     generic = lgssm_as_generic(model)
-    result = bootstrap_filter(
-        generic,
-        obs,
-        args.particles,
-        SeededGenerator(args.seed),
-        resample_threshold=args.threshold,
-        scheme=args.scheme,
-    )
+    rng = SeededGenerator(args.seed)
     if args.lag is None:
+        result = bootstrap_filter(
+            generic,
+            obs,
+            args.particles,
+            rng,
+            resample_threshold=args.threshold,
+            scheme=args.scheme,
+        )
         header = ["t"] + [f"m{i}" for i in range(1, model.d_x + 1)] + ["ess"]
         rows = [
             (t + 1, *result.filtered_means[t], result.ess_trace[t])
             for t in range(len(obs))
         ]
     else:
-        smoothed = fixed_lag_smoother(
-            generic,
-            obs,
-            args.particles,
-            args.lag,
-            SeededGenerator(args.seed),
-            resample_threshold=args.threshold,
-            scheme=args.scheme,
+        # One filter run serves both the smoothed rows and the summary.
+        result, smoothed = _filter_and_smooth(
+            generic, obs, args.particles, args.lag, rng, args.threshold, args.scheme
         )
         header = ["t"] + [f"m{i}" for i in range(1, model.d_x + 1)]
         rows = [(t + 1, *smoothed[t]) for t in range(len(obs))]

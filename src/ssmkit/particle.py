@@ -6,6 +6,11 @@ size drops below a threshold fraction of N.  Randomness at step t comes
 from the stream derived as (seed, "step", t), with the resampling uniform
 drawn from (seed, "resample", t), so outputs are independent of any
 internal execution schedule.  Time indices in errors are 1-based.
+
+Costs per step are linear in N.  The linear-Gaussian observation density
+multiplies by the inverse Cholesky factor of R, computed once when the
+model is built; multinomial resampling searches its draws in sorted order;
+the fixed-lag smoother traces ancestry in O(T*N) whatever the lag.
 """
 
 from __future__ import annotations
@@ -101,7 +106,12 @@ def multinomial_resample(weights, rng: SeededGenerator, n: int | None = None) ->
     cdf = np.cumsum(w)
     cdf[-1] = 1.0
     u = rng.uniforms(n)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    # On sorted draws each search starts where the previous one ended; a
+    # draw lands on the same index in any order, so the result is unchanged.
+    order = np.argsort(u)
+    idx = np.empty(n, dtype=np.int64)
+    idx[order] = np.searchsorted(cdf, u[order], side="right")
+    return idx
 
 
 def _step_stream(rng: SeededGenerator, t: int) -> SeededGenerator:
@@ -235,24 +245,81 @@ def fixed_lag_smoother(
     forward, and each stored position at time t is reweighted by the
     particle weights at time t+lag traced back through the resampling
     ancestry.  lag = 0 reproduces bootstrap_filter's filtered means
-    exactly for the same seed.
+    exactly for the same seed.  Tracing the ancestry costs O(T*N) index
+    lookups whatever the lag, with O(lag*N) extra memory.
     """
+    _, smoothed = _filter_and_smooth(
+        model, obs, N, lag, rng, resample_threshold, scheme
+    )
+    return smoothed
+
+
+def _filter_and_smooth(
+    model: GenericStateSpaceModel,
+    obs: ObservationSeries,
+    N: int,
+    lag: int,
+    rng: SeededGenerator,
+    resample_threshold: float,
+    scheme: str,
+) -> tuple[ParticleFilterResult, np.ndarray]:
+    """One filter run giving both bootstrap_filter's result and
+    fixed_lag_smoother's rows for the same arguments."""
     if lag < 0:
         raise ValueError("lag must be non-negative")
-    _, ancestors, history, weight_history = _run_filter(
+    result, ancestors, history, weight_history = _run_filter(
         model, obs, N, rng, resample_threshold, scheme, keep_ancestry=True
     )
     T = history.shape[0]
     smoothed = np.empty((T, model.d_x))
-    for t in range(T):
-        horizon = min(t + lag, T - 1)
-        # Trace each particle living at `horizon` back to its ancestor at t:
-        # index j at time s descends from index ancestors[s-1][j] at s-1.
-        lineage = np.arange(N)
-        for s in range(horizon, t, -1):
-            lineage = ancestors[s - 1][lineage]
+    for t, horizon, lineage in _lineages(ancestors, lag):
         smoothed[t] = weight_history[horizon] @ history[t][lineage]
-    return smoothed
+    return result, smoothed
+
+
+def _lineages(ancestors: np.ndarray, lag: int):
+    """Yield (t, horizon, lineage) for every row t, horizon = min(t+lag, T-1),
+    where particle j at horizon descends from particle lineage[j] at t.
+
+    Index j at time s descends from ancestors[s-1][j] at s-1.  Composing
+    these maps one window at a time costs O(T*lag*N); instead (van Herk /
+    Gil-Werman) boundaries sit at multiples of lag, so every window
+    (t, t+lag] holds exactly one boundary b.  Maps from each horizon
+    forward to b and from b backward to each t are built once per block,
+    and the lineage is their composition.  Rows whose horizon is clipped
+    at T-1 take one backward walk from T-1.  Composing integer maps is
+    exact, so the lineages equal the window-by-window walk.
+    """
+    T, N = ancestors.shape
+    identity = np.arange(N)
+    if lag == 0:
+        for t in range(T):
+            yield t, t, identity
+        return
+    last = T - 1 - lag  # last row whose horizon t+lag is not clipped
+    for start in range(0, last + 1, lag):
+        b = start + lag
+        stop = min(b, last + 1)
+        # to_start[t - start] maps particles at b to their ancestors at t.
+        to_start = [identity] * (stop - start)
+        back = identity
+        for s in range(b - 1, start - 1, -1):
+            back = ancestors[s][back]
+            if s < stop:
+                to_start[s - start] = back
+        # forward maps particles at t+lag to their ancestors at b.
+        forward = identity
+        for t in range(start, stop):
+            horizon = t + lag
+            if horizon > b:
+                forward = forward[ancestors[horizon - 1]]
+            yield t, horizon, to_start[t - start][forward]
+    first = max(last + 1, 0)
+    back = identity
+    for t in range(T - 1, first - 1, -1):
+        yield t, T - 1, back
+        if t > first:
+            back = ancestors[t - 1][back]
 
 
 def lgssm_as_generic(model: LinearGaussianModel) -> GenericStateSpaceModel:
@@ -266,6 +333,8 @@ def lgssm_as_generic(model: LinearGaussianModel) -> GenericStateSpaceModel:
     l_state = psd_sampling_factor(model.Q, "Q")
     d_x, d_y = model.d_x, model.d_y
     chol_r = np.linalg.cholesky(model.R)
+    # z = L^{-1} r is one product per step with the factor inverted once.
+    inv_chol_r_t = np.linalg.inv(chol_r).T
     log_det_r = 2.0 * float(np.sum(np.log(np.diag(chol_r))))
     log_norm = -0.5 * (d_y * np.log(2.0 * np.pi) + log_det_r)
 
@@ -280,8 +349,8 @@ def lgssm_as_generic(model: LinearGaussianModel) -> GenericStateSpaceModel:
 
     def observation_logdensity(states: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:
         resid = y[None, :] - states @ model.C.T
-        z = np.linalg.solve(chol_r, resid.T)
-        return log_norm - 0.5 * np.sum(z * z, axis=0)
+        z = resid @ inv_chol_r_t
+        return log_norm - 0.5 * np.sum(z * z, axis=1)
 
     return GenericStateSpaceModel(
         d_x=d_x,

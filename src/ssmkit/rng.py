@@ -26,9 +26,13 @@ _U64_MASK = (1 << 64) - 1
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    """The SplitMix64 finalizer, applied to z in place; returns z."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
 
 class SeededGenerator:
@@ -63,7 +67,9 @@ class SeededGenerator:
             raise ValueError("count must be non-negative")
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            return _mix64(self._seed + idx * _GOLDEN)
+            idx *= _GOLDEN
+            idx += self._seed
+            return _mix64(idx)
 
     def uniform_at(self, start: int, count: int) -> np.ndarray:
         """Uniforms on [0, 1), one raw output per value."""

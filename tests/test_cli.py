@@ -14,6 +14,7 @@ from ssmkit import (
     SeededGenerator,
     backward_smooth,
     bootstrap_filter,
+    fixed_lag_smoother,
     forward_filter,
     kalman_filter,
     kalman_predict,
@@ -26,6 +27,7 @@ from ssmkit import (
     write_model,
     write_series,
 )
+from ssmkit import particle
 
 HMM = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
 LG = LinearGaussianModel(
@@ -319,6 +321,35 @@ class TestPf:
         assert summary["lag"] == 2
         header, _ = read_csv(out)
         assert header == ["t", "m1"]
+
+    def test_lag_runs_the_filter_once(self, capsys, tmp_path, monkeypatch,
+                                      lg_model, lg_data):
+        runs = []
+        run_filter = particle._run_filter
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return run_filter(*args, **kwargs)
+
+        monkeypatch.setattr(particle, "_run_filter", counted)
+        out = str(tmp_path / "pf.csv")
+        code, summary = run(capsys, ["pf", "--model", lg_model, "--data",
+                                     lg_data, "--particles", "200", "--seed",
+                                     "5", "--threshold", "0.9", "--lag", "2",
+                                     "--out", out])
+        assert code == 0
+        assert len(runs) == 1
+        monkeypatch.undo()
+        obs = read_series(lg_data)
+        generic = lgssm_as_generic(LG)
+        result = bootstrap_filter(generic, obs, 200, SeededGenerator(5),
+                                  resample_threshold=0.9)
+        smoothed = fixed_lag_smoother(generic, obs, 200, 2, SeededGenerator(5),
+                                      resample_threshold=0.9)
+        assert summary["log_likelihood"] == result.log_likelihood_estimate
+        assert summary["resample_count"] == len(result.resample_events)
+        _, body = read_csv(out)
+        np.testing.assert_array_equal(body[:, 1], smoothed[:, 0])
 
     def test_byte_reproducible(self, capsys, tmp_path, lg_model, lg_data):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
