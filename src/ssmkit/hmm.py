@@ -4,6 +4,18 @@ Forward/backward passes use per-step normalization with the normalizers
 accumulated in log domain, which is the fastest stable choice for moderate
 state counts.  Time indices reported in errors are 1-based, matching the
 t column of series files.
+
+Each loop carries only its recursion.  The forward loop finishes a row of
+gathered emission columns in place (weight by the prediction, sum,
+divide, predict); the logs of the normalizers and the impossibility check
+run batched afterwards.  The backward loop finishes a row of gathered
+emission columns in place (weight by beta, divide by the normalizer) and
+writes the next beta into the smoothed array; the product with the
+filtered rows and the pairwise slabs are then formed batched, with no
+T x K x K temporary.  Every element goes through the same floating-point
+operations in the same order as in the plain per-step recursion, so the
+outputs equal it byte for byte.  fit_em filters each model once and hands
+that pass to the next baum_welch_step.
 """
 
 from __future__ import annotations
@@ -132,19 +144,24 @@ def forward_filter(
     else:
         prior = model.initial
     T = y.shape[0]
-    emit_cols = model.emission.T  # column m = P(y = m | state), shape (M, K)
-    filtered = np.empty((T, model.K))
-    log_norms = np.empty(T)
+    transition = model.transition
+    # Row t starts as the emission column of y[t] and is finished in place.
+    filtered = model.emission.T[y]
+    norms = np.empty(T)
     predicted = prior
-    for t in range(T):
-        weighted = predicted * emit_cols[y[t]]
-        norm = weighted.sum()
-        if norm <= 0.0:
-            raise ImpossibleObservationError(t + 1)
-        filtered[t] = weighted / norm
-        log_norms[t] = np.log(norm)
-        if t + 1 < T:
-            predicted = filtered[t] @ model.transition
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, row in enumerate(filtered):
+            row *= predicted
+            # norms[t, ...] is a 0-d view: numpy divides by it faster than
+            # by the scalar row.sum() returns, with the same result.
+            row /= np.add.reduce(row, out=norms[t, ...])
+            predicted = row @ transition
+        log_norms = np.log(norms)
+        # An impossible step leaves NaN behind it, so the first non-positive
+        # normalizer is the first impossible observation.
+        impossible = np.flatnonzero(norms <= 0.0)
+    if impossible.size:
+        raise ImpossibleObservationError(int(impossible[0]) + 1)
     return CategoricalPosteriorSequence(
         filtered=filtered,
         log_normalizers=log_norms,
@@ -170,17 +187,24 @@ def backward_smooth(
             f"forward pass covers {forward.filtered.shape[0]} steps, data has {T}"
         )
     K = model.K
-    emit_cols = model.emission.T
+    transition = model.transition
+    filtered = forward.filtered
     norms = np.exp(forward.log_normalizers)
-    beta = np.ones(K)
     smoothed = np.empty((T, K))
     pairwise = np.empty((max(T - 1, 0), K, K))
-    smoothed[T - 1] = forward.filtered[T - 1]
+    # Row t of rescaled starts as the emission column of y[t + 1]; the loop
+    # finishes it in place and writes beta[t] into smoothed[t].
+    rescaled = model.emission.T[y[1:]]
+    beta = np.ones(K)
     for t in range(T - 2, -1, -1):
-        rescaled = emit_cols[y[t + 1]] * beta / norms[t + 1]
-        pairwise[t] = forward.filtered[t][:, None] * model.transition * rescaled[None, :]
-        beta = model.transition @ rescaled
-        smoothed[t] = forward.filtered[t] * beta
+        row = rescaled[t]
+        row *= beta
+        row /= norms[t + 1, ...]  # a 0-d view, as in forward_filter
+        beta = np.matmul(transition, row, out=smoothed[t])
+    smoothed[:-1] *= filtered[:-1]
+    smoothed[T - 1] = filtered[T - 1]
+    np.multiply(filtered[:-1, :, None], transition, out=pairwise)
+    pairwise *= rescaled[:, None, :]
     return SmoothedSequence(smoothed=smoothed, pairwise=pairwise)
 
 
@@ -233,16 +257,25 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
     return StatePath(path), log_joint
 
 
-def baum_welch_step(model: DiscreteHMM, obs: ObservationSeries) -> BaumWelchStep:
+def baum_welch_step(
+    model: DiscreteHMM,
+    obs: ObservationSeries,
+    forward: CategoricalPosteriorSequence | None = None,
+) -> BaumWelchStep:
     """One EM re-estimation step.
 
     E-step runs the forward and backward passes; M-step sets the initial
     law to smoothed row 1, transition rows to normalized expected
     transition counts, and emission rows to normalized expected symbol
     counts.  A state with zero expected occupancy keeps its input row.
+
+    forward, when given, must be forward_filter(model, obs); it is used
+    instead of running the forward pass again, and the result is the same.
+    A pass over a different number of steps raises ValueError.
     """
     y = _check_symbolic(model, obs)
-    forward = forward_filter(model, obs)
+    if forward is None:
+        forward = forward_filter(model, obs)
     smooth = backward_smooth(model, obs, forward)
     K, M = model.K, model.M
 
@@ -289,23 +322,23 @@ def fit_em(
     The trace starts with the initial model's log-likelihood and gains one
     entry per step whose improvement reached tol, so a start at a fixed
     point yields a single-entry trace.  The trace is nondecreasing within
-    1e-9 per step.  max_iter bounds the number of steps taken.
+    1e-9 per step.  max_iter bounds the number of steps taken.  Each model
+    is filtered once: its forward pass gives both the tolerance test and
+    the next step's E-step, so k steps take k + 1 forward passes.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     current = model0
-    trace: list[float] = []
+    forward = forward_filter(current, obs)
+    trace = [forward.log_likelihood]
     for _ in range(max_iter):
-        step = baum_welch_step(current, obs)
-        if not trace:
-            trace.append(step.log_likelihood)
-        current = step.model
-        new_ll = forward_filter(current, obs).log_likelihood
-        if new_ll - trace[-1] < tol:
+        current = baum_welch_step(current, obs, forward).model
+        forward = forward_filter(current, obs)
+        if forward.log_likelihood - trace[-1] < tol:
             break
-        trace.append(new_ll)
+        trace.append(forward.log_likelihood)
     return current, trace
 
 

@@ -6,6 +6,7 @@ plain-Python path sum before being used as the oracle for the recursions.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ssmkit import (
     simulate_hmm,
     viterbi,
 )
+from ssmkit import hmm
 
 BENCH = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
 BENCH_OBS = ObservationSeries([0, 1, 1], kind="symbolic")
@@ -413,11 +415,71 @@ class TestFitEm:
         assert np.abs(recovered - truth.transition).max() < 0.05
         assert np.all(np.diff(trace) >= -1e-9)
 
+    @pytest.mark.parametrize("tol, max_iter", [(1e-12, 4), (1e-2, 200)])
+    def test_one_forward_pass_per_model(self, monkeypatch, tol, max_iter):
+        rng = np.random.default_rng(21)
+        _, obs = simulate_hmm(random_hmm(rng, 3, 4), 300, SeededGenerator(21))
+        start = random_hmm(rng, 3, 4)
+        calls = {"forward_filter": 0, "baum_welch_step": 0}
+
+        def counted(name):
+            wrapped = getattr(hmm, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(hmm, name, counting)
+
+        counted("forward_filter")
+        counted("baum_welch_step")
+        _, trace = fit_em(start, obs, tol=tol, max_iter=max_iter)
+        steps = calls["baum_welch_step"]
+        if max_iter == 4:
+            assert len(trace) == max_iter + 1 and steps == max_iter
+        else:
+            assert len(trace) == steps < max_iter
+        assert calls["forward_filter"] == steps + 1
+
     def test_invalid_tol_and_max_iter(self):
         with pytest.raises(ValueError):
             fit_em(BENCH, BENCH_OBS, tol=0.0)
         with pytest.raises(ValueError):
             fit_em(BENCH, BENCH_OBS, max_iter=0)
+
+
+class TestBaumWelchForwardArgument:
+    def test_given_forward_pass_gives_the_same_step(self):
+        rng = np.random.default_rng(22)
+        model = random_hmm(rng, 3, 4)
+        y = sym(rng.integers(0, 4, size=120))
+        given = baum_welch_step(model, y, forward=forward_filter(model, y))
+        own = baum_welch_step(model, y)
+        for name in ("initial", "transition", "emission"):
+            assert np.array_equal(getattr(given.model, name), getattr(own.model, name))
+        assert given.log_likelihood == own.log_likelihood
+        assert given.held_transition_rows == own.held_transition_rows
+        assert given.held_emission_rows == own.held_emission_rows
+
+    def test_forward_pass_of_wrong_length(self):
+        with pytest.raises(ValueError):
+            baum_welch_step(BENCH, BENCH_OBS, forward=forward_filter(BENCH, sym([0, 1])))
+
+
+class TestBackwardSmoothMemory:
+    def test_no_t_by_k_by_k_temporary(self):
+        rng = np.random.default_rng(23)
+        model = random_hmm(rng, 10, 5)
+        t_len, k = 2000, 10
+        y = sym(rng.integers(0, 5, size=t_len))
+        fwd = forward_filter(model, y)
+        tracemalloc.start()
+        try:
+            smooth = backward_smooth(model, y, fwd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < smooth.pairwise.nbytes + smooth.smoothed.nbytes + 3 * t_len * k * 8
 
 
 class TestRelabelingInvariance:
