@@ -287,9 +287,14 @@ def negative_loglik(theta: ParameterVector, obs: ObservationSeries) -> float:
         raise ValueError("discrete-hmm parameters require symbolic observations")
     if theta.family == "linear-gaussian" and obs.kind != "real":
         raise ValueError("linear-gaussian parameters require real observations")
-    model = unpack(theta)
+    return _negative_loglik(unpack(theta), obs)
+
+
+def _negative_loglik(model, obs: ObservationSeries) -> float:
+    """-log-likelihood through the model family's filter; a NumericalError
+    inside the filter comes back as +inf."""
     try:
-        if theta.family == "discrete-hmm":
+        if isinstance(model, DiscreteHMM):
             return -forward_filter(model, obs).log_likelihood
         return -kalman_filter(model, obs).log_likelihood
     except NumericalError:
@@ -397,11 +402,11 @@ def fit_mle(
     """
     require_valid(model0)
     if isinstance(model0, DiscreteHMM):
-        family, shape, all_blocks = "discrete-hmm", (model0.K, model0.M), HMM_BLOCKS
+        family, all_blocks = "discrete-hmm", HMM_BLOCKS
         if obs.kind != "symbolic":
             raise ValueError("discrete-hmm fitting requires symbolic observations")
     elif isinstance(model0, LinearGaussianModel):
-        family, shape, all_blocks = "linear-gaussian", (model0.d_x, model0.d_y), LGSSM_BLOCKS
+        family, all_blocks = "linear-gaussian", LGSSM_BLOCKS
         if obs.kind != "real":
             raise ValueError("linear-gaussian fitting requires real observations")
     else:
@@ -422,12 +427,7 @@ def fit_mle(
             model = _unpack_blocks(x, model0, blocks)
         except (ValueError, ModelValidationError):
             return np.inf
-        try:
-            if family == "discrete-hmm":
-                return -forward_filter(model, obs).log_likelihood
-            return -kalman_filter(model, obs).log_likelihood
-        except NumericalError:
-            return np.inf
+        return _negative_loglik(model, obs)
 
     report = nelder_mead(objective, x0, step=step, tol=tol, max_iter=max_iter)
     fitted = _unpack_blocks(report.argmin, model0, blocks)

@@ -12,7 +12,10 @@ run batched afterwards.  The backward loop finishes a row of gathered
 emission columns in place (weight by beta, divide by the normalizer) and
 writes the next beta into the smoothed array; the product with the
 filtered rows and the pairwise slabs are then formed batched, with no
-T x K x K temporary.  Every element goes through the same floating-point
+T x K x K temporary.  The Viterbi loop writes each step's scores into one
+K x K buffer and finishes a row of gathered log emission columns with
+their column maxima; the impossibility check runs once per block of
+gathered rows.  Every element goes through the same floating-point
 operations in the same order as in the plain per-step recursion, so the
 outputs equal it byte for byte.  fit_em filters each model once and hands
 that pass to the next baum_welch_step.
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**6
+# Steps per block of gathered log emission columns in viterbi; bounds the
+# memory the gather takes.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -239,16 +245,26 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
         log_init = np.log(model.initial)
         log_trans = np.log(model.transition)
         log_emit = np.log(model.emission)
-    delta = log_init + log_emit[:, y[0]]
-    if np.max(delta) == -np.inf:
-        raise ImpossibleObservationError(1)
     back = np.empty((T, K), dtype=np.int64)
-    for t in range(1, T):
-        scores = delta[:, None] + log_trans
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(K)] + log_emit[:, y[t]]
-        if np.max(delta) == -np.inf:
-            raise ImpossibleObservationError(t + 1)
+    scores = np.empty((K, K))
+    delta = None
+    for lo in range(0, T, _BLOCK):
+        # Each row starts as the gathered log emission column of its symbol
+        # and is finished in place into the best score of each state.
+        deltas = log_emit.T[y[lo : lo + _BLOCK]]
+        for t, row in enumerate(deltas, lo):
+            if delta is None:
+                row += log_init
+            else:
+                np.add(delta[:, None], log_trans, out=scores)
+                np.argmax(scores, axis=0, out=back[t])
+                row += scores.max(axis=0)
+            delta = row
+        # Scores are never NaN, and a row of -inf stays -inf, so the first
+        # such row is the first impossible step.
+        impossible = np.flatnonzero(deltas.max(axis=1) == -np.inf)
+        if impossible.size:
+            raise ImpossibleObservationError(lo + int(impossible[0]) + 1)
     path = np.empty(T, dtype=np.int64)
     path[T - 1] = int(np.argmax(delta))
     log_joint = float(delta[path[T - 1]])

@@ -15,10 +15,20 @@ covariance recursion through them.  A batched LAPACK or matmul call works
 matrix by matrix, with the strides of the per-step call, so every output
 equals the per-step recursion byte for byte, and the cost of a step does
 not depend on the model's values.
+
+A scalar model (d_x = d_y = 1) runs the same filter and smoother
+recursions on Python floats, since a numpy call on 1x1 arrays costs far
+more than its arithmetic.  They keep the numpy loops' operation order; a
+1x1 matmul product is 0 + a*b and a 1x1 solve is a division, so the outputs
+equal the numpy loops byte for byte.  A series with an exactly zero
+innovation variance or a value that is not finite goes through the numpy
+loop instead, which reports it with its own errors and warnings.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +125,9 @@ def _log_increments(innovation_covs: np.ndarray, innovations: np.ndarray) -> np.
     return out
 
 
-def kalman_filter(
-    model: LinearGaussianModel, obs: ObservationSeries
-) -> GaussianPosteriorSequence:
-    """Standard predict/update recursion with Joseph-form updates.
-
-    Raises NumericalDegeneracyError at the first step whose innovation
-    covariance fails the CONDITION_GUARD check.
-    """
-    require_valid(model)
-    y = _check_real(model, obs)
+def _moments(model: LinearGaussianModel, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The predict/update moment recursion: filtered, predicted, innovation
+    and innovation-covariance arrays, in that order (means before covs)."""
     T = y.shape[0]
     d_x, d_y = model.d_x, model.d_y
     A, C, Q, R = model.A, model.C, model.Q, model.R
@@ -162,7 +165,74 @@ def kalman_filter(
 
         mean_pred = A @ mean_filt
         cov_pred = symmetrize(A @ cov_filt @ A.T + Q)
+    return (
+        filtered_means, filtered_covs, predicted_means, predicted_covs,
+        innovations, innovation_covs,
+    )
 
+
+def _scalar_moments(
+    model: LinearGaussianModel, y: np.ndarray
+) -> tuple[np.ndarray, ...] | None:
+    """_moments for d_x = d_y = 1 on Python floats, operation for operation.
+
+    A 1x1 product comes back from matmul as 0 + a*b, so each product adds
+    0.0 (which turns -0.0 into +0.0), and a 1x1 solve is b / s.  Returns
+    None when an innovation variance is zero or a value is not finite; the
+    numpy loop then runs the series with its own errors and warnings.
+    """
+    T = y.shape[0]
+    a, c, q, r = (float(m[0, 0]) for m in (model.A, model.C, model.Q, model.R))
+    arrays = (
+        np.empty((T, 1)), np.empty((T, 1, 1)), np.empty((T, 1)), np.empty((T, 1, 1)),
+        np.empty((T, 1)), np.empty((T, 1, 1)),
+    )
+    fm, fc, pm, pc, inn, ic = (memoryview(x.reshape(T)) for x in arrays)
+    m = float(model.mu0[0])
+    p = float(model.Sigma0[0, 0])
+    p = 0.5 * (p + p)
+    for t, yt in enumerate(memoryview(np.ascontiguousarray(y[:, 0]))):
+        pm[t] = m
+        pc[t] = p
+        e = yt - (c * m + 0.0)
+        cross = c * p + 0.0
+        s = cross * c + 0.0 + r
+        s = 0.5 * (s + s)
+        inn[t] = e
+        ic[t] = s
+        if s == 0.0:
+            return None
+        g = cross / s
+        mf = m + (g * e + 0.0)
+        j = 1.0 - (g * c + 0.0)
+        pf = ((j * p + 0.0) * j + 0.0) + ((g * r + 0.0) * g + 0.0)
+        pf = 0.5 * (pf + pf)
+        fm[t] = mf
+        fc[t] = pf
+        m = a * mf + 0.0
+        p = (a * pf + 0.0) * a + 0.0 + q
+        p = 0.5 * (p + p)
+    finite = math.isfinite(m) and math.isfinite(p)
+    return arrays if finite and all(np.isfinite(x).all() for x in arrays) else None
+
+
+def kalman_filter(
+    model: LinearGaussianModel, obs: ObservationSeries
+) -> GaussianPosteriorSequence:
+    """Standard predict/update recursion with Joseph-form updates.
+
+    Raises NumericalDegeneracyError at the first step whose innovation
+    covariance fails the CONDITION_GUARD check.
+    """
+    require_valid(model)
+    y = _check_real(model, obs)
+    moments = _scalar_moments(model, y) if model.d_x == model.d_y == 1 else None
+    if moments is None:
+        moments = _moments(model, y)
+    (
+        filtered_means, filtered_covs, predicted_means, predicted_covs,
+        innovations, innovation_covs,
+    ) = moments
     log_increments = _log_increments(innovation_covs, innovations)
     # Sequential addition, as a per-step accumulation would give.
     log_likelihood = 0.0
@@ -180,9 +250,13 @@ def kalman_filter(
 
 def _backward_gains(
     A: np.ndarray, filtered_covs: np.ndarray, predicted_next: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Smoother gains P_filt[t] A^T P_pred[t+1]^-1 for a block of steps, and
-    which of them needed the pseudo-inverse because P_pred[t+1] is singular."""
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Smoother gains P_filt[t] A^T P_pred[t+1]^-1 for a block of steps.
+
+    Returns the solved systems G, whose transposes are the gains where
+    P_pred[t+1] has a Cholesky factor, and, by position in the block, the
+    gains through the pseudo-inverse where P_pred[t+1] is singular.
+    """
     cross = filtered_covs @ A.T
     singular = np.zeros(len(cross), dtype=bool)
     try:
@@ -203,10 +277,63 @@ def _backward_gains(
         lower.transpose(0, 2, 1),
         np.linalg.solve(lower, cross[ok].transpose(0, 2, 1)),
     )
+    pinv = {
+        i: cross[i] @ np.linalg.pinv(predicted_next[i], rcond=1e-12)
+        for i in np.flatnonzero(singular).tolist()
+    }
+    return solved, pinv
+
+
+def _backward(forward, solved, pinv, smoothed_means, smoothed_covs, lo, hi) -> None:
+    """The RTS mean and covariance recursion from step hi - 1 down to lo,
+    through the gains of _backward_gains for that block."""
+    filtered_means, filtered_covs = forward.filtered_means, forward.filtered_covs
+    predicted_means, predicted_covs = forward.predicted_means, forward.predicted_covs
     gains = list(solved.transpose(0, 2, 1))
-    for i in np.flatnonzero(singular).tolist():
-        gains[i] = cross[i] @ np.linalg.pinv(predicted_next[i], rcond=1e-12)
-    return gains, singular
+    for i, gain in pinv.items():
+        gains[i] = gain
+    for t in range(hi - 1, lo - 1, -1):
+        gain = gains[t - lo]
+        smoothed_means[t] = filtered_means[t] + gain @ (
+            smoothed_means[t + 1] - predicted_means[t + 1]
+        )
+        smoothed_covs[t] = symmetrize(
+            filtered_covs[t]
+            + gain @ (smoothed_covs[t + 1] - predicted_covs[t + 1]) @ gain.T
+        )
+
+
+def _scalar_backward(
+    forward, solved, pinv, smoothed_means, smoothed_covs, lo, hi
+) -> bool:
+    """_backward for d_x = 1 on Python floats, operation for operation, as
+    _scalar_moments does the filter.  Returns False when a value is not
+    finite; the numpy loop then runs the block again."""
+    gains = solved[:, 0, 0]
+    for i, gain in pinv.items():
+        gains[i] = gain[0, 0]
+    gains = gains.tolist()
+    filt_m = forward.filtered_means[lo:hi, 0].tolist()
+    filt_c = forward.filtered_covs[lo:hi, 0, 0].tolist()
+    pred_m = forward.predicted_means[lo + 1 : hi + 1, 0].tolist()
+    pred_c = forward.predicted_covs[lo + 1 : hi + 1, 0, 0].tolist()
+    means = array("d", bytes(8 * (hi - lo)))
+    covs = array("d", bytes(8 * (hi - lo)))
+    m = float(smoothed_means[hi, 0])
+    p = float(smoothed_covs[hi, 0, 0])
+    for i in range(hi - lo - 1, -1, -1):
+        g = gains[i]
+        m = filt_m[i] + (g * (m - pred_m[i]) + 0.0)
+        p = filt_c[i] + ((g * (p - pred_c[i]) + 0.0) * g + 0.0)
+        p = 0.5 * (p + p)
+        means[i] = m
+        covs[i] = p
+    means, covs = np.frombuffer(means), np.frombuffer(covs)
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        return False
+    smoothed_means[lo:hi, 0] = means
+    smoothed_covs[lo:hi, 0, 0] = covs
+    return True
 
 
 def rts_smoother(
@@ -220,29 +347,21 @@ def rts_smoother(
     """
     require_valid(model)
     T = forward.filtered_means.shape[0]
-    A = model.A
-    filtered_means, filtered_covs = forward.filtered_means, forward.filtered_covs
-    predicted_means, predicted_covs = forward.predicted_means, forward.predicted_covs
-    smoothed_means = np.empty_like(filtered_means)
-    smoothed_covs = np.empty_like(filtered_covs)
-    smoothed_means[T - 1] = filtered_means[T - 1]
-    smoothed_covs[T - 1] = filtered_covs[T - 1]
+    smoothed_means = np.empty_like(forward.filtered_means)
+    smoothed_covs = np.empty_like(forward.filtered_covs)
+    smoothed_means[T - 1] = forward.filtered_means[T - 1]
+    smoothed_covs[T - 1] = forward.filtered_covs[T - 1]
+    scalar = model.d_x == 1 and smoothed_means.dtype == smoothed_covs.dtype == float
     pinv_steps: list[int] = []
     for hi in range(T - 1, 0, -_BLOCK):
         lo = max(hi - _BLOCK, 0)
-        gains, singular = _backward_gains(
-            A, filtered_covs[lo:hi], predicted_covs[lo + 1 : hi + 1]
+        solved, pinv = _backward_gains(
+            model.A, forward.filtered_covs[lo:hi], forward.predicted_covs[lo + 1 : hi + 1]
         )
-        pinv_steps[:0] = (np.flatnonzero(singular) + lo + 2).tolist()
-        for t in range(hi - 1, lo - 1, -1):
-            gain = gains[t - lo]
-            smoothed_means[t] = filtered_means[t] + gain @ (
-                smoothed_means[t + 1] - predicted_means[t + 1]
-            )
-            smoothed_covs[t] = symmetrize(
-                filtered_covs[t]
-                + gain @ (smoothed_covs[t + 1] - predicted_covs[t + 1]) @ gain.T
-            )
+        pinv_steps[:0] = [i + lo + 2 for i in pinv]
+        block = (forward, solved, pinv, smoothed_means, smoothed_covs, lo, hi)
+        if not (scalar and _scalar_backward(*block)):
+            _backward(*block)
     return GaussianSmoothedSequence(
         smoothed_means=smoothed_means,
         smoothed_covs=smoothed_covs,

@@ -237,6 +237,12 @@ def test_criterion_7_performance_floor():
         particle_s = time.perf_counter() - t0
         assert particle_s < 10.0, f"bootstrap_filter N=1e4 T=1e3 took {particle_s:.2f}s"
 
+        _, obs = simulate_lgssm(SCALAR_LG, 10_000, SeededGenerator(77005))
+        t0 = time.perf_counter()
+        rts_smoother(SCALAR_LG, kalman_filter(SCALAR_LG, obs))
+        kalman_s = time.perf_counter() - t0
+        assert kalman_s < 0.15, f"scalar kalman_filter + rts_smoother T=1e4 took {kalman_s:.3f}s"
+
 
 def test_criterion_8_determinism(tmp_path, capsys):
     with criterion(8, "byte reproducibility of seeded runs"):

@@ -1,6 +1,6 @@
-"""The forward filter, backward smoother, Baum-Welch step and EM loop against
-the plain per-step recursions and the two-pass EM loop, compared byte for
-byte."""
+"""The forward filter, backward smoother, Baum-Welch step, EM loop and
+Viterbi decoder against the plain per-step recursions and the two-pass EM
+loop, compared byte for byte."""
 
 import warnings
 
@@ -17,7 +17,9 @@ from ssmkit import (
     fit_em,
     forward_filter,
     simulate_hmm,
+    viterbi,
 )
+from ssmkit import hmm
 from ssmkit.hmm import _check_probability_vector, _check_symbolic
 from ssmkit.models import require_valid
 
@@ -115,6 +117,35 @@ def reference_fit_em(model0, obs, tol, max_iter):
             break
         trace.append(new_ll)
     return current, trace
+
+
+def reference_viterbi(model, obs):
+    """The max-product step with a fresh score matrix, a gather of the
+    maxima through the argmax, and the impossibility check at every step."""
+    require_valid(model)
+    y = _check_symbolic(model, obs)
+    T = y.shape[0]
+    K = model.K
+    with np.errstate(divide="ignore"):
+        log_init = np.log(model.initial)
+        log_trans = np.log(model.transition)
+        log_emit = np.log(model.emission)
+    delta = log_init + log_emit[:, y[0]]
+    if np.max(delta) == -np.inf:
+        raise ImpossibleObservationError(1)
+    back = np.empty((T, K), dtype=np.int64)
+    for t in range(1, T):
+        scores = delta[:, None] + log_trans
+        back[t] = np.argmax(scores, axis=0)
+        delta = scores[back[t], np.arange(K)] + log_emit[:, y[t]]
+        if np.max(delta) == -np.inf:
+            raise ImpossibleObservationError(t + 1)
+    path = np.empty(T, dtype=np.int64)
+    path[T - 1] = int(np.argmax(delta))
+    log_joint = float(delta[path[T - 1]])
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path, log_joint
 
 
 def assert_bytes_equal(actual, expected):
@@ -246,6 +277,53 @@ class TestFitEm:
         assert_models_equal(fitted, expected_model)
 
 
+def check_viterbi(model, obs):
+    path, log_joint = viterbi(model, obs)
+    expected_path, expected_log_joint = reference_viterbi(model, obs)
+    assert_bytes_equal(path.states, expected_path)
+    assert np.float64(log_joint).tobytes() == np.float64(expected_log_joint).tobytes()
+
+
+@pytest.fixture(params=[1024, 4], ids=["default-block", "block-4"])
+def viterbi_block(request, monkeypatch):
+    """Run with the default block size and with one that puts block
+    boundaries inside short series."""
+    monkeypatch.setattr(hmm, "_BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("viterbi_block")
+class TestViterbi:
+    @pytest.mark.parametrize("k, m", [(2, 2), (3, 4), (10, 5)])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 57, 2000])
+    def test_random_model(self, k, m, t_len):
+        rng = np.random.default_rng(3000 * k + t_len)
+        model = random_hmm(rng, k, m)
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(5 * k + t_len))
+        check_viterbi(model, obs)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 57, 2000])
+    def test_zero_entries(self, t_len):
+        _, obs = simulate_hmm(SPARSE, t_len, SeededGenerator(9 + t_len))
+        check_viterbi(SPARSE, obs)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 57])
+    def test_tied_scores(self, t_len):
+        # Equal transition entries and equal emission rows tie every score,
+        # and a block of equal entries ties some of them; ties go to the
+        # lower index.
+        uniform = DiscreteHMM(np.full(4, 0.25), np.full((4, 4), 0.25), np.full((4, 3), 1 / 3))
+        blocks = DiscreteHMM(
+            [0.5, 0.5, 0.0],
+            [[0.4, 0.4, 0.2], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]],
+            [[0.5, 0.5], [0.5, 0.5], [0.9, 0.1]],
+        )
+        for model in (uniform, blocks):
+            _, obs = simulate_hmm(model, t_len, SeededGenerator(t_len))
+            check_viterbi(model, obs)
+        path, _ = viterbi(uniform, simulate_hmm(uniform, t_len, SeededGenerator(1))[1])
+        assert not path.states.any()
+
+
 # Deterministic alternation: state 0 emits only symbol 0, state 1 only
 # symbol 1, so any repeated symbol is impossible.
 ALTERNATING = DiscreteHMM([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
@@ -283,4 +361,33 @@ class TestImpossibleObservation:
             warnings.simplefilter("error")
             with pytest.raises(ImpossibleObservationError) as raised:
                 forward_filter(model, obs, initial_override=override)
+        assert raised.value.time_index == expected.value.time_index == position + 1
+
+
+@pytest.mark.usefixtures("viterbi_block")
+class TestViterbiImpossibleObservation:
+    @pytest.mark.parametrize("t_len, position", [(1, 0), (9, 0), (9, 4), (9, 8)])
+    def test_repeated_symbol(self, t_len, position):
+        y = np.arange(t_len) % 2
+        y[position] = 1 - y[position]
+        self.check(ALTERNATING, ObservationSeries(y, kind="symbolic"), position)
+
+    @pytest.mark.parametrize("position", [0, 30, 56])
+    def test_symbol_no_state_emits(self, position):
+        model = DiscreteHMM(
+            [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4, 0.0], [0.3, 0.7, 0.0]]
+        )
+        y = np.random.default_rng(position).integers(0, 2, size=57)
+        y[position] = 2
+        y[-1] = 2
+        self.check(model, ObservationSeries(y, kind="symbolic"), position)
+
+    @staticmethod
+    def check(model, obs, position):
+        with pytest.raises(ImpossibleObservationError) as expected:
+            reference_viterbi(model, obs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImpossibleObservationError) as raised:
+                viterbi(model, obs)
         assert raised.value.time_index == expected.value.time_index == position + 1

@@ -1,6 +1,9 @@
 """The filter and smoother, with their batched checks, likelihood terms and
-gains, against the plain per-step recursions, compared byte for byte."""
+gains, against the plain per-step recursions, compared byte for byte.  The
+scalar models (d_x = d_y = 1), which run the recursion on Python floats, are
+compared the same way."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +20,7 @@ from ssmkit import (
     rts_smoother,
     simulate_lgssm,
 )
-from ssmkit import kalman
+from ssmkit import estimation, fit_mle, kalman
 from ssmkit.kalman import CONDITION_GUARD, _check_real
 from ssmkit.models import require_valid
 from ssmkit.numerics import symmetrize
@@ -326,3 +329,214 @@ class TestLogIncrements:
                 model.C @ result.predicted_covs[t] @ model.C.T + model.R,
             )
             assert result.log_increments[t] == pytest.approx(want, rel=1e-12)
+
+
+def random_scalar_model(rng):
+    """Signs and magnitudes over several decades; Q and Sigma0 are zero now
+    and then."""
+
+    def sign():
+        return float(rng.choice([-1.0, 1.0]))
+
+    def decades(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    return LinearGaussianModel(
+        A=[[sign() * decades(-3, 0.1)]],
+        C=[[sign() * decades(-3, 1)]],
+        Q=[[0.0 if rng.random() < 0.1 else decades(-6, 1)]],
+        R=[[decades(-4, 2)]],
+        mu0=[sign() * decades(-3, 2)],
+        Sigma0=[[0.0 if rng.random() < 0.1 else decades(-4, 2)]],
+    )
+
+
+def scalar(A=0.9, C=1.0, Q=0.19, R=0.5, mu0=0.0, Sigma0=1.0):
+    return LinearGaussianModel(
+        A=[[A]], C=[[C]], Q=[[Q]], R=[[R]], mu0=[mu0], Sigma0=[[Sigma0]]
+    )
+
+
+def zeros(T):
+    return ObservationSeries(np.zeros((T, 1)), kind="real")
+
+
+def assert_same_failure(model, obs):
+    """Both filters raise NumericalDegeneracyError at the same step; returns
+    that step."""
+    with pytest.raises(NumericalDegeneracyError) as ref_exc:
+        reference_kalman_filter(model, obs)
+    with pytest.raises(NumericalDegeneracyError) as exc:
+        kalman_filter(model, obs)
+    assert exc.value.time_index == ref_exc.value.time_index
+    return exc.value.time_index
+
+
+@pytest.mark.usefixtures("block")
+class TestScalarPath:
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_models(self, chunk):
+        rng = np.random.default_rng([5, chunk])
+        for _ in range(75):
+            model = random_scalar_model(rng)
+            T = int(rng.integers(1, 60))
+            assert_same_bytes(model, simulated(model, T, int(rng.integers(1 << 30))))
+
+    @pytest.mark.parametrize("T", [1, 2, 2500])
+    def test_series_lengths(self, T):
+        assert_same_bytes(SCALAR, simulated(SCALAR, T, 12))
+
+    def test_unobserved_state(self):
+        model = scalar(C=0.0, mu0=2.0)
+        assert_same_bytes(model, simulated(model, 40, 13))
+
+    def test_every_smoother_step_on_the_pseudo_inverse(self):
+        # A = Q = 0: from step 2 on the predicted variance is exactly 0.
+        model = scalar(A=0.0, Q=0.0, mu0=1.0)
+        _, ref_smooth = assert_same_bytes(model, simulated(model, 30, 14))
+        assert ref_smooth.pinv_steps == tuple(range(2, 31))
+
+    def test_pseudo_inverse_of_negative_predicted_variances(self):
+        # Sigma0 = 0 and a slightly negative Q (validation allows down to
+        # -1e-10) make every predicted variance from step 2 on negative:
+        # its Cholesky factor fails and the pseudo-inverse gives a nonzero
+        # gain.
+        model = scalar(A=1.0, Q=-1e-10, R=1.0, Sigma0=0.0)
+        obs = ObservationSeries(np.linspace(-1.0, 1.0, 30)[:, None], kind="real")
+        ref, ref_smooth = assert_same_bytes(model, obs)
+        assert (ref.predicted_covs[1:] < 0.0).all()
+        assert ref_smooth.pinv_steps == tuple(range(2, 31))
+        assert (ref_smooth.smoothed_means[:-1] != ref.filtered_means[:-1]).any()
+
+    def test_zero_initial_variance(self):
+        model = scalar(Sigma0=0.0, mu0=-1.5)
+        assert_same_bytes(model, simulated(model, 30, 15))
+
+    @pytest.mark.parametrize("R, step", [(1e-12, 2), (3e-10, 6), (3e-9, 18)])
+    def test_guard_fails_at_a_later_step(self, R, step):
+        # A slightly negative Q (validation allows down to -1e-10) drives
+        # the predicted variance below zero once the filter has shrunk it
+        # to the order of R, and the innovation variance follows.
+        model = scalar(A=1.0, Q=-1e-10, R=R)
+        assert assert_same_failure(model, zeros(40)) == step
+
+    def test_exactly_zero_innovation_variance_at_step_1(self):
+        # C P C^T + R = -1e-11 + 1e-11 is exactly 0: the guard reports it
+        # before the gain divides by it.
+        model = scalar(Sigma0=-1e-11, R=1e-11)
+        assert assert_same_failure(model, zeros(3)) == 1
+
+    def test_exactly_zero_innovation_variance_at_a_later_step(self):
+        model = scalar(A=0.0, Q=-1e-11, R=1e-11)
+        assert assert_same_failure(model, zeros(5)) == 2
+
+    @pytest.mark.parametrize("A", [1.05, -1.2])
+    def test_explosive_state_over_a_long_series(self, A):
+        model = scalar(A=A)
+        obs = simulated(model, 2500, 16)
+        assert np.abs(obs.values).max() > 1e50
+        assert_same_bytes(model, obs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "model, T",
+        [
+            # Unobserved and explosive: the predicted variance overflows
+            # near step 870 and is NaN from then on.
+            (scalar(A=1.5, C=0.0, mu0=1.0), 1000),
+            # C^2 P overflows, so S is inf at every step while the gain
+            # C P / S is 0 and every other value stays finite.
+            (scalar(C=1e160), 5),
+        ],
+        ids=["variance-overflow", "innovation-variance-overflow"],
+    )
+    def test_overflow_gives_the_numpy_loop_warnings(self, monkeypatch, model, T):
+        # The scalar path hands a series with a non-finite value to the
+        # numpy loops, so the values and the warnings are theirs.
+        obs = zeros(T)
+        ref, _ = assert_same_bytes(model, obs)
+        assert not np.isfinite(ref.predicted_covs[-1, 0, 0] * ref.log_likelihood)
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rts_smoother(model, kalman_filter(model, obs))
+            return [str(w.message) for w in caught]
+
+        got = run()
+        monkeypatch.setattr(kalman, "_scalar_moments", lambda model, y: None)
+        monkeypatch.setattr(kalman, "_scalar_backward", lambda *block: False)
+        assert got and got == run()
+
+    @pytest.mark.parametrize("A", [-1e-200, 1e-200])
+    @pytest.mark.parametrize("mu0", [-1e-150, 1e-150])
+    def test_means_that_underflow_to_signed_zeros(self, A, mu0):
+        # A * mean underflows; the product of a matmul is 0 + a*b, so a
+        # zero comes out +0.0 where a bare product would give -0.0.
+        model = scalar(A=A, C=-1e-160, mu0=mu0, Q=1e-300, R=1.0)
+        ref, _ = assert_same_bytes(model, zeros(6))
+        assert not np.signbit(ref.predicted_means[1:]).any()
+        assert (ref.predicted_means[1:] == 0.0).all()
+
+
+@pytest.mark.usefixtures("block")
+def test_scalar_smoother_signed_zeros():
+    # A hand-built sequence whose filtered means are -0.0: the gain times
+    # the correction underflows to -0.0, and the 0 + a*b of a matmul makes
+    # the smoothed means +0.0.
+    T = 8
+    forward = GaussianPosteriorSequence(
+        filtered_means=np.full((T, 1), -0.0),
+        filtered_covs=np.full((T, 1, 1), 1e-300),
+        predicted_means=np.full((T, 1), 1e-100),
+        predicted_covs=np.ones((T, 1, 1)),
+        log_increments=np.zeros(T),
+        log_likelihood=0.0,
+    )
+    ref = reference_rts_smoother(SCALAR, forward)
+    got = rts_smoother(SCALAR, forward)
+    assert not np.signbit(ref.smoothed_means[:-1]).any()
+    assert got.smoothed_means.tobytes() == ref.smoothed_means.tobytes()
+    assert got.smoothed_covs.tobytes() == ref.smoothed_covs.tobytes()
+
+
+def test_scalar_smoother_on_a_single_precision_sequence():
+    # The smoothed arrays take the sequence's dtype, so each step reads
+    # back a rounded value; the numpy loop does that, and runs here.
+    ref = reference_kalman_filter(SCALAR, simulated(SCALAR, 50, 3))
+    forward = GaussianPosteriorSequence(
+        *(getattr(ref, name).astype(np.float32) for name in FILTER_ARRAYS),
+        log_increments=np.zeros(50),
+        log_likelihood=0.0,
+    )
+    expected = reference_rts_smoother(SCALAR, forward)
+    got = rts_smoother(SCALAR, forward)
+    assert got.smoothed_means.dtype == np.float32
+    assert got.smoothed_means.tobytes() == expected.smoothed_means.tobytes()
+    assert got.smoothed_covs.tobytes() == expected.smoothed_covs.tobytes()
+
+
+def _fit_mle_lg_runs():
+    """The (R, mu0) and (A, Q, R) fits of a scalar series of 300 steps, with
+    the Nelder-Mead iteration budgets that bind before the tolerance."""
+    _, obs = simulate_lgssm(SCALAR, 300, SeededGenerator(17))
+    r_mu0 = scalar(R=1.0, mu0=1.0)
+    a_q_r = scalar(A=0.5, Q=0.5, R=1.0)
+    return [
+        fit_mle(r_mu0, obs, tol=1e-6, max_iter=20, free_blocks=("R", "mu0")),
+        fit_mle(a_q_r, obs, tol=1e-6, max_iter=40, free_blocks=("A", "Q", "R")),
+    ]
+
+
+def test_fit_mle_equals_a_fit_through_the_reference_filter(monkeypatch):
+    fast = _fit_mle_lg_runs()
+    monkeypatch.setattr(estimation, "kalman_filter", reference_kalman_filter)
+    slow = _fit_mle_lg_runs()
+    for (fitted, report), (ref_fitted, ref_report) in zip(fast, slow):
+        assert report.argmin.tobytes() == ref_report.argmin.tobytes()
+        assert report.final_value == ref_report.final_value
+        assert report.iterations == ref_report.iterations
+        assert report.converged == ref_report.converged
+        assert report.simplex_spread == ref_report.simplex_spread
+        for name in ("A", "C", "Q", "R", "mu0", "Sigma0"):
+            assert getattr(fitted, name).tobytes() == getattr(ref_fitted, name).tobytes()
