@@ -255,8 +255,10 @@ def _cmd_fit(args) -> int:
             raise _UsageError(
                 "EM fitting covers discrete models only; use --method mle"
             )
-        fitted, trace = fit_em(model, obs, tol=args.tol, max_iter=args.max_iter)
-        log_likelihood = forward_filter(fitted, obs).log_likelihood
+        fitted, trace, forward = fit_em(
+            model, obs, tol=args.tol, max_iter=args.max_iter, _with_forward=True
+        )
+        log_likelihood = forward.log_likelihood
         # The trace gains an entry per accepted step after the initial one,
         # so it holds max_iter + 1 entries when the limit binds.
         iterations = min(len(trace), args.max_iter)

@@ -1,9 +1,24 @@
 """Exact inference for finite-state hidden Markov models.
 
 Forward/backward passes use per-step normalization with the normalizers
-accumulated in log domain, which is the fastest stable choice for moderate
-state counts.  Time indices reported in errors are 1-based, matching the
-t column of series files.
+accumulated in log domain.  Time indices reported in errors are 1-based,
+matching the t column of series files.
+
+The forward and backward passes run one of two ways, chosen by the number
+of states K alone (_use_scan).  Up to _SCAN_MAX_K states they are blocked
+prefix scans.  The unnormalized filter row t is alpha_0 @ M_1 @ ... @ M_t
+with M_t = A diag(e_t), so the rows of a block of _SCAN_BLOCK steps come
+from log2(_SCAN_BLOCK) batched matrix products started from the last row
+of the block before; the backward pass scans the transposed factors over
+reversed time.  The scans change the order of the arithmetic: their
+outputs agree with the per-step loops within 1e-12 relative, zeros stay
+exact zeros, and smoothed[T-1] equals filtered[T-1] exactly.  Every
+scanned row is checked against one per-step recursion from the row
+before it; a block that fails the check (an impossible observation, or an
+entry a partial product lost to underflow) hands the series to the loop,
+which raises or computes it.  Their work per step grows as K**3 times the
+levels of a block, so above _SCAN_MAX_K the per-step loops are faster and
+run instead.
 
 Each loop carries only its recursion.  The forward loop finishes a row of
 gathered emission columns in place (weight by the prediction, sum,
@@ -17,8 +32,8 @@ K x K buffer and finishes a row of gathered log emission columns with
 their column maxima; the impossibility check runs once per block of
 gathered rows.  Every element goes through the same floating-point
 operations in the same order as in the plain per-step recursion, so the
-outputs equal it byte for byte.  fit_em filters each model once and hands
-that pass to the next baum_welch_step.
+loops' outputs and Viterbi's equal it byte for byte.  fit_em filters each
+model once and hands that pass to the next baum_welch_step.
 """
 
 from __future__ import annotations
@@ -52,6 +67,17 @@ ENUMERATION_GUARD = 10**6
 # Steps per block of gathered log emission columns in viterbi; bounds the
 # memory the gather takes.
 _BLOCK = 1024
+# Models with at most this many states run the forward and backward passes
+# as blocked prefix scans: measured faster than the per-step loops at every
+# series length up to this K, while at K = 9 and 10 the backward scan was no
+# faster than its loop.
+_SCAN_MAX_K = 8
+# Steps per block of the scans; a block's partial products take
+# _SCAN_BLOCK * K * K floats.
+_SCAN_BLOCK = 512
+# Largest relative difference, entry by entry, between a scanned row and
+# one per-step recursion from the row before it that _scan_block accepts.
+_SCAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,6 +168,7 @@ def forward_filter(
     emission column of the observed symbol, and renormalizes; the log of
     each normalizer is accumulated so log_likelihood = sum_t log c_t.
     initial_override replaces model.initial for the first step when given.
+    Models with at most _SCAN_MAX_K states run it as a blocked prefix scan.
     """
     require_valid(model)
     y = _check_symbolic(model, obs)
@@ -149,6 +176,23 @@ def forward_filter(
         prior = _check_probability_vector(initial_override, model.K, "initial_override")
     else:
         prior = model.initial
+    if _use_scan(model.K):
+        forward = _forward_scan(model, y, prior)
+        if forward is not None:
+            return forward
+    return _forward_loop(model, y, prior)
+
+
+def _use_scan(k: int) -> bool:
+    """Whether forward_filter and backward_smooth run a K-state model as
+    blocked prefix scans rather than per-step loops."""
+    return k <= _SCAN_MAX_K
+
+
+def _forward_loop(
+    model: DiscreteHMM, y: np.ndarray, prior: np.ndarray
+) -> CategoricalPosteriorSequence:
+    """forward_filter one step at a time, from checked symbols and prior."""
     T = y.shape[0]
     transition = model.transition
     # Row t starts as the emission column of y[t] and is finished in place.
@@ -175,6 +219,97 @@ def forward_filter(
     )
 
 
+def _scan_block(
+    rows: np.ndarray, lo: int, hi: int, matrix: np.ndarray, cols: np.ndarray
+) -> np.ndarray | None:
+    """Fill rows[lo:hi] from rows[lo - 1] by a prefix scan, and check it.
+
+    Row t becomes rows[lo - 1] @ F_lo @ ... @ F_t scaled to sum to one,
+    where F_s = matrix @ diag(cols[s - lo]).  Inclusive Hillis-Steele scan:
+    at stride d = 1, 2, 4, ... every partial product is multiplied by the
+    one d steps before it, so a block of n steps takes ceil(log2(n))
+    batched matmuls.  Each partial product is rescaled to unit sum, so a
+    product over many steps does not underflow as a whole.  The carry
+    enters through the first factor, whose rows all become
+    rows[lo - 1] @ F_lo: every row of a prefix product is then the wanted
+    row.
+
+    A partial product can still lose an entry that the per-step recursion
+    keeps, to zero or to a subnormal float, where its other entries are
+    far larger.  So each row is compared with one step of that recursion
+    from the row before it, (rows[t - 1] @ matrix) * cols[t - lo] scaled
+    to sum to one.  Returns the sums of those unscaled steps, or None when
+    some entry differs from its step by more than _SCAN_RTOL relative,
+    which includes an impossible step (NaN rows) and a lost entry.
+    """
+    k = matrix.shape[0]
+    ones = np.ones(k * k)
+    n = hi - lo
+    # Flat entry (i, j) of F_s is matrix[i, j] * cols[s - lo, j]; gathering
+    # the columns k times over is faster than a broadcast multiply.
+    prods = np.multiply(cols[:, np.arange(k * k) % k], matrix.ravel(), order="C")
+    prods = prods.reshape(n, k, k)
+    prods[0] = rows[lo - 1] @ prods[0]
+    d = 1
+    while d < n:
+        joined = np.matmul(prods[:-d], prods[d:])
+        joined /= (joined.reshape(n - d, k * k) @ ones)[:, None, None]
+        prods[d:] = joined
+        d *= 2
+    out = rows[lo:hi]
+    out[...] = prods[:, 0]
+    out /= (out @ ones[:k])[:, None]
+    step = rows[lo - 1 : hi - 1] @ matrix
+    step *= cols
+    sums = step @ ones[:k]
+    step /= sums[:, None]
+    error = out - step
+    np.abs(error, out=error)
+    step *= _SCAN_RTOL
+    # A NaN on either side fails the comparison.
+    if not (error <= step).all():
+        return None
+    return sums
+
+
+def _forward_scan(
+    model: DiscreteHMM, y: np.ndarray, prior: np.ndarray
+) -> CategoricalPosteriorSequence | None:
+    """forward_filter as a prefix scan, or None where a block fails its
+    check (an impossible step or a lost entry), so that the loop runs and
+    raises or computes it instead.
+
+    The unnormalized filter row t is alpha_0 @ M_1 @ ... @ M_t with
+    M_t = A diag(e_t); each block of _SCAN_BLOCK steps is scanned from the
+    last filtered row of the one before.  The normalizers are the sums of
+    the checking steps, filtered[t-1] @ A times the emission column of
+    y[t], as in the loop.
+    """
+    T = y.shape[0]
+    transition = model.transition
+    emission_cols = model.emission.T
+    filtered = np.empty((T, model.K))
+    norms = np.empty(T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = prior * emission_cols[y[0]]
+        norms[0] = np.add.reduce(first)
+        if not norms[0] > 0.0:
+            return None
+        np.divide(first, norms[0], out=filtered[0])
+        for lo in range(1, T, _SCAN_BLOCK):
+            hi = min(lo + _SCAN_BLOCK, T)
+            sums = _scan_block(filtered, lo, hi, transition, emission_cols[y[lo:hi]])
+            if sums is None:
+                return None
+            norms[lo:hi] = sums
+    log_norms = np.log(norms)
+    return CategoricalPosteriorSequence(
+        filtered=filtered,
+        log_normalizers=log_norms,
+        log_likelihood=float(log_norms.sum()),
+    )
+
+
 def backward_smooth(
     model: DiscreteHMM,
     obs: ObservationSeries,
@@ -182,9 +317,10 @@ def backward_smooth(
 ) -> SmoothedSequence:
     """Scaled backward recursion combined with the forward pass.
 
-    The backward variables are rescaled by the forward normalizers, so
-    smoothed row t is elementwise filtered[t] * beta[t] with no further
-    normalization; row T therefore equals the filtered row exactly.
+    Smoothed row t is elementwise filtered[t] * beta[t], with the backward
+    variables scaled so that the row sums to one; row T equals the filtered
+    row exactly.  Models with at most _SCAN_MAX_K states run it as a
+    blocked suffix scan.
     """
     y = _check_symbolic(model, obs)
     T = y.shape[0]
@@ -192,7 +328,18 @@ def backward_smooth(
         raise ValueError(
             f"forward pass covers {forward.filtered.shape[0]} steps, data has {T}"
         )
-    K = model.K
+    if _use_scan(model.K):
+        smooth = _backward_scan(model, y, forward.filtered)
+        if smooth is not None:
+            return smooth
+    return _backward_loop(model, y, forward)
+
+
+def _backward_loop(
+    model: DiscreteHMM, y: np.ndarray, forward: CategoricalPosteriorSequence
+) -> SmoothedSequence:
+    """backward_smooth one step at a time, from checked symbols."""
+    T, K = y.shape[0], model.K
     transition = model.transition
     filtered = forward.filtered
     norms = np.exp(forward.log_normalizers)
@@ -205,12 +352,55 @@ def backward_smooth(
     for t in range(T - 2, -1, -1):
         row = rescaled[t]
         row *= beta
-        row /= norms[t + 1, ...]  # a 0-d view, as in forward_filter
+        row /= norms[t + 1, ...]  # a 0-d view, as in _forward_loop
         beta = np.matmul(transition, row, out=smoothed[t])
     smoothed[:-1] *= filtered[:-1]
     smoothed[T - 1] = filtered[T - 1]
     np.multiply(filtered[:-1, :, None], transition, out=pairwise)
     pairwise *= rescaled[:, None, :]
+    return SmoothedSequence(smoothed=smoothed, pairwise=pairwise)
+
+
+def _backward_scan(
+    model: DiscreteHMM, y: np.ndarray, filtered: np.ndarray
+) -> SmoothedSequence | None:
+    """backward_smooth as a suffix scan, or None where a block fails its
+    check or a scale is not positive, so that the loop runs instead.
+
+    Row t of the loop's rescaled array, e_{t+1} * beta[t+1] / c_{t+1}, is
+    up to scale g_{t+1} with g_{T-1} = e_{T-1} and
+    g_t = g_{t+1} @ A^T diag(e_t): a prefix scan over reversed time.  Its
+    scale follows from smoothed[t] = filtered[t] * (A @ rescaled[t])
+    summing to one, so the normalizers are not needed.
+    """
+    T, K = y.shape[0], model.K
+    transition = model.transition
+    smoothed = np.empty((T, K))
+    # Row j holds g_{T-1-j} scaled to sum to one, from symbol y[T-1-j].
+    reversed_rows = np.empty((T - 1, K))
+    reversed_y = y[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if T > 1:
+            last = model.emission[:, reversed_y[0]]
+            np.divide(last, np.add.reduce(last), out=reversed_rows[0])
+            transposed = np.ascontiguousarray(transition.T)
+            for lo in range(1, T - 1, _SCAN_BLOCK):
+                hi = min(lo + _SCAN_BLOCK, T - 1)
+                cols = model.emission.T[reversed_y[lo:hi]]
+                if _scan_block(reversed_rows, lo, hi, transposed, cols) is None:
+                    return None
+        rescaled = reversed_rows[::-1]
+        beta = rescaled @ transition.T
+        np.multiply(filtered[:-1], beta, out=smoothed[:-1])
+        scale = smoothed[:-1] @ np.ones(K)
+    if not (scale > 0.0).all():
+        return None
+    smoothed[:-1] /= scale[:, None]
+    smoothed[T - 1] = filtered[T - 1]
+    # Scaled last, so that a tiny scale cannot overflow a factor to inf.
+    pairwise = np.multiply(filtered[:-1, :, None], transition)
+    pairwise *= rescaled[:, None, :]
+    pairwise /= scale[:, None, None]
     return SmoothedSequence(smoothed=smoothed, pairwise=pairwise)
 
 
@@ -332,6 +522,8 @@ def fit_em(
     obs: ObservationSeries,
     tol: float = 1e-6,
     max_iter: int = 100,
+    *,
+    _with_forward: bool = False,
 ) -> tuple[DiscreteHMM, list[float]]:
     """Iterate baum_welch_step until the log-likelihood gain drops below tol.
 
@@ -341,6 +533,9 @@ def fit_em(
     1e-9 per step.  max_iter bounds the number of steps taken.  Each model
     is filtered once: its forward pass gives both the tolerance test and
     the next step's E-step, so k steps take k + 1 forward passes.
+
+    _with_forward, for the command line, appends the fitted model's forward
+    pass to the returned tuple, so that it need not be run again.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -355,6 +550,8 @@ def fit_em(
         if forward.log_likelihood - trace[-1] < tol:
             break
         trace.append(forward.log_likelihood)
+    if _with_forward:
+        return current, trace, forward
     return current, trace
 
 

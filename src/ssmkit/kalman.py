@@ -9,12 +9,14 @@ Only the moment recursions run step by step.  The filter loop carries the
 predicted and filtered moments through the gain; what no later step reads
 (the CONDITION_GUARD eigenvalue check on every innovation covariance, its
 Cholesky factor, the log-determinant and the solved innovation) is computed
-afterwards in batched calls over blocks of steps.  The RTS smoother
-likewise computes its backward gains in blocks before running the mean and
-covariance recursion through them.  A batched LAPACK or matmul call works
-matrix by matrix, with the strides of the per-step call, so every output
-equals the per-step recursion byte for byte, and the cost of a step does
-not depend on the model's values.
+afterwards in batched calls over blocks of steps, or in closed form when
+the observation is scalar.  The RTS smoother likewise computes its
+backward gains in blocks before running the mean and covariance recursion
+through them.  A batched LAPACK or matmul call works matrix by matrix,
+with the strides of the per-step call, and the closed forms repeat what
+LAPACK computes on a 1x1 matrix, so every output equals the per-step
+recursion byte for byte, and the cost of a step does not depend on the
+model's values.
 
 A scalar model (d_x = d_y = 1) runs the same filter and smoother
 recursions on Python floats, since a numpy call on 1x1 arrays costs far
@@ -109,8 +111,22 @@ def _guard(innovation_covs: np.ndarray, offset: int) -> None:
 
 def _log_increments(innovation_covs: np.ndarray, innovations: np.ndarray) -> np.ndarray:
     """-0.5 (d_y log 2 pi + log det S + z^T z) per step, with S = L L^T and
-    L z = innovation, after the guard check on every S."""
+    L z = innovation, after the guard check on every S.
+
+    With d_y = 1 the factor is sqrt(s) and the solve a division, as LAPACK
+    computes them on 1x1 matrices, so the closed form gives the same bytes;
+    its guard reduces to s > 0, since the condition number of a 1x1 matrix
+    is 1 (NaN and inf pass, as they pass the eigenvalue check).
+    """
     T, d_y = innovations.shape
+    if d_y == 1:
+        s = innovation_covs[:, 0, 0]
+        bad = np.flatnonzero(s <= 0.0)
+        if bad.size:
+            raise NumericalDegeneracyError(int(bad[0]) + 1)
+        root = np.sqrt(s)
+        z = innovations[:, 0] / root
+        return -0.5 * (_LOG_2PI + 2.0 * np.log(root) + z * z)
     out = np.empty(T)
     for lo in range(0, T, _BLOCK):
         hi = min(lo + _BLOCK, T)

@@ -14,6 +14,7 @@ from ssmkit import (
     SeededGenerator,
     backward_smooth,
     bootstrap_filter,
+    fit_em,
     fixed_lag_smoother,
     forward_filter,
     kalman_filter,
@@ -27,7 +28,7 @@ from ssmkit import (
     write_model,
     write_series,
 )
-from ssmkit import particle
+from ssmkit import cli, hmm, particle
 
 HMM = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
 LG = LinearGaussianModel(
@@ -269,6 +270,39 @@ class TestFit:
         assert code == 0
         assert summary["converged"] is False
         assert summary["iterations"] == max_iter
+
+    @pytest.mark.parametrize("tol, max_iter", [("1e-12", 3), ("1e-2", 200)])
+    def test_em_filters_each_model_once(self, capsys, monkeypatch, tmp_path, hmm_model,
+                                        tol, max_iter):
+        data = str(tmp_path / "train.csv")
+        run(capsys, ["simulate", "--model", hmm_model, "--T", "80", "--seed",
+                     "11", "--out", data])
+        obs = read_series(data)
+        fitted, trace = fit_em(HMM, obs, tol=float(tol), max_iter=max_iter)
+        expected_ll = forward_filter(fitted, obs).log_likelihood
+        calls = {"fit_em": 0, "forward_filter": 0, "baum_welch_step": 0}
+        for name in calls:
+            wrapped = getattr(hmm, name)
+
+            def counting(*args, _name=name, _wrapped=wrapped, **kwargs):
+                calls[_name] += 1
+                return _wrapped(*args, **kwargs)
+
+            for module in (hmm, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        code, summary = run(capsys, ["fit", "--model", hmm_model, "--data", data,
+                                     "--method", "em", "--tol", tol,
+                                     "--max-iter", str(max_iter),
+                                     "--out", str(tmp_path / "fitted.json")])
+        assert code == 0
+        # Through the public name, which tracing and profiling wrap.
+        assert calls["fit_em"] == 1
+        steps = calls["baum_welch_step"]
+        assert steps == min(len(trace), max_iter)
+        assert calls["forward_filter"] == steps + 1
+        # The printed value is the fitted model's log-likelihood.
+        assert summary["log_likelihood"] == expected_ll
 
     def test_mle_default_for_gaussian(self, capsys, tmp_path, lg_model, lg_data):
         out = str(tmp_path / "fitted.json")

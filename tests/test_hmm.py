@@ -5,6 +5,7 @@ plain-Python path sum before being used as the oracle for the recursions.
 """
 
 import itertools
+import warnings
 import math
 import tracemalloc
 
@@ -502,3 +503,291 @@ class TestRelabelingInvariance:
         path, _ = viterbi(model, sym(y))
         path_p, _ = viterbi(permuted_model, sym(perm[y]))
         np.testing.assert_array_equal(path_p.states, path.states)
+
+
+# The scans that forward_filter and backward_smooth run for small models,
+# against enumeration and against the per-step loops they replace.
+
+# Deterministic alternation: state 0 emits only symbol 0, state 1 only
+# symbol 1, so any repeated symbol is impossible.
+ALTERNATING = DiscreteHMM([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+
+
+def sparse_hmm(rng, k, m):
+    """Random model with about a third of the transition and emission
+    entries exactly zero (each row keeps its largest entry)."""
+
+    def rows(n, width):
+        raw = rng.exponential(size=(n, width))
+        raw[(rng.random((n, width)) < 0.35) & (raw < raw.max(axis=1, keepdims=True))] = 0.0
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    return DiscreteHMM(rows(1, k)[0], rows(k, k), rows(k, m))
+
+
+TINY = np.finfo(float).tiny
+
+
+def loop_passes(model, obs, initial_override=None):
+    prior = model.initial if initial_override is None else np.asarray(initial_override)
+    forward = hmm._forward_loop(model, obs.values, prior)
+    return forward, hmm._backward_loop(model, obs.values, forward)
+
+
+class TestScanAgainstEnumeration:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("make", [random_hmm, sparse_hmm], ids=["dense", "zeros"])
+    def test_lengths_one_to_nine(self, k, make):
+        rng = np.random.default_rng(50 + k)
+        for t_len in range(1, 10):
+            model = make(rng, k, 3)
+            _, obs = simulate_hmm(model, t_len, SeededGenerator(100 * k + t_len))
+            override = rng.dirichlet(np.ones(k))
+            for initial in (model.initial, override):
+                enum = exact_posterior_enumeration(
+                    DiscreteHMM(initial, model.transition, model.emission), obs
+                )
+                fwd = forward_filter(model, obs, initial_override=initial)
+                smooth = backward_smooth(model, obs, fwd)
+                np.testing.assert_allclose(fwd.filtered, enum.filtered, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(smooth.smoothed, enum.smoothed, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(smooth.pairwise, enum.pairwise, rtol=0, atol=1e-12)
+                assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, abs=1e-12)
+
+    def test_consecutive_rare_transitions(self):
+        # Every path with positive probability makes the moves 0 -> 1 and
+        # 1 -> 2 of probability 1e-160 on consecutive steps.  The loop's
+        # backward variables, scaled by the inverse normalizers, overflow
+        # there; the scan scales each backward row by its own sum.
+        rare = 1e-160
+        model = DiscreteHMM(
+            [1.0, 0.0, 0.0],
+            [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
+        )
+        obs = sym([0, 0, 0, 1, 2, 2, 1, 2])
+        enum = exact_posterior_enumeration(model, obs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fwd = forward_filter(model, obs)
+            smooth = backward_smooth(model, obs, fwd)
+        np.testing.assert_allclose(fwd.filtered, enum.filtered, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(smooth.smoothed, enum.smoothed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(smooth.pairwise, enum.pairwise, rtol=0, atol=1e-12)
+        assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+
+
+def scan_lengths():
+    block = hmm._SCAN_BLOCK
+    return [1, 2, block - 1, block, block + 1, block + 2, 2000, 10_000]
+
+
+class TestScanAgainstLoop:
+    @pytest.mark.parametrize("t_len", scan_lengths())
+    @pytest.mark.parametrize(
+        "k, m, make",
+        [
+            (2, 4, random_hmm),
+            (3, 4, sparse_hmm),
+            (hmm._SCAN_MAX_K, 4, random_hmm),
+            (3, hmm._SCAN_BLOCK + 1, random_hmm),
+        ],
+    )
+    def test_within_1e_12(self, k, m, make, t_len):
+        rng = np.random.default_rng(7 * k + t_len)
+        model = make(rng, k, m)
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(k + t_len))
+        for initial in (None, rng.dirichlet(np.ones(k))):
+            fwd = forward_filter(model, obs, initial_override=initial)
+            smooth = backward_smooth(model, obs, fwd)
+            loop_fwd, loop_smooth = loop_passes(model, obs, initial)
+            # Below the normal range a float carries fewer than 53 bits, so
+            # the slack there is absolute; a zero on either side must still
+            # be a zero or subnormal on the other.
+            for got, want in [
+                (fwd.filtered, loop_fwd.filtered),
+                (fwd.log_normalizers, loop_fwd.log_normalizers),
+                (smooth.smoothed, loop_smooth.smoothed),
+                (smooth.pairwise, loop_smooth.pairwise),
+            ]:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=TINY)
+            assert fwd.log_likelihood == pytest.approx(loop_fwd.log_likelihood, rel=1e-12)
+            np.testing.assert_array_equal(smooth.smoothed[-1], fwd.filtered[-1])
+
+    def test_zeros_are_exact(self):
+        rng = np.random.default_rng(31)
+        model = sparse_hmm(rng, 4, 3)
+        _, obs = simulate_hmm(model, 3000, SeededGenerator(31))
+        fwd = forward_filter(model, obs)
+        smooth = backward_smooth(model, obs, fwd)
+        loop_fwd, loop_smooth = loop_passes(model, obs)
+        assert (loop_fwd.filtered == 0.0).any() and (loop_smooth.pairwise == 0.0).any()
+        # Every zero is structural: no value reaches the subnormal range.
+        for values in (loop_fwd.filtered, loop_smooth.smoothed, loop_smooth.pairwise):
+            assert not ((values > 0.0) & (values < TINY)).any()
+        np.testing.assert_array_equal(fwd.filtered == 0.0, loop_fwd.filtered == 0.0)
+        np.testing.assert_array_equal(smooth.smoothed == 0.0, loop_smooth.smoothed == 0.0)
+        np.testing.assert_array_equal(smooth.pairwise == 0.0, loop_smooth.pairwise == 0.0)
+
+
+def impossible_positions():
+    block = hmm._SCAN_BLOCK
+    t_len = 2 * block + 3
+    # First step, the last step of the first block (rows 1..block), the
+    # first step of the second, and the last step.
+    return t_len, [0, block, block + 1, t_len - 1]
+
+
+class TestScanImpossibleObservation:
+    @staticmethod
+    def check(model, y, override, position):
+        obs = ObservationSeries(y, kind="symbolic")
+        prior = model.initial if override is None else np.asarray(override)
+        with pytest.raises(ImpossibleObservationError) as expected:
+            hmm._forward_loop(model, y, prior)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImpossibleObservationError) as raised:
+                forward_filter(model, obs, initial_override=override)
+        assert raised.value.time_index == expected.value.time_index == position + 1
+
+    @pytest.mark.parametrize("override", [None, [0.0, 1.0]])
+    @pytest.mark.parametrize("position", impossible_positions()[1])
+    def test_repeated_symbol(self, override, position):
+        t_len, _ = impossible_positions()
+        first = 1 if override else 0
+        y = (first + np.arange(t_len)) % 2
+        y[position] = 1 - y[position]
+        self.check(ALTERNATING, y, override, position)
+
+    @pytest.mark.parametrize("override", [None, [0.2, 0.8]])
+    @pytest.mark.parametrize("position", impossible_positions()[1])
+    def test_symbol_no_state_emits(self, override, position):
+        t_len, _ = impossible_positions()
+        model = DiscreteHMM(
+            [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4, 0.0], [0.3, 0.7, 0.0]]
+        )
+        y = np.random.default_rng(position).integers(0, 2, size=t_len)
+        y[position] = 2
+        y[-1] = 2
+        self.check(model, y, override, position)
+
+
+def count_loop_calls(monkeypatch):
+    calls = {"_forward_loop": 0, "_backward_loop": 0}
+    for name in calls:
+        wrapped = getattr(hmm, name)
+
+        def counting(*args, _name=name, _wrapped=wrapped):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(hmm, name, counting)
+    return calls
+
+
+class TestScanDispatch:
+    @pytest.mark.parametrize("k", range(1, hmm._SCAN_MAX_K + 1))
+    def test_small_models_never_run_the_loops(self, monkeypatch, k):
+        rng = np.random.default_rng(k)
+        model = random_hmm(rng, k, 3)
+        _, obs = simulate_hmm(model, 700, SeededGenerator(k))
+        calls = count_loop_calls(monkeypatch)
+        backward_smooth(model, obs, forward_filter(model, obs))
+        fit_em(model, obs, tol=1e-12, max_iter=2)
+        assert calls == {"_forward_loop": 0, "_backward_loop": 0}
+
+    def test_an_impossible_observation_is_raised_by_the_loop(self, monkeypatch):
+        calls = count_loop_calls(monkeypatch)
+        with pytest.raises(ImpossibleObservationError) as raised:
+            forward_filter(ALTERNATING, sym([0, 1, 1, 0]))
+        assert raised.value.time_index == 3
+        assert calls == {"_forward_loop": 1, "_backward_loop": 0}
+
+    def test_ten_states_run_the_loops(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        model = random_hmm(rng, 10, 3)
+        _, obs = simulate_hmm(model, 50, SeededGenerator(10))
+        calls = count_loop_calls(monkeypatch)
+        backward_smooth(model, obs, forward_filter(model, obs))
+        assert calls == {"_forward_loop": 1, "_backward_loop": 1}
+
+    def test_a_block_product_that_underflows_runs_the_loop(self, monkeypatch):
+        # From state 0, symbol 1 needs the rare move 0 -> 1 and symbol 2
+        # then the rare move 1 -> 2: the scan's product over those two
+        # steps from state 0 is 1e-340, which underflows to zero, while
+        # each step of the loop is normalized.
+        rare = 1e-170
+        model = DiscreteHMM(
+            [1.0, 0.0, 0.0],
+            [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
+        )
+        y = np.array([0, 0, 0, 1, 2, 2, 1])
+        calls = count_loop_calls(monkeypatch)
+        fwd = forward_filter(model, sym(y))
+        assert calls["_forward_loop"] == 1
+        expected = hmm._forward_loop(model, y, model.initial)
+        np.testing.assert_array_equal(fwd.filtered, expected.filtered)
+        assert fwd.log_likelihood == expected.log_likelihood
+
+
+class TestScanLostEntry:
+    # A partial product of a block can lose an entry to underflow, or keep
+    # it as a subnormal with few bits, while its other entries stay normal
+    # floats, so no row turns NaN and no scale is zero.  The check against
+    # one per-step recursion catches it and the series runs on the loop.
+
+    # The scan's product over steps 1 and 2 from state 0 holds rare**2.
+    # At 1e-170 it flushes to zero, so row 2 would read [0, 1] where the
+    # loop keeps [1e-40, 1], and a symbol 1 after it would have a zero
+    # normalizer, which is not an impossible observation.  At 1e-157 it is
+    # a subnormal that puts a relative error of 3.6e-11 into row 2.
+    @pytest.mark.parametrize(
+        "rare, y", [(1e-170, [1, 0, 0]), (1e-170, [1, 0, 0, 1]), (1e-157, [1, 0, 0])]
+    )
+    def test_forward(self, monkeypatch, rare, y):
+        model = DiscreteHMM(
+            [1.0, 0.0], [[1.0, 1e-300], [0.0, 1.0]], [[rare, 1.0], [1.0, 0.0]]
+        )
+        y = np.array(y)
+        calls = count_loop_calls(monkeypatch)
+        fwd = forward_filter(model, sym(y))
+        assert calls["_forward_loop"] == 1
+        expected = hmm._forward_loop(model, y, model.initial)
+        np.testing.assert_array_equal(fwd.filtered, expected.filtered)
+        assert fwd.log_likelihood == expected.log_likelihood
+
+    def test_backward(self, monkeypatch):
+        # The reversed-time factors A^T diag(e) are those of the forward
+        # case: the scan would lose entry 0 of the backward row for step 1
+        # and give smoothed[0, 0] = 0 where the loop keeps 1e-210.
+        model = DiscreteHMM(
+            [0.5, 0.5], [[1.0, 0.0], [1e-300, 1.0]], [[1e-170, 1.0], [1.0, 0.0]]
+        )
+        y = np.array([0, 0, 0, 1])
+        fwd = forward_filter(model, sym(y))
+        calls = count_loop_calls(monkeypatch)
+        smooth = backward_smooth(model, sym(y), fwd)
+        assert calls["_backward_loop"] == 1
+        expected = hmm._backward_loop(model, y, fwd)
+        assert smooth.smoothed[0, 0] > 0.0
+        np.testing.assert_array_equal(smooth.smoothed, expected.smoothed)
+        np.testing.assert_array_equal(smooth.pairwise, expected.pairwise)
+
+
+class TestForwardFilterMemory:
+    def test_no_t_by_k_by_k_temporary(self):
+        rng = np.random.default_rng(24)
+        m = 4
+        model = random_hmm(rng, 3, m)
+        t_len, k = 50_000, 3
+        y = sym(rng.integers(0, m, size=t_len))
+        tracemalloc.start()
+        try:
+            fwd = forward_filter(model, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = fwd.filtered.nbytes + fwd.log_normalizers.nbytes
+        assert peak < outputs + t_len * 8 + t_len * k * 8 // 4

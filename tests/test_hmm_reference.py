@@ -1,6 +1,12 @@
 """The forward filter, backward smoother, Baum-Welch step, EM loop and
 Viterbi decoder against the plain per-step recursions and the two-pass EM
-loop, compared byte for byte."""
+loop, compared byte for byte.
+
+The forward and backward passes are tested on their per-step loops
+(_forward_loop, _backward_loop), and the Baum-Welch step and EM loop with
+the dispatch pinned to them: the scans that small models run instead
+change the arithmetic, and tests/test_hmm.py checks them against
+enumeration and against these loops within 1e-12."""
 
 import warnings
 
@@ -12,10 +18,8 @@ from ssmkit import (
     ImpossibleObservationError,
     ObservationSeries,
     SeededGenerator,
-    backward_smooth,
     baum_welch_step,
     fit_em,
-    forward_filter,
     simulate_hmm,
     viterbi,
 )
@@ -177,14 +181,29 @@ SPARSE = DiscreteHMM(
 )
 
 
+def loop_forward_filter(model, obs, initial_override=None):
+    """forward_filter on its per-step loop, whatever the model's size."""
+    if initial_override is None:
+        prior = model.initial
+    else:
+        prior = _check_probability_vector(initial_override, model.K, "initial_override")
+    return hmm._forward_loop(model, _check_symbolic(model, obs), prior)
+
+
+@pytest.fixture
+def loop_path(monkeypatch):
+    """Pin forward_filter and backward_smooth to their per-step loops."""
+    monkeypatch.setattr(hmm, "_use_scan", lambda k: False)
+
+
 def check_against_reference(model, obs, initial_override=None):
     expected = reference_forward_filter(model, obs, initial_override)
-    forward = forward_filter(model, obs, initial_override=initial_override)
+    forward = loop_forward_filter(model, obs, initial_override)
     assert_bytes_equal(forward.filtered, expected[0])
     assert_bytes_equal(forward.log_normalizers, expected[1])
     assert forward.log_likelihood == expected[2]
 
-    smooth = backward_smooth(model, obs, forward)
+    smooth = hmm._backward_loop(model, _check_symbolic(model, obs), forward)
     smoothed, pairwise = reference_backward_smooth(model, obs, expected[0], expected[1])
     assert_bytes_equal(smooth.smoothed, smoothed)
     assert_bytes_equal(smooth.pairwise, pairwise)
@@ -214,6 +233,7 @@ class TestForwardBackward:
         check_against_reference(SPARSE, obs, [0.0, 1.0, 0.0])
 
 
+@pytest.mark.usefixtures("loop_path")
 class TestBaumWelchStep:
     @pytest.mark.parametrize("k, m", [(2, 2), (3, 4), (10, 5)])
     @pytest.mark.parametrize("t_len", [1, 2, 3, 57, 2000])
@@ -244,6 +264,7 @@ class TestBaumWelchStep:
         assert step.held_emission_rows == held_emit
 
 
+@pytest.mark.usefixtures("loop_path")
 class TestFitEm:
     @pytest.mark.parametrize("k, m", [(2, 2), (3, 4), (10, 5)])
     def test_stops_by_tolerance(self, k, m):
@@ -342,7 +363,7 @@ class TestImpossibleObservation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ImpossibleObservationError) as raised:
-                forward_filter(ALTERNATING, obs, initial_override=override)
+                loop_forward_filter(ALTERNATING, obs, override)
         assert raised.value.time_index == expected.value.time_index == position + 1
 
     @pytest.mark.parametrize("override", [None, [0.2, 0.8]])
@@ -360,7 +381,7 @@ class TestImpossibleObservation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ImpossibleObservationError) as raised:
-                forward_filter(model, obs, initial_override=override)
+                loop_forward_filter(model, obs, override)
         assert raised.value.time_index == expected.value.time_index == position + 1
 
 

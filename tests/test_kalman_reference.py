@@ -331,6 +331,59 @@ class TestLogIncrements:
             assert result.log_increments[t] == pytest.approx(want, rel=1e-12)
 
 
+def batched_log_increments(innovation_covs, innovations):
+    """_log_increments as batched LAPACK calls for any d_y: the guard, the
+    Cholesky factor, its log-determinant and the triangular solve."""
+    T, d_y = innovations.shape
+    out = np.empty(T)
+    for lo in range(0, T, kalman._BLOCK):
+        hi = min(lo + kalman._BLOCK, T)
+        s = innovation_covs[lo:hi]
+        kalman._guard(s, lo)
+        chol = np.linalg.cholesky(s)
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        z = np.linalg.solve(chol, innovations[lo:hi, :, None])
+        out[lo:hi] = -0.5 * (
+            d_y * _LOG_2PI + log_det + (z.transpose(0, 2, 1) @ z)[:, 0, 0]
+        )
+    return out
+
+
+class TestScalarLogIncrements:
+    """The closed form for d_y = 1 against the batched calls."""
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(61)
+        n = 20_000
+        s = np.exp(rng.uniform(-40.0, 40.0, n)) * rng.random(n)
+        v = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+        got = kalman._log_increments(s[:, None, None], v[:, None])
+        assert got.tobytes() == batched_log_increments(s[:, None, None], v[:, None]).tobytes()
+
+    def test_extreme_values(self):
+        s = np.array([np.nan, np.inf, 1e-310, 5e-324, 1e308, 1.0, 2.0, 1.0])
+        v = np.array([1.0, 2.0, 1e-300, 1.0, 1e200, np.nan, np.inf, 0.0])
+        with np.errstate(over="ignore"):
+            got = kalman._log_increments(s[:, None, None], v[:, None])
+            want = batched_log_increments(s[:, None, None], v[:, None])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-300, -2.0, -np.inf])
+    @pytest.mark.parametrize("step", [0, 1500, 2999])
+    def test_guard_at_the_same_step(self, bad, step):
+        s = np.full(3000, 0.7)
+        s[step] = bad
+        s[-1:step:-1] = -1.0  # later failures must not be reported first
+        v = np.ones(3000)
+        with pytest.raises(NumericalDegeneracyError) as expected:
+            batched_log_increments(s[:, None, None], v[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDegeneracyError) as raised:
+                kalman._log_increments(s[:, None, None], v[:, None])
+        assert raised.value.time_index == expected.value.time_index == step + 1
+
+
 def random_scalar_model(rng):
     """Signs and magnitudes over several decades; Q and Sigma0 are zero now
     and then."""
