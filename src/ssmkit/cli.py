@@ -100,6 +100,10 @@ def _gaussian_row(t: int, mean: np.ndarray, cov: np.ndarray) -> tuple:
     return (t, *mean, *cov.ravel())
 
 
+def _probability_header(k: int) -> list[str]:
+    return ["t"] + [f"p{i}" for i in range(1, k + 1)]
+
+
 def _gaussian_header(d_x: int) -> list[str]:
     header = ["t"] + [f"m{i}" for i in range(1, d_x + 1)]
     header += [f"P{i}{j}" for i in range(1, d_x + 1) for j in range(1, d_x + 1)]
@@ -135,51 +139,28 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_filter(args) -> int:
+def _cmd_posterior(args) -> int:
+    """filter and smooth: one row of state probabilities or moments per step."""
     model = parse_model(args.model)
     obs = read_series(args.data)
-    if isinstance(model, DiscreteHMM):
-        result = forward_filter(model, obs)
-        if args.out:
-            header = ["t"] + [f"p{i}" for i in range(1, model.K + 1)]
-            rows = [(t + 1, *result.filtered[t]) for t in range(len(obs))]
-            write_table(args.out, header, rows)
-        log_likelihood = result.log_likelihood
-    else:
-        result = kalman_filter(model, obs)
-        if args.out:
-            rows = [
-                _gaussian_row(t + 1, result.filtered_means[t], result.filtered_covs[t])
-                for t in range(len(obs))
-            ]
-            write_table(args.out, _gaussian_header(model.d_x), rows)
-        log_likelihood = result.log_likelihood
-    _summary({"command": "filter", "log_likelihood": log_likelihood, "out": args.out})
-    return 0
-
-
-def _cmd_smooth(args) -> int:
-    model = parse_model(args.model)
-    obs = read_series(args.data)
+    smooth = args.command == "smooth"
     if isinstance(model, DiscreteHMM):
         forward = forward_filter(model, obs)
-        smooth = backward_smooth(model, obs, forward)
-        if args.out:
-            header = ["t"] + [f"p{i}" for i in range(1, model.K + 1)]
-            rows = [(t + 1, *smooth.smoothed[t]) for t in range(len(obs))]
-            write_table(args.out, header, rows)
-        log_likelihood = forward.log_likelihood
+        probs = backward_smooth(model, obs, forward).smoothed if smooth else forward.filtered
+        header = _probability_header(model.K)
+        rows = ((t + 1, *probs[t]) for t in range(len(obs)))
     else:
         forward = kalman_filter(model, obs)
-        smooth = rts_smoother(model, forward)
-        if args.out:
-            rows = [
-                _gaussian_row(t + 1, smooth.smoothed_means[t], smooth.smoothed_covs[t])
-                for t in range(len(obs))
-            ]
-            write_table(args.out, _gaussian_header(model.d_x), rows)
-        log_likelihood = forward.log_likelihood
-    _summary({"command": "smooth", "log_likelihood": log_likelihood, "out": args.out})
+        if smooth:
+            result = rts_smoother(model, forward)
+            means, covs = result.smoothed_means, result.smoothed_covs
+        else:
+            means, covs = forward.filtered_means, forward.filtered_covs
+        header = _gaussian_header(model.d_x)
+        rows = (_gaussian_row(t + 1, means[t], covs[t]) for t in range(len(obs)))
+    if args.out:
+        write_table(args.out, header, list(rows))
+    _summary({"command": args.command, "log_likelihood": forward.log_likelihood, "out": args.out})
     return 0
 
 
@@ -192,9 +173,8 @@ def _cmd_predict(args) -> int:
     if isinstance(model, DiscreteHMM):
         forward = forward_filter(model, obs)
         ahead = predict_states(model, forward.filtered[-1], args.k)
-        header = ["t"] + [f"p{i}" for i in range(1, model.K + 1)]
+        header = _probability_header(model.K)
         rows = [(T + j + 1, *ahead[j]) for j in range(args.k)]
-        log_likelihood = forward.log_likelihood
     else:
         forward = kalman_filter(model, obs)
         ahead = kalman_predict(
@@ -202,12 +182,11 @@ def _cmd_predict(args) -> int:
         )
         header = _gaussian_header(model.d_x)
         rows = [_gaussian_row(T + j + 1, m, p) for j, (m, p) in enumerate(ahead)]
-        log_likelihood = forward.log_likelihood
     write_table(args.out, header, rows)
     _summary(
         {
             "command": "predict",
-            "log_likelihood": log_likelihood,
+            "log_likelihood": forward.log_likelihood,
             "k": args.k,
             "out": args.out,
         }
@@ -221,18 +200,16 @@ def _cmd_loglik(args) -> int:
     if isinstance(model, DiscreteHMM):
         forward = forward_filter(model, obs)
         increments = forward.log_normalizers
-        log_likelihood = forward.log_likelihood
     else:
         forward = kalman_filter(model, obs)
         increments = forward.log_increments
-        log_likelihood = forward.log_likelihood
     if args.out:
         rows = [(t + 1, increments[t]) for t in range(len(obs))]
         write_table(args.out, ["t", "log_increment"], rows)
     _summary(
         {
             "command": "loglik",
-            "log_likelihood": log_likelihood,
+            "log_likelihood": forward.log_likelihood,
             "T": len(obs),
             "out": args.out,
         }
@@ -362,8 +339,8 @@ def _cmd_forget(args) -> int:
 
 _DISPATCH = {
     "simulate": _cmd_simulate,
-    "filter": _cmd_filter,
-    "smooth": _cmd_smooth,
+    "filter": _cmd_posterior,
+    "smooth": _cmd_posterior,
     "predict": _cmd_predict,
     "loglik": _cmd_loglik,
     "fit": _cmd_fit,

@@ -11,6 +11,7 @@ EM instead.  Optimization is derivative-free Nelder-Mead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,60 +43,29 @@ __all__ = [
     "LGSSM_BLOCKS",
 ]
 
-HMM_BLOCKS = ("initial", "transition", "emission")
-LGSSM_BLOCKS = ("A", "C", "Q", "R", "mu0", "Sigma0")
 
+@dataclass(frozen=True)
+class _Block:
+    """One block of a family's coordinates: its coordinate count for the
+    family's shape, the map from its model field (and the field's name) to
+    coordinates, and the map back from coordinates and shape."""
 
-def _hmm_dim(k: int, m: int) -> int:
-    return (k - 1) + k * (k - 1) + k * (m - 1)
-
-
-def _lgssm_dim(d_x: int, d_y: int) -> int:
-    tri_x = d_x * (d_x + 1) // 2
-    tri_y = d_y * (d_y + 1) // 2
-    return d_x * d_x + d_y * d_x + tri_x + tri_y + d_x + tri_x
+    size: Callable[..., int]
+    to_coords: Callable[[np.ndarray, str], np.ndarray]
+    from_coords: Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
-class ParameterVector:
-    """Unconstrained coordinates of a model.
+class _Family:
+    """A model family: its class, its shape, the observation kind and the
+    filter of its likelihood, and its coordinate blocks in layout order,
+    keyed by the model field each one holds."""
 
-    family is "discrete-hmm" with shape (K, M) or "linear-gaussian" with
-    shape (d_x, d_y); the coordinate count is pinned by the family.
-    """
-
-    values: np.ndarray
-    family: str
-    shape: tuple[int, int]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("parameter values must form a vector")
-        if self.family == "discrete-hmm":
-            expected = _hmm_dim(*self.shape)
-        elif self.family == "linear-gaussian":
-            expected = _lgssm_dim(*self.shape)
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        if v.shape[0] != expected:
-            raise ValueError(
-                f"{self.family} with shape {self.shape} needs {expected} "
-                f"coordinates, got {v.shape[0]}"
-            )
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class OptimizerReport:
-    """Outcome of a Nelder-Mead run.  converged means the simplex value
-    spread fell below the tolerance before the iteration budget ran out."""
-
-    argmin: np.ndarray
-    final_value: float
-    iterations: int
-    converged: bool
-    simplex_spread: float
+    cls: type
+    shape: Callable[[Any], tuple[int, int]]
+    kind: str
+    filter: Callable
+    blocks: dict[str, _Block]
 
 
 def _row_to_coords(row: np.ndarray, name: str) -> np.ndarray:
@@ -107,11 +77,18 @@ def _row_to_coords(row: np.ndarray, name: str) -> np.ndarray:
     return np.log(row[:-1] / row[-1])
 
 
-def _coords_to_row(coords: np.ndarray) -> np.ndarray:
-    z = np.concatenate([coords, [0.0]])
-    z -= z.max()
+def _rows_to_coords(mat: np.ndarray, name: str) -> np.ndarray:
+    return np.concatenate([_row_to_coords(row, f"{name} row {i}") for i, row in enumerate(mat)])
+
+
+def _coords_to_rows(coords: np.ndarray, k: int) -> np.ndarray:
+    # Softmax of each of k rows, with 0 as the last log-ratio; the same
+    # bytes as one row at a time.
+    z = np.zeros((k, coords.shape[0] // k + 1))
+    z[:, :-1] = coords.reshape(k, -1)
+    z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _cov_to_coords(cov: np.ndarray, name: str) -> np.ndarray:
@@ -144,99 +121,126 @@ def _tri(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def _pack_blocks(model, blocks: tuple[str, ...]) -> np.ndarray:
-    parts = []
-    if isinstance(model, DiscreteHMM):
-        for block in blocks:
-            if block == "initial":
-                parts.append(_row_to_coords(model.initial, "initial"))
-            elif block == "transition":
-                for i in range(model.K):
-                    parts.append(_row_to_coords(model.transition[i], f"transition row {i}"))
-            elif block == "emission":
-                for i in range(model.K):
-                    parts.append(_row_to_coords(model.emission[i], f"emission row {i}"))
-            else:
-                raise ValueError(f"unknown HMM block {block!r}")
-    else:
-        for block in blocks:
-            if block == "A":
-                parts.append(model.A.ravel())
-            elif block == "C":
-                parts.append(model.C.ravel())
-            elif block == "Q":
-                parts.append(_cov_to_coords(model.Q, "Q"))
-            elif block == "R":
-                parts.append(_cov_to_coords(model.R, "R"))
-            elif block == "mu0":
-                parts.append(model.mu0)
-            elif block == "Sigma0":
-                parts.append(_cov_to_coords(model.Sigma0, "Sigma0"))
-            else:
-                raise ValueError(f"unknown linear-Gaussian block {block!r}")
+# Block sizes and inverse maps take the shape, (K, M) or (d_x, d_y).  The
+# filters are looked up at call time, so a wrapped module binding sees every
+# likelihood evaluation.
+_FAMILIES = {
+    "discrete-hmm": _Family(
+        DiscreteHMM,
+        lambda model: (model.K, model.M),
+        "symbolic",
+        lambda model, obs: forward_filter(model, obs),
+        {
+            "initial": _Block(
+                lambda k, m: k - 1, _row_to_coords, lambda v, k, m: _coords_to_rows(v, 1)[0]
+            ),
+            "transition": _Block(
+                lambda k, m: k * (k - 1), _rows_to_coords, lambda v, k, m: _coords_to_rows(v, k)
+            ),
+            "emission": _Block(
+                lambda k, m: k * (m - 1), _rows_to_coords, lambda v, k, m: _coords_to_rows(v, k)
+            ),
+        },
+    ),
+    "linear-gaussian": _Family(
+        LinearGaussianModel,
+        lambda model: (model.d_x, model.d_y),
+        "real",
+        lambda model, obs: kalman_filter(model, obs),
+        {
+            "A": _Block(
+                lambda x, y: x * x, lambda a, _: a.ravel(), lambda v, x, y: v.reshape(x, x)
+            ),
+            "C": _Block(
+                lambda x, y: y * x, lambda c, _: c.ravel(), lambda v, x, y: v.reshape(y, x)
+            ),
+            "Q": _Block(lambda x, y: _tri(x), _cov_to_coords, lambda v, x, y: _coords_to_cov(v, x)),
+            "R": _Block(lambda x, y: _tri(y), _cov_to_coords, lambda v, x, y: _coords_to_cov(v, y)),
+            "mu0": _Block(lambda x, y: x, lambda mu, _: mu, lambda v, x, y: v),
+            "Sigma0": _Block(
+                lambda x, y: _tri(x), _cov_to_coords, lambda v, x, y: _coords_to_cov(v, x)
+            ),
+        },
+    ),
+}
+
+HMM_BLOCKS = tuple(_FAMILIES["discrete-hmm"].blocks)
+LGSSM_BLOCKS = tuple(_FAMILIES["linear-gaussian"].blocks)
+
+
+def _family(name) -> _Family:
+    if isinstance(name, str) and name in _FAMILIES:
+        return _FAMILIES[name]
+    raise ValueError(f"unknown family {name!r}")
+
+
+def _family_of(model, action: str) -> tuple[str, _Family]:
+    for name, family in _FAMILIES.items():
+        if isinstance(model, family.cls):
+            return name, family
+    raise ValueError(f"cannot {action} {type(model).__name__}")
+
+
+def _layout(family: _Family, shape: tuple[int, int], names) -> list:
+    """(name, block, start, stop) for each named block, placed one after
+    another in the order given."""
+    out, pos = [], 0
+    for name in names:
+        block = family.blocks[name]
+        stop = pos + block.size(*shape)
+        out.append((name, block, pos, stop))
+        pos = stop
+    return out
+
+
+@dataclass(frozen=True)
+class ParameterVector:
+    """Unconstrained coordinates of a model.
+
+    family is "discrete-hmm" with shape (K, M) or "linear-gaussian" with
+    shape (d_x, d_y); the coordinate count is pinned by the family.
+    """
+
+    values: np.ndarray
+    family: str
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1:
+            raise ValueError("parameter values must form a vector")
+        blocks = _family(self.family).blocks.values()
+        expected = sum(block.size(*self.shape) for block in blocks)
+        if v.shape[0] != expected:
+            raise ValueError(
+                f"{self.family} with shape {self.shape} needs {expected} "
+                f"coordinates, got {v.shape[0]}"
+            )
+        object.__setattr__(self, "values", v)
+
+
+@dataclass(frozen=True)
+class OptimizerReport:
+    """Outcome of a Nelder-Mead run.  converged means the simplex value
+    spread fell below the tolerance before the iteration budget ran out."""
+
+    argmin: np.ndarray
+    final_value: float
+    iterations: int
+    converged: bool
+    simplex_spread: float
+
+
+def _pack_blocks(model, layout) -> np.ndarray:
+    parts = [block.to_coords(getattr(model, name), name) for name, block, _, _ in layout]
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _unpack_blocks(values: np.ndarray, template, blocks: tuple[str, ...]):
-    if isinstance(template, DiscreteHMM):
-        k, m = template.K, template.M
-        fields = {
-            "initial": template.initial,
-            "transition": template.transition,
-            "emission": template.emission,
-        }
-        pos = 0
-        for block in blocks:
-            if block == "initial":
-                fields["initial"] = _coords_to_row(values[pos : pos + k - 1])
-                pos += k - 1
-            elif block == "transition":
-                rows = []
-                for _ in range(k):
-                    rows.append(_coords_to_row(values[pos : pos + k - 1]))
-                    pos += k - 1
-                fields["transition"] = np.array(rows)
-            elif block == "emission":
-                rows = []
-                for _ in range(k):
-                    rows.append(_coords_to_row(values[pos : pos + m - 1]))
-                    pos += m - 1
-                fields["emission"] = np.array(rows)
-        if pos != values.shape[0]:
-            raise ValueError("coordinate vector length does not match blocks")
-        return DiscreteHMM(**fields)
-    d_x, d_y = template.d_x, template.d_y
-    fields = {
-        "A": template.A,
-        "C": template.C,
-        "Q": template.Q,
-        "R": template.R,
-        "mu0": template.mu0,
-        "Sigma0": template.Sigma0,
-    }
-    pos = 0
-    for block in blocks:
-        if block == "A":
-            fields["A"] = values[pos : pos + d_x * d_x].reshape(d_x, d_x)
-            pos += d_x * d_x
-        elif block == "C":
-            fields["C"] = values[pos : pos + d_y * d_x].reshape(d_y, d_x)
-            pos += d_y * d_x
-        elif block == "Q":
-            fields["Q"] = _coords_to_cov(values[pos : pos + _tri(d_x)], d_x)
-            pos += _tri(d_x)
-        elif block == "R":
-            fields["R"] = _coords_to_cov(values[pos : pos + _tri(d_y)], d_y)
-            pos += _tri(d_y)
-        elif block == "mu0":
-            fields["mu0"] = values[pos : pos + d_x]
-            pos += d_x
-        elif block == "Sigma0":
-            fields["Sigma0"] = _coords_to_cov(values[pos : pos + _tri(d_x)], d_x)
-            pos += _tri(d_x)
-    if pos != values.shape[0]:
-        raise ValueError("coordinate vector length does not match blocks")
-    return LinearGaussianModel(**fields)
+def _unpack_blocks(values: np.ndarray, family: _Family, shape, layout, fixed: dict):
+    """Model from the coordinates of the blocks in layout; fixed holds the
+    model fields of every other block."""
+    free = {name: b.from_coords(values[i:j], *shape) for name, b, i, j in layout}
+    return family.cls(**fixed, **free)
 
 
 def pack(model) -> ParameterVector:
@@ -247,33 +251,18 @@ def pack(model) -> ParameterVector:
     row-major, Cholesky coordinates of Q, of R, then mu0, then Sigma0.
     """
     require_valid(model)
-    if isinstance(model, DiscreteHMM):
-        values = _pack_blocks(model, HMM_BLOCKS)
-        return ParameterVector(values, "discrete-hmm", (model.K, model.M))
-    if isinstance(model, LinearGaussianModel):
-        values = _pack_blocks(model, LGSSM_BLOCKS)
-        return ParameterVector(values, "linear-gaussian", (model.d_x, model.d_y))
-    raise ValueError(f"cannot pack {type(model).__name__}")
+    name, family = _family_of(model, "pack")
+    shape = family.shape(model)
+    values = _pack_blocks(model, _layout(family, shape, family.blocks))
+    return ParameterVector(values, name, shape)
 
 
 def unpack(theta: ParameterVector):
     """Inverse of pack; always yields a valid interior model."""
-    if theta.family == "discrete-hmm":
-        k, m = theta.shape
-        template = DiscreteHMM(
-            np.full(k, 1.0 / k), np.full((k, k), 1.0 / k), np.full((k, m), 1.0 / m)
-        )
-        return _unpack_blocks(theta.values, template, HMM_BLOCKS)
-    d_x, d_y = theta.shape
-    template = LinearGaussianModel(
-        A=np.eye(d_x),
-        C=np.zeros((d_y, d_x)),
-        Q=np.eye(d_x),
-        R=np.eye(d_y),
-        mu0=np.zeros(d_x),
-        Sigma0=np.eye(d_x),
+    family = _family(theta.family)
+    return _unpack_blocks(
+        theta.values, family, theta.shape, _layout(family, theta.shape, family.blocks), {}
     )
-    return _unpack_blocks(theta.values, template, LGSSM_BLOCKS)
 
 
 def negative_loglik(theta: ParameterVector, obs: ObservationSeries) -> float:
@@ -283,20 +272,17 @@ def negative_loglik(theta: ParameterVector, obs: ObservationSeries) -> float:
     degenerate innovations) come back as +inf so optimizers can step away
     from them instead of crashing.
     """
-    if theta.family == "discrete-hmm" and obs.kind != "symbolic":
-        raise ValueError("discrete-hmm parameters require symbolic observations")
-    if theta.family == "linear-gaussian" and obs.kind != "real":
-        raise ValueError("linear-gaussian parameters require real observations")
-    return _negative_loglik(unpack(theta), obs)
+    family = _family(theta.family)
+    if obs.kind != family.kind:
+        raise ValueError(f"{theta.family} parameters require {family.kind} observations")
+    return _negative_loglik(family, unpack(theta), obs)
 
 
-def _negative_loglik(model, obs: ObservationSeries) -> float:
+def _negative_loglik(family: _Family, model, obs: ObservationSeries) -> float:
     """-log-likelihood through the model family's filter; a NumericalError
     inside the filter comes back as +inf."""
     try:
-        if isinstance(model, DiscreteHMM):
-            return -forward_filter(model, obs).log_likelihood
-        return -kalman_filter(model, obs).log_likelihood
+        return -family.filter(model, obs).log_likelihood
     except NumericalError:
         return np.inf
 
@@ -401,34 +387,31 @@ def fit_mle(
     The fitted model's log-likelihood never falls below the start's.
     """
     require_valid(model0)
-    if isinstance(model0, DiscreteHMM):
-        family, all_blocks = "discrete-hmm", HMM_BLOCKS
-        if obs.kind != "symbolic":
-            raise ValueError("discrete-hmm fitting requires symbolic observations")
-    elif isinstance(model0, LinearGaussianModel):
-        family, all_blocks = "linear-gaussian", LGSSM_BLOCKS
-        if obs.kind != "real":
-            raise ValueError("linear-gaussian fitting requires real observations")
-    else:
-        raise ValueError(f"cannot fit {type(model0).__name__}")
+    name, family = _family_of(model0, "fit")
+    if obs.kind != family.kind:
+        raise ValueError(f"{name} fitting requires {family.kind} observations")
+    all_blocks = tuple(family.blocks)
     blocks = all_blocks if free_blocks is None else tuple(free_blocks)
     for block in blocks:
         if block not in all_blocks:
-            raise ValueError(f"unknown block {block!r} for family {family}")
+            raise ValueError(f"unknown block {block!r} for family {name}")
 
-    x0 = _pack_blocks(model0, blocks)
+    shape = family.shape(model0)
+    layout = _layout(family, shape, blocks)
+    x0 = _pack_blocks(model0, layout)
     if x0.size == 0:
         raise ValueError("no free blocks to optimize")
+    fixed = {field: getattr(model0, field) for field in all_blocks if field not in blocks}
 
     def objective(x: np.ndarray) -> float:
         try:
             # Extreme coordinates can overflow into non-finite parameters,
             # which the constructors reject; treat those points as +inf.
-            model = _unpack_blocks(x, model0, blocks)
+            model = _unpack_blocks(x, family, shape, layout, fixed)
         except (ValueError, ModelValidationError):
             return np.inf
-        return _negative_loglik(model, obs)
+        return _negative_loglik(family, model, obs)
 
     report = nelder_mead(objective, x0, step=step, tol=tol, max_iter=max_iter)
-    fitted = _unpack_blocks(report.argmin, model0, blocks)
+    fitted = _unpack_blocks(report.argmin, family, shape, layout, fixed)
     return fitted, report

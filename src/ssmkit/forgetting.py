@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateCurveError
 from .hmm import forward_filter
-from .models import DiscreteHMM, ObservationSeries
+from .models import ROW_SUM_TOL, DiscreteHMM, ObservationSeries, _row_faults
 
 __all__ = [
     "ForgettingCurve",
@@ -38,19 +38,20 @@ class ForgettingCurve:
     fit_window: tuple[int, int]
 
 
-def _check_distribution(p, name: str) -> np.ndarray:
+def _check_distribution(p, name: str, tol: float) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a vector")
-    if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-9:
+    _, negative, off = _row_faults(v, tol)
+    if negative or off:
         raise ValueError(f"{name} must be a probability vector")
     return v
 
 
 def tv_distance(p, q) -> float:
     """Total-variation distance: half the L1 distance, in [0, 1]."""
-    pv = _check_distribution(p, "p")
-    qv = _check_distribution(q, "q")
+    pv = _check_distribution(p, "p", 1e-9)
+    qv = _check_distribution(q, "q", 1e-9)
     if pv.shape != qv.shape:
         raise ValueError(f"length mismatch: {pv.shape[0]} vs {qv.shape[0]}")
     return float(0.5 * np.abs(pv - qv).sum())
@@ -61,7 +62,8 @@ def dobrushin_coefficient(transition) -> float:
     t = np.asarray(transition, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("transition must be a square matrix")
-    if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
+    _, negative, off = _row_faults(t)
+    if negative.any() or off.any():
         raise ValueError("transition must be row-stochastic")
     k = t.shape[0]
     best = 0.0
@@ -108,8 +110,9 @@ def forgetting_curve(
     (identical priors, say) yields rho_hat None.  fit_window reports the
     window actually used.
     """
-    pa = _check_distribution(prior_a, "prior_a")
-    pb = _check_distribution(prior_b, "prior_b")
+    # The filter's own tolerance, so that forward_filter accepts both priors.
+    pa = _check_distribution(prior_a, "prior_a", ROW_SUM_TOL)
+    pb = _check_distribution(prior_b, "prior_b", ROW_SUM_TOL)
     run_a = forward_filter(model, obs, initial_override=pa)
     run_b = forward_filter(model, obs, initial_override=pb)
     diffs = run_a.filtered - run_b.filtered

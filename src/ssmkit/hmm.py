@@ -47,7 +47,7 @@ from .errors import (
     ImpossibleObservationError,
     ModelValidationError,
 )
-from .models import DiscreteHMM, ObservationSeries, StatePath, require_valid
+from .models import DiscreteHMM, ObservationSeries, StatePath, _row_faults, require_valid
 
 __all__ = [
     "CategoricalPosteriorSequence",
@@ -150,10 +150,11 @@ def _check_probability_vector(p, k: int, name: str) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.shape != (k,):
         raise ModelValidationError(f"{name} must have length {k}, got shape {v.shape}")
-    if np.any(v < 0):
+    s, negative, off = _row_faults(v)
+    if negative:
         raise ModelValidationError(f"{name} has negative entries")
-    if abs(v.sum() - 1.0) > 1e-12:
-        raise ModelValidationError(f"{name} sums to {v.sum():.6g}, not 1")
+    if off:
+        raise ModelValidationError(f"{name} sums to {s:.17g}, off by {s - 1.0:.3g}")
     return v
 
 

@@ -23,15 +23,32 @@ from .models import (
     DiscreteHMM,
     LinearGaussianModel,
     ObservationSeries,
+    _row_faults,
     validate_model,
 )
 
 __all__ = ["parse_model", "read_series", "write_series", "write_model", "write_table"]
 
-ROW_SUM_TOL = 1e-12
-
-_HMM_KEYS = ("initial", "transition", "emission")
-_LG_KEYS = ("A", "C", "Q", "R", "mu0", "sigma0")
+# Document type -> model class and its keys in order, each with its array
+# rank and the model field it holds.  Every field of a discrete HMM is a
+# probability vector or a matrix of probability rows.
+_SCHEMA = {
+    "discrete_hmm": (
+        DiscreteHMM,
+        (("initial", 1, "initial"), ("transition", 2, "transition"), ("emission", 2, "emission")),
+    ),
+    "linear_gaussian": (
+        LinearGaussianModel,
+        (
+            ("A", 2, "A"),
+            ("C", 2, "C"),
+            ("Q", 2, "Q"),
+            ("R", 2, "R"),
+            ("mu0", 1, "mu0"),
+            ("sigma0", 2, "Sigma0"),
+        ),
+    ),
+}
 
 
 def _fmt(x: float) -> str:
@@ -54,22 +71,22 @@ def _field_array(doc: dict, key: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _normalize_rows(mat: np.ndarray, key: str) -> np.ndarray:
+def _normalized(arr: np.ndarray, key: str) -> np.ndarray:
     # Rows within tolerance of summing to 1 are renormalized exactly once;
-    # rows beyond it are rejected as real errors, not rounding.
-    out = mat.copy()
-    rows = out if out.ndim == 2 else out[None, :]
-    for i in range(rows.shape[0]):
-        where = f"{key}[{i}]" if mat.ndim == 2 else key
-        if np.any(rows[i] < 0):
+    # the first row beyond it is rejected as a real error, not rounding.
+    rows = arr if arr.ndim == 2 else arr[None, :]
+    sums, negative, off = _row_faults(rows)
+    bad = np.flatnonzero(negative | off)
+    if bad.size:
+        i = bad[0]
+        where = f"{key}[{i}]" if arr.ndim == 2 else key
+        if negative[i]:
             raise ModelValidationError(f'"{where}" has negative entries')
-        s = rows[i].sum()
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise ModelValidationError(
-                f'"{where}" sums to {s:.17g}, off by {s - 1.0:.3g}'
-            )
-        rows[i] = rows[i] / s
-    return out
+        raise ModelValidationError(
+            f'"{where}" sums to {sums[i]:.17g}, off by {sums[i] - 1.0:.3g}'
+        )
+    out = rows / sums[:, None]
+    return out if arr.ndim == 2 else out[0]
 
 
 def parse_model(path: str):
@@ -90,41 +107,25 @@ def parse_model(path: str):
     kind = doc.get("type")
     if kind is None:
         raise DataFormatError('missing field "type"')
-    if kind == "discrete_hmm":
-        allowed = _HMM_KEYS
-    elif kind == "linear_gaussian":
-        allowed = _LG_KEYS
-    else:
-        raise DataFormatError(
-            f'unknown model type {kind!r}; expected "discrete_hmm" or "linear_gaussian"'
-        )
+    if not isinstance(kind, str) or kind not in _SCHEMA:
+        expected = " or ".join(f'"{name}"' for name in _SCHEMA)
+        raise DataFormatError(f"unknown model type {kind!r}; expected {expected}")
+    cls, keys = _SCHEMA[kind]
+    allowed = [key for key, _, _ in keys]
     for key in doc:
         if key != "type" and key not in allowed:
             hint = difflib.get_close_matches(key, allowed, n=1)
             suffix = f'; did you mean "{hint[0]}"?' if hint else ""
             raise DataFormatError(f'unknown key "{key}"{suffix}')
 
-    if kind == "discrete_hmm":
-        initial = _normalize_rows(_field_array(doc, "initial", 1), "initial")
-        transition = _normalize_rows(_field_array(doc, "transition", 2), "transition")
-        emission = _normalize_rows(_field_array(doc, "emission", 2), "emission")
-        try:
-            model = DiscreteHMM(initial, transition, emission)
-        except ModelValidationError as err:
-            raise ModelValidationError(f"model document invalid: {err}") from None
-    else:
-        fields = {key: _field_array(doc, key, 1 if key == "mu0" else 2) for key in _LG_KEYS}
-        try:
-            model = LinearGaussianModel(
-                A=fields["A"],
-                C=fields["C"],
-                Q=fields["Q"],
-                R=fields["R"],
-                mu0=fields["mu0"],
-                Sigma0=fields["sigma0"],
-            )
-        except ModelValidationError as err:
-            raise ModelValidationError(f"model document invalid: {err}") from None
+    fields = {}
+    for key, ndim, field in keys:
+        arr = _field_array(doc, key, ndim)
+        fields[field] = _normalized(arr, key) if cls is DiscreteHMM else arr
+    try:
+        model = cls(**fields)
+    except ModelValidationError as err:
+        raise ModelValidationError(f"model document invalid: {err}") from None
     violations = validate_model(model)
     if violations:
         raise ModelValidationError("model document invalid: " + "; ".join(violations))
@@ -234,23 +235,11 @@ def write_series(path: str, obs: ObservationSeries) -> None:
 
 def write_model(path: str, model) -> None:
     """Write a model document in the format parse_model accepts."""
-    if isinstance(model, DiscreteHMM):
-        doc = {
-            "type": "discrete_hmm",
-            "initial": model.initial.tolist(),
-            "transition": model.transition.tolist(),
-            "emission": model.emission.tolist(),
-        }
-    elif isinstance(model, LinearGaussianModel):
-        doc = {
-            "type": "linear_gaussian",
-            "A": model.A.tolist(),
-            "C": model.C.tolist(),
-            "Q": model.Q.tolist(),
-            "R": model.R.tolist(),
-            "mu0": model.mu0.tolist(),
-            "sigma0": model.Sigma0.tolist(),
-        }
-    else:
-        raise ValueError(f"cannot serialize {type(model).__name__}")
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    for kind, (cls, keys) in _SCHEMA.items():
+        if isinstance(model, cls):
+            doc = {"type": kind}
+            for key, _, field in keys:
+                doc[key] = getattr(model, field).tolist()
+            _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+            return
+    raise ValueError(f"cannot serialize {type(model).__name__}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelValidationError, NumericalDegeneracyError
-from .models import LinearGaussianModel, ObservationSeries, require_valid
+from .models import SYMMETRY_TOL, LinearGaussianModel, ObservationSeries, require_valid
 from .numerics import symmetrize
 
 __all__ = [
@@ -402,7 +402,7 @@ def kalman_predict(
         raise ModelValidationError(f"mean must have length {model.d_x}")
     if p.shape != (model.d_x, model.d_x):
         raise ModelValidationError(f"cov must be {model.d_x}x{model.d_x}")
-    if np.max(np.abs(p - p.T), initial=0.0) > 1e-12:
+    if np.max(np.abs(p - p.T), initial=0.0) > SYMMETRY_TOL:
         raise ModelValidationError("cov must be symmetric")
     out = []
     for _ in range(k):

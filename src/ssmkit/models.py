@@ -226,6 +226,14 @@ class GenericStateSpaceModel:
         object.__setattr__(self, "d_x", int(self.d_x))
 
 
+def _row_faults(rows: np.ndarray, tol: float = ROW_SUM_TOL):
+    """The probability-row rule for a vector or each row of a matrix: no
+    negative entry, and a sum within tol of 1.  Returns the row sums and,
+    per row, whether it has a negative entry and whether its sum is off."""
+    sums = rows.sum(axis=-1)
+    return sums, (rows < 0).any(axis=-1), abs(sums - 1.0) > tol
+
+
 def validate_model(model) -> list[str]:
     """Value-level invariant check; returns a list of violation messages.
 
@@ -233,16 +241,16 @@ def validate_model(model) -> list[str]:
     """
     violations: list[str] = []
     if isinstance(model, DiscreteHMM):
-        if np.any(model.initial < 0):
+        s, negative, off = _row_faults(model.initial)
+        if negative:
             violations.append("initial has negative entries")
-        deficit = float(model.initial.sum() - 1.0)
-        if abs(deficit) > ROW_SUM_TOL:
-            violations.append(f"initial sums to {model.initial.sum():.6g}, off by {deficit:.3g}")
+        if off:
+            violations.append(f"initial sums to {s:.6g}, off by {s - 1.0:.3g}")
         for name, mat in (("transition", model.transition), ("emission", model.emission)):
-            if np.any(mat < 0):
+            sums, negative, off = _row_faults(mat)
+            if negative.any():
                 violations.append(f"{name} has negative entries")
-            sums = mat.sum(axis=1)
-            for i in np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]:
+            for i in off.nonzero()[0]:
                 violations.append(
                     f"{name} row {i} sums to {sums[i]:.6g}, off by {sums[i] - 1.0:.3g}"
                 )

@@ -24,6 +24,7 @@ from .models import (
     GenericStateSpaceModel,
     LinearGaussianModel,
     ObservationSeries,
+    _row_faults,
     require_valid,
 )
 from .numerics import effective_sample_size, log_sum_exp, psd_sampling_factor
@@ -71,7 +72,8 @@ def _check_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a nonempty vector")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+    _, negative, off = _row_faults(w, 1e-9)
+    if negative or off:
         raise ValueError("weights must be a probability vector")
     return w
 

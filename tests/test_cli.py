@@ -440,6 +440,13 @@ class TestForget:
                                "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    def test_prior_off_by_1e_10_is_a_usage_error(self, capsys, tmp_path, hmm_model, hmm_data):
+        code = run_command(["forget", "--model", hmm_model, "--data", hmm_data,
+                            "--prior-a", "0.5,0.5000000001", "--prior-b", "0,1",
+                            "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "prior_a must be a probability vector" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):

@@ -136,6 +136,51 @@ class TestCoordinates:
             ParameterVector(np.zeros(5), "other", (2, 2))
 
 
+class TestCoordinateLayout:
+    def test_hmm_layout_k3_m4(self):
+        # initial, then each transition row, then each emission row; every
+        # row contributes log(p[:-1] / p[-1]).
+        m = DiscreteHMM(
+            [0.5, 0.3, 0.2],
+            [[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.25, 0.25, 0.5]],
+            [[0.6, 0.2, 0.1, 0.1], [0.1, 0.5, 0.3, 0.1], [0.05, 0.05, 0.2, 0.7]],
+        )
+        rows = [m.initial, *m.transition, *m.emission]
+        want = np.concatenate([np.log(row[:-1] / row[-1]) for row in rows])
+        theta = pack(m)
+        assert theta.shape == (3, 4)
+        assert theta.values.shape == (2 + 3 * 2 + 3 * 3,)
+        np.testing.assert_array_equal(theta.values, want)
+
+    def test_linear_gaussian_layout_d2(self):
+        # A and C row-major, then the lower triangle of each Cholesky
+        # factor row by row with the diagonal logged: (log L00, L10, log L11).
+        lq = np.array([[2.0, 0.0], [0.5, 3.0]])
+        lr = np.array([[0.5, 0.0], [-0.25, 0.75]])
+        ls = np.array([[1.5, 0.0], [0.2, 0.4]])
+        m = LinearGaussianModel(
+            A=[[0.9, 0.1], [-0.2, 0.7]],
+            C=[[1.0, 0.5], [0.3, -0.4]],
+            Q=lq @ lq.T,
+            R=lr @ lr.T,
+            mu0=[0.1, -0.2],
+            Sigma0=ls @ ls.T,
+        )
+
+        def tri(lower):
+            return [math.log(lower[0, 0]), lower[1, 0], math.log(lower[1, 1])]
+
+        want = [0.9, 0.1, -0.2, 0.7, 1.0, 0.5, 0.3, -0.4]
+        want += tri(lq) + tri(lr) + [0.1, -0.2] + tri(ls)
+        theta = pack(m)
+        assert theta.shape == (2, 2)
+        np.testing.assert_allclose(theta.values, want, rtol=1e-14, atol=1e-15)
+        back = unpack(ParameterVector(np.array(want), "linear-gaussian", (2, 2)))
+        np.testing.assert_allclose(back.Q, lq @ lq.T, rtol=1e-14)
+        np.testing.assert_allclose(back.R, lr @ lr.T, rtol=1e-14)
+        np.testing.assert_allclose(back.Sigma0, ls @ ls.T, rtol=1e-14)
+
+
 class TestNegativeLoglik:
     def test_delegates_to_exact_filter(self):
         obs = sym([0, 1, 1, 0])

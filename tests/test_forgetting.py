@@ -213,3 +213,26 @@ class TestForgettingCurve:
         curve = forgetting_curve(model, obs, [0.9, 0.1], [0.1, 0.9])
         assert np.all(curve.tv >= 0.0)
         assert np.all(curve.tv <= 1.0)
+
+
+class TestPriorTolerance:
+    # The priors are checked at the forward filter's 1e-12 row-sum
+    # tolerance, so a prior off by 1e-10 is named here instead of failing
+    # inside the filter; tv_distance keeps its looser 1e-9.
+    def test_prior_off_by_1e_10_rejected_by_name(self):
+        model = uniform_emission_chain(0.1, 0.2)
+        obs = sym(np.zeros(10, dtype=int))
+        near = [0.5, 0.5 + 1e-10]
+        with pytest.raises(ValueError, match="prior_a"):
+            forgetting_curve(model, obs, near, [0.0, 1.0])
+        with pytest.raises(ValueError, match="prior_b"):
+            forgetting_curve(model, obs, [1.0, 0.0], near)
+
+    def test_prior_within_tolerance_accepted(self):
+        model = uniform_emission_chain(0.1, 0.2)
+        obs = sym(np.zeros(10, dtype=int))
+        curve = forgetting_curve(model, obs, [0.5, 0.5 + 5e-13], [0.0, 1.0])
+        assert curve.tv.shape == (10,)
+
+    def test_tv_distance_keeps_its_tolerance(self):
+        assert tv_distance([0.5, 0.5 + 1e-10], [0.5, 0.5]) == pytest.approx(5e-11)

@@ -238,6 +238,14 @@ class TestPredictStates:
             reweighted /= reweighted.sum()
             np.testing.assert_allclose(reweighted, fwd.filtered[t + 1], atol=1e-12)
 
+    def test_row_sum_message_shows_the_deficit(self):
+        from ssmkit import ModelValidationError
+
+        with pytest.raises(ModelValidationError) as exc:
+            predict_states(BENCH, [0.5, 0.5 + 1e-10], 1)
+        assert "1.0000000001" in str(exc.value)
+        assert "off by 1e-10" in str(exc.value)
+
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             predict_states(BENCH, [0.5, 0.5], 0)

@@ -130,6 +130,36 @@ class TestModelDocuments:
         assert '"transition[0]"' in str(exc.value)
         assert "-0.1" in str(exc.value)
 
+    def test_wide_row_renormalized_like_numpy_sum(self, tmp_path):
+        # 12 symbols: numpy's pairwise sum of the row differs from a
+        # left-to-right sum here, and the row must come out as row / row.sum().
+        rng = np.random.default_rng(1)
+        raw = rng.exponential(size=12)
+        row = raw / raw.sum()
+        row[-1] += 4e-13
+        assert (row / row.sum()).tobytes() != (row / sum(row.tolist())).tobytes()
+        doc = {
+            "type": "discrete_hmm",
+            "initial": [0.5, 0.5],
+            "transition": [[0.9, 0.1], [0.2, 0.8]],
+            "emission": [row.tolist(), [1.0 / 12] * 12],
+        }
+        model = parse_model(dump(tmp_path, "m.json", doc))
+        assert model.emission[0].tobytes() == (row / row.sum()).tobytes()
+
+    def test_bad_initial_reported_before_missing_emission(self, tmp_path):
+        doc = {
+            "type": "discrete_hmm",
+            "initial": [0.4, 0.4],
+            "transition": [[0.9, 0.1], [0.2, 0.8]],
+        }
+        with pytest.raises(ModelValidationError, match='"initial"'):
+            parse_model(dump(tmp_path, "m.json", doc))
+
+    def test_non_string_type_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match="unknown model type"):
+            parse_model(dump(tmp_path, "m.json", {"type": ["discrete_hmm"]}))
+
     def test_bad_initial_named_without_index(self, tmp_path):
         doc = {
             "type": "discrete_hmm",
