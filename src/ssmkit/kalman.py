@@ -14,9 +14,25 @@ the observation is scalar.  The RTS smoother likewise computes its
 backward gains in blocks before running the mean and covariance recursion
 through them.  A batched LAPACK or matmul call works matrix by matrix,
 with the strides of the per-step call, and the closed forms repeat what
-LAPACK computes on a 1x1 matrix, so every output equals the per-step
-recursion byte for byte, and the cost of a step does not depend on the
-model's values.
+LAPACK computes on a 1x1 matrix, so these outputs equal the per-step
+recursion byte for byte.
+
+Every model is time-invariant, so the covariance recursion never reads
+the data and contracts to its Riccati fixed point.  A model with d_x > 1
+or d_y > 1 runs the loop only until the predicted covariance settles
+(max|P_t - P_{t-1}| <= 1e-15 max|P_{t-1}|, _FREEZE_RTOL) and freezes it
+there: later steps copy that step's covariances, the guard and Cholesky
+factor of the frozen innovation covariance are taken once, and only the
+mean recursion runs, as one affine recursion with the frozen gain.  The
+smoother of a model with d_x > 1 does the same over the frozen steps: one
+backward gain, and a smoothed covariance that runs backward from T - 1
+until it settles by the same rule.  These outputs differ from the loop's
+in the last bits (tested within 1e-12 of each array's maximum), and the
+cost of a series depends on how fast its model's covariance settles.
+Where it never settles, where the series ends first, and where the frozen
+predicted covariance has no Cholesky factor (the smoother's
+pseudo-inverse case), the loops run as before; _path chooses among the
+paths.
 
 A scalar model (d_x = d_y = 1) runs the same filter and smoother
 recursions on Python floats, since a numpy call on 1x1 arrays costs far
@@ -52,6 +68,11 @@ CONDITION_GUARD = 1e12
 # Steps per batched call in the filter's checks and likelihood terms and in
 # the smoother's gains; bounds the memory the batches take.
 _BLOCK = 1024
+# The freeze rule: a covariance recursion has settled at a step where
+# max|P_t - P_{t-1}| <= _FREEZE_RTOL * max|P_{t-1}|.
+_FREEZE_RTOL = 1e-15
+# Steps the filter loop runs between checks of the freeze rule.
+_FREEZE_CHECK = 16
 
 
 @dataclass(frozen=True)
@@ -141,24 +162,45 @@ def _log_increments(innovation_covs: np.ndarray, innovations: np.ndarray) -> np.
     return out
 
 
+def _steady_log_increments(s: np.ndarray, innovations: np.ndarray) -> np.ndarray:
+    """_log_increments for steps that all share the innovation covariance
+    s, which passed the guard at the step they copy: one Cholesky factor
+    and one triangular solve for all of them."""
+    chol = np.linalg.cholesky(s)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol)))
+    z = np.linalg.solve(chol, innovations.T)
+    return -0.5 * (len(s) * _LOG_2PI + log_det + np.einsum("it,it->t", z, z))
+
+
 def _moments(model: LinearGaussianModel, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The predict/update moment recursion: filtered, predicted, innovation
-    and innovation-covariance arrays, in that order (means before covs)."""
-    T = y.shape[0]
+    """The predict/update moment recursion, step by step: filtered,
+    predicted, innovation and innovation-covariance arrays, in that order
+    (means before covs).  The steady-state path runs it until the
+    covariance settles and is tested against it."""
+    arrays = _moment_arrays(model, y.shape[0])
+    _moment_steps(model, y, arrays, 0, y.shape[0], model.mu0, symmetrize(model.Sigma0))
+    return arrays
+
+
+def _moment_arrays(model: LinearGaussianModel, T: int) -> tuple[np.ndarray, ...]:
+    """Empty arrays for T steps of _moments, in the order it returns them."""
     d_x, d_y = model.d_x, model.d_y
+    return (
+        np.empty((T, d_x)), np.empty((T, d_x, d_x)), np.empty((T, d_x)),
+        np.empty((T, d_x, d_x)), np.empty((T, d_y)), np.empty((T, d_y, d_y)),
+    )
+
+
+def _moment_steps(model, y, arrays, lo, hi, mean_pred, cov_pred):
+    """Steps lo..hi-1 of _moments, from the predicted moments of step lo,
+    written into arrays; returns the predicted moments of step hi."""
     A, C, Q, R = model.A, model.C, model.Q, model.R
-    eye = np.eye(d_x)
-
-    filtered_means = np.empty((T, d_x))
-    filtered_covs = np.empty((T, d_x, d_x))
-    predicted_means = np.empty((T, d_x))
-    predicted_covs = np.empty((T, d_x, d_x))
-    innovations = np.empty((T, d_y))
-    innovation_covs = np.empty((T, d_y, d_y))
-
-    mean_pred = model.mu0
-    cov_pred = symmetrize(model.Sigma0)
-    for t in range(T):
+    eye = np.eye(model.d_x)
+    (
+        filtered_means, filtered_covs, predicted_means, predicted_covs,
+        innovations, innovation_covs,
+    ) = arrays
+    for t in range(lo, hi):
         predicted_means[t] = mean_pred
         predicted_covs[t] = cov_pred
 
@@ -181,10 +223,95 @@ def _moments(model: LinearGaussianModel, y: np.ndarray) -> tuple[np.ndarray, ...
 
         mean_pred = A @ mean_filt
         cov_pred = symmetrize(A @ cov_filt @ A.T + Q)
-    return (
+    return mean_pred, cov_pred
+
+
+def _affine_recursion(matrix, first, offsets, out) -> None:
+    """out[0] = first and out[t + 1] = matrix @ out[t] + offsets[t], in
+    blocks of L ~ sqrt(T) steps.
+
+    Row j of block k is matrix**j @ out[kL] plus the block's own recursion
+    from zero, which runs for all blocks at once, a batched product per
+    step; the block starts then follow one another through matrix**L.
+    That is about 3 sqrt(T) numpy calls where the plain loop makes 2 T.
+    """
+    n, d = len(offsets), len(first)
+    size = math.isqrt(n) + 1
+    blocks = n // size + 1
+    padded = np.zeros((blocks * size, d))
+    padded[:n] = offsets
+    padded = padded.reshape(blocks, size, d)
+    within = np.zeros((blocks, size + 1, d))
+    powers = np.empty((size + 1, d, d))
+    powers[0] = np.eye(d)
+    for j in range(size):
+        within[:, j + 1] = within[:, j] @ matrix.T + padded[:, j]
+        powers[j + 1] = matrix @ powers[j]
+    starts = np.empty((blocks, d))
+    starts[0] = first
+    for k in range(blocks - 1):
+        starts[k + 1] = powers[size] @ starts[k] + within[k, size]
+    rows = np.einsum("jab,kb->kja", powers[:size], starts) + within[:, :size]
+    out[0] = first
+    out[1:] = rows.reshape(-1, d)[1 : n + 1]
+
+
+def _settled(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The freeze rule, per matrix of a pair of stacks (or of one pair):
+    max|new - prev| <= _FREEZE_RTOL * max|prev|.  NaN never settles."""
+    axes = (-2, -1)
+    return np.abs(new - prev).max(axis=axes) <= _FREEZE_RTOL * np.abs(prev).max(axis=axes)
+
+
+def _steady_moments(
+    model: LinearGaussianModel, y: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """_moments until the predicted covariance settles, then the mean
+    recursion alone.
+
+    The loop runs in blocks of _FREEZE_CHECK steps and checks the freeze
+    rule on each block's predicted covariances.  At the first step f whose
+    P_pred settled against step f - 1, the covariances, innovation
+    covariance and gain of step f are frozen: later steps copy them, and
+    their predicted means follow m_{t+1} = A (I - G C) m_t + A G y_t, with
+    the innovations and filtered means formed batched afterwards.  Returns
+    the moment arrays and the first step that copies step f, or T where
+    the covariance never settled (the loop's arrays, unchanged).
+    """
+    T = y.shape[0]
+    A, C = model.A, model.C
+    arrays = _moment_arrays(model, T)
+    (
         filtered_means, filtered_covs, predicted_means, predicted_covs,
         innovations, innovation_covs,
-    )
+    ) = arrays
+    mean_pred, cov_pred = model.mu0, symmetrize(model.Sigma0)
+    frozen = T
+    for lo in range(0, T, _FREEZE_CHECK):
+        hi = min(lo + _FREEZE_CHECK, T)
+        mean_pred, cov_pred = _moment_steps(model, y, arrays, lo, hi, mean_pred, cov_pred)
+        first = max(lo - 1, 0)
+        settled = np.flatnonzero(
+            _settled(predicted_covs[first : hi - 1], predicted_covs[first + 1 : hi])
+        )
+        if settled.size:
+            frozen = first + int(settled[0]) + 2
+            break
+    if frozen == T:
+        return arrays, T
+    f = frozen - 1
+    predicted_covs[frozen:] = predicted_covs[f]
+    filtered_covs[frozen:] = filtered_covs[f]
+    innovation_covs[frozen:] = innovation_covs[f]
+    gain = np.linalg.solve(innovation_covs[f], C @ predicted_covs[f]).T
+    transition = A @ (np.eye(model.d_x) - gain @ C)
+    # The observation's share of the next predicted mean, A G y_t.
+    drive = y[frozen:-1] @ (A @ gain).T
+    means = predicted_means[frozen:]
+    _affine_recursion(transition, A @ filtered_means[f], drive, means)
+    innovations[frozen:] = y[frozen:] - means @ C.T
+    filtered_means[frozen:] = means + innovations[frozen:] @ gain.T
+    return arrays, frozen
 
 
 def _scalar_moments(
@@ -199,10 +326,7 @@ def _scalar_moments(
     """
     T = y.shape[0]
     a, c, q, r = (float(m[0, 0]) for m in (model.A, model.C, model.Q, model.R))
-    arrays = (
-        np.empty((T, 1)), np.empty((T, 1, 1)), np.empty((T, 1)), np.empty((T, 1, 1)),
-        np.empty((T, 1)), np.empty((T, 1, 1)),
-    )
+    arrays = _moment_arrays(model, T)
     fm, fc, pm, pc, inn, ic = (memoryview(x.reshape(T)) for x in arrays)
     m = float(model.mu0[0])
     p = float(model.Sigma0[0, 0])
@@ -232,6 +356,20 @@ def _scalar_moments(
     return arrays if finite and all(np.isfinite(x).all() for x in arrays) else None
 
 
+def _path(*dims: int) -> str:
+    """The recursion kalman_filter and rts_smoother run for matrices of
+    these sizes (d_x and d_y for the filter, d_x for the smoother).
+
+    "scalar" when every size is 1: the Python-float recursions.  Otherwise
+    "steady": the numpy loop until the covariance recursion settles at its
+    Riccati fixed point, then the mean recursion alone; where it never
+    settles, the loop is all that runs.  The third path, "loop", runs the
+    numpy loop throughout: the smoother takes it for sequences that are
+    not float64, and the tests compare the steady-state path with it.
+    """
+    return "scalar" if all(d == 1 for d in dims) else "steady"
+
+
 def kalman_filter(
     model: LinearGaussianModel, obs: ObservationSeries
 ) -> GaussianPosteriorSequence:
@@ -242,14 +380,25 @@ def kalman_filter(
     """
     require_valid(model)
     y = _check_real(model, obs)
-    moments = _scalar_moments(model, y) if model.d_x == model.d_y == 1 else None
-    if moments is None:
-        moments = _moments(model, y)
+    T = y.shape[0]
+    path = _path(model.d_x, model.d_y)
+    frozen = T
+    if path == "steady":
+        moments, frozen = _steady_moments(model, y)
+    else:
+        moments = _scalar_moments(model, y) if path == "scalar" else None
+        if moments is None:
+            moments = _moments(model, y)
     (
         filtered_means, filtered_covs, predicted_means, predicted_covs,
         innovations, innovation_covs,
     ) = moments
-    log_increments = _log_increments(innovation_covs, innovations)
+    log_increments = _log_increments(innovation_covs[:frozen], innovations[:frozen])
+    if frozen < T:
+        log_increments = np.concatenate([
+            log_increments,
+            _steady_log_increments(innovation_covs[frozen], innovations[frozen:]),
+        ])
     # Sequential addition, as a per-step accumulation would give.
     log_likelihood = 0.0
     for increment in log_increments.tolist():
@@ -352,6 +501,50 @@ def _scalar_backward(
     return True
 
 
+def _steady_backward(model, forward, smoothed_means, smoothed_covs) -> int:
+    """The RTS recursion over the steps whose gain is constant; returns the
+    first step it did not smooth.
+
+    Those are the steps from the start of the suffix where the filtered
+    and predicted covariances repeat their last values bit for bit, as a
+    frozen filter leaves them, up to T - 2.  The gain is solved once; the
+    smoothed covariance runs backward from T - 1 until it settles by the
+    freeze rule and is copied from there on down; the means follow
+    m_t = J m_{t+1} + (filtered m_t - J predicted m_{t+1}).  Where there is
+    no such suffix, or its predicted covariance has no Cholesky factor
+    (the pseudo-inverse case), nothing is smoothed and T - 1 comes back.
+    """
+    filtered_covs, predicted_covs = forward.filtered_covs, forward.predicted_covs
+    T = len(filtered_covs)
+    axes = (1, 2)
+    repeated = (filtered_covs == filtered_covs[-1]).all(axis=axes) & (
+        predicted_covs == predicted_covs[-1]
+    ).all(axis=axes)
+    changed = np.flatnonzero(~repeated)
+    start = int(changed[-1]) + 1 if changed.size else 0
+    if start >= T - 1:
+        return T - 1
+    solved, pinv = _backward_gains(
+        model.A, filtered_covs[start : start + 1], predicted_covs[start + 1 : start + 2]
+    )
+    if pinv:
+        return T - 1
+    gain = solved[0].T
+    cov_filt, cov_pred = filtered_covs[-1], predicted_covs[-1]
+    cov = smoothed_covs[T - 1]
+    for t in range(T - 2, start - 1, -1):
+        new = symmetrize(cov_filt + gain @ (cov - cov_pred) @ gain.T)
+        smoothed_covs[t] = new
+        if _settled(cov, new):
+            smoothed_covs[start:t] = new
+            break
+        cov = new
+    offsets = forward.filtered_means[start:-1] - forward.predicted_means[start + 1 :] @ gain.T
+    # Backward in time: the reversed views run the recursion forward.
+    _affine_recursion(gain, smoothed_means[T - 1], offsets[::-1], smoothed_means[start:][::-1])
+    return start
+
+
 def rts_smoother(
     model: LinearGaussianModel, forward: GaussianPosteriorSequence
 ) -> GaussianSmoothedSequence:
@@ -367,16 +560,23 @@ def rts_smoother(
     smoothed_covs = np.empty_like(forward.filtered_covs)
     smoothed_means[T - 1] = forward.filtered_means[T - 1]
     smoothed_covs[T - 1] = forward.filtered_covs[T - 1]
-    scalar = model.d_x == 1 and smoothed_means.dtype == smoothed_covs.dtype == float
+    path = (
+        _path(model.d_x)
+        if smoothed_means.dtype == smoothed_covs.dtype == float
+        else "loop"
+    )
+    start = T - 1
+    if path == "steady":
+        start = _steady_backward(model, forward, smoothed_means, smoothed_covs)
     pinv_steps: list[int] = []
-    for hi in range(T - 1, 0, -_BLOCK):
+    for hi in range(start, 0, -_BLOCK):
         lo = max(hi - _BLOCK, 0)
         solved, pinv = _backward_gains(
             model.A, forward.filtered_covs[lo:hi], forward.predicted_covs[lo + 1 : hi + 1]
         )
         pinv_steps[:0] = [i + lo + 2 for i in pinv]
         block = (forward, solved, pinv, smoothed_means, smoothed_covs, lo, hi)
-        if not (scalar and _scalar_backward(*block)):
+        if not (path == "scalar" and _scalar_backward(*block)):
             _backward(*block)
     return GaussianSmoothedSequence(
         smoothed_means=smoothed_means,

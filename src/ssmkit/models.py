@@ -229,9 +229,11 @@ class GenericStateSpaceModel:
 def _row_faults(rows: np.ndarray, tol: float = ROW_SUM_TOL):
     """The probability-row rule for a vector or each row of a matrix: no
     negative entry, and a sum within tol of 1.  Returns the row sums and,
-    per row, whether it has a negative entry and whether its sum is off."""
+    per row, whether it has a negative entry and whether its sum is off.
+    A row with a NaN or infinite entry has a sum that is not finite, which
+    counts as off."""
     sums = rows.sum(axis=-1)
-    return sums, (rows < 0).any(axis=-1), abs(sums - 1.0) > tol
+    return sums, (rows < 0).any(axis=-1), ~(abs(sums - 1.0) <= tol)
 
 
 def validate_model(model) -> list[str]:

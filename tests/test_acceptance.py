@@ -243,6 +243,20 @@ def test_criterion_7_performance_floor():
         kalman_s = time.perf_counter() - t0
         assert kalman_s < 0.15, f"scalar kalman_filter + rts_smoother T=1e4 took {kalman_s:.3f}s"
 
+        # d_x = 6, d_y = 3 with A = 0.9 * orthogonal: the covariances settle
+        # within about 100 steps and the steady-state path runs the rest.
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        c = rng.standard_normal((3, 6))
+        six = LinearGaussianModel(
+            A=0.9 * q, C=c / np.linalg.norm(c, axis=1, keepdims=True),
+            Q=0.1 * np.eye(6), R=0.5 * np.eye(3), mu0=np.zeros(6), Sigma0=np.eye(6),
+        )
+        _, obs = simulate_lgssm(six, 10_000, SeededGenerator(77006))
+        t0 = time.perf_counter()
+        rts_smoother(six, kalman_filter(six, obs))
+        kalman_s = time.perf_counter() - t0
+        assert kalman_s < 0.3, f"d=6 kalman_filter + rts_smoother T=1e4 took {kalman_s:.3f}s"
+
 
 def test_criterion_8_determinism(tmp_path, capsys):
     with criterion(8, "byte reproducibility of seeded runs"):

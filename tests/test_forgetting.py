@@ -48,6 +48,10 @@ class TestTvDistance:
         with pytest.raises(ValueError):
             tv_distance([1.5, -0.5], [0.5, 0.5])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="p must be a probability vector"):
+            tv_distance([np.nan, 1.0], [0.5, 0.5])
+
 
 class TestDobrushin:
     def test_identity_does_not_contract(self):

@@ -156,6 +156,13 @@ class TestForwardFilter:
         with pytest.raises(ModelValidationError):
             forward_filter(BENCH, sym([0, 2]))
 
+    def test_nan_initial_rejected(self):
+        from ssmkit import ModelValidationError
+
+        m = DiscreteHMM([np.nan, 1.0], BENCH.transition, BENCH.emission)
+        with pytest.raises(ModelValidationError, match="initial sums to nan"):
+            forward_filter(m, BENCH_OBS)
+
 
 class TestBackwardSmooth:
     def test_t1_equals_filtered(self):
@@ -245,6 +252,12 @@ class TestPredictStates:
             predict_states(BENCH, [0.5, 0.5 + 1e-10], 1)
         assert "1.0000000001" in str(exc.value)
         assert "off by 1e-10" in str(exc.value)
+
+    def test_nan_start_rejected(self):
+        from ssmkit import ModelValidationError
+
+        with pytest.raises(ModelValidationError, match="sums to nan"):
+            predict_states(BENCH, [np.nan, 1.0], 1)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

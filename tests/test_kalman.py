@@ -232,6 +232,32 @@ class TestJointGaussianOracle:
         np.testing.assert_allclose(smooth.smoothed_covs, s_covs, atol=1e-8)
         assert result.log_likelihood == pytest.approx(loglik, abs=1e-8)
 
+    def test_steady_state_past_the_freeze_step(self):
+        # d_x = 3, d_y = 2: the covariances settle and freeze well before
+        # T = 120, after which the filter and smoother run only their mean
+        # recursions, with constant gains.
+        gen = np.random.default_rng(31)
+        q, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+        model = LinearGaussianModel(
+            A=0.8 * q,
+            C=gen.standard_normal((2, 3)),
+            Q=[[0.3, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, 0.4]],
+            R=[[0.4, 0.1], [0.1, 0.6]],
+            mu0=[0.5, -0.5, 1.0],
+            Sigma0=np.eye(3),
+        )
+        _, obs = simulate_lgssm(model, 120, SeededGenerator(32))
+        f_means, s_means, s_covs, loglik = joint_gaussian_posterior(model, obs.values)
+        result = kalman_filter(model, obs)
+        smooth = rts_smoother(model, result)
+        covs = result.predicted_covs
+        frozen = np.flatnonzero((covs != covs[-1]).any(axis=(1, 2)))[-1] + 1
+        assert frozen < 80
+        np.testing.assert_allclose(result.filtered_means, f_means, atol=1e-8)
+        np.testing.assert_allclose(smooth.smoothed_means, s_means, atol=1e-8)
+        np.testing.assert_allclose(smooth.smoothed_covs, s_covs, atol=1e-8)
+        assert result.log_likelihood == pytest.approx(loglik, abs=1e-8)
+
     def test_rank_deficient_prediction_uses_pinv(self):
         model = LinearGaussianModel(
             A=[[0.5, 0.0], [0.5, 0.0]],

@@ -1,7 +1,11 @@
 """The filter and smoother, with their batched checks, likelihood terms and
 gains, against the plain per-step recursions, compared byte for byte.  The
 scalar models (d_x = d_y = 1), which run the recursion on Python floats, are
-compared the same way."""
+compared the same way.  Larger models run the steady-state path, which
+freezes the covariance recursion once it settles; the byte comparisons run
+them on the library's per-step loop (the per_step_loop fixture), and
+TestSteadyStatePath compares the steady-state path with that loop within a
+stated tolerance."""
 
 import warnings
 from types import SimpleNamespace
@@ -190,7 +194,24 @@ def block(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.usefixtures("block")
+STEADY_OR_SCALAR = kalman._path
+
+
+def loop_path(*dims):
+    """kalman._path with the per-step loop in place of the steady-state
+    path; scalar models keep the Python-float path."""
+    path = STEADY_OR_SCALAR(*dims)
+    return "loop" if path == "steady" else path
+
+
+@pytest.fixture
+def per_step_loop(monkeypatch):
+    """Run models with d > 1 on the per-step loop, which the byte
+    comparisons hold to the plain recursion."""
+    monkeypatch.setattr(kalman, "_path", loop_path)
+
+
+@pytest.mark.usefixtures("block", "per_step_loop")
 class TestMatchesPerStepRecursion:
     def test_scalar_fixed_point(self):
         obs = simulated(SCALAR, 300, 1)
@@ -257,7 +278,7 @@ class TestMatchesPerStepRecursion:
         assert exc.value.time_index == ref_exc.value.time_index == 1
 
 
-@pytest.mark.usefixtures("block")
+@pytest.mark.usefixtures("block", "per_step_loop")
 class TestSmootherOnHandBuiltSequences:
     def test_hand_built_sequence_with_repeats(self):
         # Two filter runs laid end to end: covariances repeat within each
@@ -306,6 +327,175 @@ class TestSmootherOnHandBuiltSequences:
         assert got.smoothed_covs.tobytes() == ref.smoothed_covs.tobytes()
         assert got.pinv_steps == ref.pinv_steps
         assert ref.pinv_steps == tuple(range(9, 14))
+
+
+# Tolerance of the steady-state path against the per-step loop, relative to
+# each array's largest magnitude.
+STEADY_RTOL = 1e-12
+
+
+def slow_mixing_model():
+    """rho = 0.999 and observation noise 1000 times the state noise: the
+    covariance settles only after several hundred steps, so the freeze
+    rule stops furthest from the fixed point."""
+    model = rotating_model(seed=5, d_x=3, d_y=2, rho=0.999)
+    return LinearGaussianModel(
+        A=model.A, C=model.C, Q=0.01 * np.eye(3), R=10.0 * np.eye(2),
+        mu0=np.zeros(3), Sigma0=np.eye(3),
+    )
+
+
+@pytest.fixture
+def freezes(monkeypatch):
+    """What the steady-state path did in each run: per filter run, the first
+    step whose covariances it copied (T where they never settled); per
+    smoother run, the first step it left to the block code (T - 1 where it
+    smoothed none)."""
+    seen = {"filter": [], "smoother": []}
+    steady_moments, steady_backward = kalman._steady_moments, kalman._steady_backward
+
+    def filter_spy(model, y):
+        arrays, frozen = steady_moments(model, y)
+        seen["filter"].append(frozen)
+        return arrays, frozen
+
+    def smoother_spy(*args):
+        seen["smoother"].append(steady_backward(*args))
+        return seen["smoother"][-1]
+
+    monkeypatch.setattr(kalman, "_steady_moments", filter_spy)
+    monkeypatch.setattr(kalman, "_steady_backward", smoother_spy)
+    return seen
+
+
+def on_the_loop(model, obs):
+    """kalman_filter and rts_smoother on the per-step loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kalman, "_path", loop_path)
+        forward = kalman_filter(model, obs)
+        return forward, rts_smoother(model, forward)
+
+
+def assert_close_to_the_loop(model, obs):
+    """The steady-state outputs within STEADY_RTOL of the loop's, with NaN
+    where the loop has NaN; returns them."""
+    forward = kalman_filter(model, obs)
+    smooth = rts_smoother(model, forward)
+    ref, ref_smooth = on_the_loop(model, obs)
+    pairs = [(getattr(forward, name), getattr(ref, name)) for name in COMPARED_ARRAYS]
+    pairs += [
+        (np.array(forward.log_likelihood), np.array(ref.log_likelihood)),
+        (smooth.smoothed_means, ref_smooth.smoothed_means),
+        (smooth.smoothed_covs, ref_smooth.smoothed_covs),
+    ]
+    for got, want in pairs:
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        if not nan.all():
+            scale = np.abs(want[~nan]).max()
+            assert np.abs(got[~nan] - want[~nan]).max() <= STEADY_RTOL * scale
+    assert smooth.pinv_steps == ref_smooth.pinv_steps
+    assert smooth.smoothed_means[-1].tobytes() == forward.filtered_means[-1].tobytes()
+    return forward, smooth
+
+
+class TestSteadyStatePath:
+    @pytest.mark.parametrize(
+        "model, settles_after",
+        [(rotating_model(), 50), (slow_mixing_model(), 500)],
+        ids=["d6", "slow-mixing"],
+    )
+    def test_within_rtol_of_the_loop(self, freezes, model, settles_after):
+        obs = simulated(model, 10_000, 21)
+        forward, smooth = assert_close_to_the_loop(model, obs)
+        [frozen] = freezes["filter"]
+        assert settles_after < frozen < 10_000
+        assert freezes["smoother"] == [frozen - 1]
+        # All six moment arrays, innovations and their covariances included.
+        steady, _ = kalman._steady_moments(model, obs.values)
+        for got, want in zip(steady, kalman._moments(model, obs.values)):
+            assert np.abs(got - want).max() <= STEADY_RTOL * np.abs(want).max()
+        # The covariances are frozen from there on, and the smoothed ones
+        # settle backward from T - 1.
+        for covs in (forward.predicted_covs, forward.filtered_covs):
+            assert (covs[frozen:] == covs[frozen]).all()
+        assert (smooth.smoothed_covs[frozen:5000] == smooth.smoothed_covs[frozen]).all()
+
+    def test_never_settling_model_runs_the_loop(self, freezes):
+        # An unobserved mode that grows with no noise: its variance grows by
+        # 1.02**2 each step and never settles.
+        model = LinearGaussianModel(
+            A=np.diag([1.02, 0.5]), C=[[0.0, 1.0]], Q=np.diag([0.0, 0.1]),
+            R=[[0.5]], mu0=[1.0, 0.0], Sigma0=np.eye(2),
+        )
+        assert_same_bytes(model, simulated(model, 500, 22))
+        assert freezes == {"filter": [500], "smoother": [499]}
+
+    def test_series_shorter_than_the_freeze_step(self, freezes):
+        model = rotating_model()
+        y = simulated(model, 400, 23).values
+        kalman_filter(model, ObservationSeries(y, kind="real"))
+        [frozen] = freezes["filter"]
+        assert 50 < frozen < 400
+        # Up to T = frozen no step copies another, so the loop is all that
+        # runs; one step more and the last step is a copy.
+        lengths = [1, 2, kalman._FREEZE_CHECK + 1, frozen - 1, frozen]
+        for T in lengths:
+            assert_same_bytes(model, ObservationSeries(y[:T], kind="real"))
+        obs = ObservationSeries(y[: frozen + 1], kind="real")
+        forward, _ = assert_close_to_the_loop(model, obs)
+        assert forward.predicted_covs[-1].tobytes() == forward.predicted_covs[-2].tobytes()
+        assert freezes["filter"] == [frozen] + lengths + [frozen]
+
+    @pytest.mark.parametrize("short_by", [None, 1e-14], ids=["step-40", "near-freeze"])
+    def test_degeneracy_raised_at_the_same_step(self, freezes, short_by):
+        # The first variance settles from 0 while the second is forgotten at
+        # each step and observed through a noise r: the condition number of
+        # S grows towards its limit and crosses CONDITION_GUARD at a step
+        # set by r, before the covariance freezes.
+        def model(r):
+            return LinearGaussianModel(
+                A=np.diag([0.99, 0.0]), C=np.eye(2), Q=np.diag([0.01, 0.0]),
+                R=np.diag([1.0, r]), mu0=np.zeros(2), Sigma0=np.diag([0.0, 1.0]),
+            )
+
+        y = np.zeros((400, 2))
+        s = kalman._moments(model(1e-3), y)[5][:, 0, 0]
+        if short_by is None:
+            r = 0.5 * (s[38] + s[39]) / CONDITION_GUARD
+        else:
+            r = s[-1] / CONDITION_GUARD * (1.0 - short_by)
+        step = assert_same_failure(model(r), ObservationSeries(y, kind="real"))
+        if short_by is None:
+            assert step == 40
+        [frozen] = freezes["filter"]
+        assert kalman._FREEZE_CHECK < step < frozen < 400
+
+    def test_singular_frozen_prediction_keeps_the_pseudo_inverse(self, freezes):
+        obs = simulated(SINGULAR_PREDICTION, 200, 24)
+        _, smooth = assert_close_to_the_loop(SINGULAR_PREDICTION, obs)
+        ref_smooth = reference_rts_smoother(
+            SINGULAR_PREDICTION, reference_kalman_filter(SINGULAR_PREDICTION, obs)
+        )
+        assert smooth.pinv_steps == ref_smooth.pinv_steps == tuple(range(2, 201))
+        # The filter froze, and the smoother left every step to the blocks.
+        assert freezes["filter"][0] < 10
+        assert freezes["smoother"] == [199]
+
+    @pytest.mark.parametrize("step", [10, 300], ids=["before-freeze", "after-freeze"])
+    def test_nan_observation_gives_nan_as_the_loop_does(self, freezes, step):
+        # The constructor rejects NaN, but the values array stays writable.
+        model = rotating_model()
+        obs = simulated(model, 400, 25)
+        obs.values[step, 1] = np.nan
+        forward, smooth = assert_close_to_the_loop(model, obs)
+        [frozen] = freezes["filter"]
+        assert frozen < 300
+        assert freezes["smoother"] == [frozen - 1]
+        assert np.isnan(forward.filtered_means[step:]).all()
+        assert not np.isnan(forward.filtered_means[:step]).any()
+        assert np.isnan(forward.log_likelihood)
+        assert np.isnan(smooth.smoothed_means).all()
 
 
 class TestLogIncrements:

@@ -98,6 +98,20 @@ class TestValidateModel:
         )
         assert validate_model(m) == []
 
+    @pytest.mark.parametrize(
+        "initial, transition, name",
+        [
+            ([np.nan, 1.0], [[0.9, 0.1], [0.2, 0.8]], "initial"),
+            ([0.5, 0.5], [[0.9, 0.1], [np.nan, 0.8]], "transition row 1"),
+        ],
+    )
+    def test_non_finite_row_reported(self, initial, transition, name):
+        # NaN compares false both as a negative entry and as an off sum;
+        # the rule counts a sum that is not finite as off.
+        m = DiscreteHMM(initial, transition, [[0.8, 0.2], [0.3, 0.7]])
+        report = validate_model(m)
+        assert len(report) == 1 and report[0].startswith(f"{name} sums to")
+
     def test_r_not_positive_definite(self):
         m = scalar_lgssm(R=[[-0.1]])
         assert any("R" in v and "positive definite" in v for v in validate_model(m))
