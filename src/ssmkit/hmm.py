@@ -4,36 +4,36 @@ Forward/backward passes use per-step normalization with the normalizers
 accumulated in log domain.  Time indices reported in errors are 1-based,
 matching the t column of series files.
 
-The forward and backward passes run one of two ways, chosen by the number
-of states K alone (_use_scan).  Up to _SCAN_MAX_K states they are blocked
-prefix scans.  The unnormalized filter row t is alpha_0 @ M_1 @ ... @ M_t
-with M_t = A diag(e_t), so the rows of a block of _SCAN_BLOCK steps come
-from log2(_SCAN_BLOCK) batched matrix products started from the last row
-of the block before; the backward pass scans the transposed factors over
-reversed time.  The scans change the order of the arithmetic: their
-outputs agree with the per-step loops within 1e-12 relative, zeros stay
-exact zeros, and smoothed[T-1] equals filtered[T-1] exactly.  Every
-scanned row is checked against one per-step recursion from the row
-before it; a block that fails the check (an impossible observation, or an
-entry a partial product lost to underflow) hands the series to the loop,
-which raises or computes it.  Their work per step grows as K**3 times the
-levels of a block, so above _SCAN_MAX_K the per-step loops are faster and
-run instead.
-
-Each loop carries only its recursion.  The forward loop finishes a row of
+Both passes are one row recursion, r_t = (r_{t-1} @ F) * e_t scaled to
+sum to one, with F = A forward and F = A^T over reversed time backward.
+One block driver (_row_recursion) fills each block of _SCAN_BLOCK steps
+from the last row of the block before.  Up to _SCAN_MAX_K states, chosen
+by K alone (_use_scan), a block is a prefix scan, checked row by row
+against one per-step recursion from the row before it.  A block that
+fails the check (an impossible observation, or an entry a partial product
+lost to underflow), and every block of a larger model, runs on the
+per-step kernel instead.  Scanned rows agree with the kernel's within
+1e-12 relative and keep exact zeros.  The kernel finishes a row of
 gathered emission columns in place (weight by the prediction, sum,
-divide, predict); the logs of the normalizers and the impossibility check
-run batched afterwards.  The backward loop finishes a row of gathered
-emission columns in place (weight by beta, divide by the normalizer) and
-writes the next beta into the smoothed array; the product with the
-filtered rows and the pairwise slabs are then formed batched, with no
-T x K x K temporary.  The Viterbi loop writes each step's scores into one
-K x K buffer and finishes a row of gathered log emission columns with
-their column maxima; the impossibility check runs once per block of
-gathered rows.  Every element goes through the same floating-point
-operations in the same order as in the plain per-step recursion, so the
-loops' outputs and Viterbi's equal it byte for byte.  fit_em filters each
-model once and hands that pass to the next baum_welch_step.
+divide, predict), the plain forward recursion's operations in their
+order, so a forward pass whose blocks all run on it equals that
+recursion byte for byte.
+
+The backward rows are scaled by their own sums and each smoothed row by
+its sum, so the backward pass needs no normalizers and does not overflow
+where consecutive rare moves make them tiny.  Where the backward rows
+lose all their mass to underflow, NumericalError names the latest
+smoothed row with no positive scale.  The products with the filtered rows
+and the pairwise slabs are formed batched, with no T x K x K temporary,
+and smoothed[T-1] equals filtered[T-1] exactly.
+
+The Viterbi loop writes each step's scores into one K x K buffer and
+finishes a row of gathered log emission columns with their column
+maxima; the impossibility check runs once per block of gathered rows.
+Every element goes through the same floating-point operations in the
+same order as in the plain per-step recursion, so its outputs equal it
+byte for byte.  fit_em filters each model once and hands that pass to
+the next baum_welch_step.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .errors import (
     EnumerationSizeError,
     ImpossibleObservationError,
     ModelValidationError,
+    NumericalError,
 )
 from .models import DiscreteHMM, ObservationSeries, StatePath, _row_faults, require_valid
 
@@ -67,13 +68,13 @@ ENUMERATION_GUARD = 10**6
 # Steps per block of gathered log emission columns in viterbi; bounds the
 # memory the gather takes.
 _BLOCK = 1024
-# Models with at most this many states run the forward and backward passes
-# as blocked prefix scans: measured faster than the per-step loops at every
-# series length up to this K, while at K = 9 and 10 the backward scan was no
-# faster than its loop.
+# Models with at most this many states fill the blocks of the forward and
+# backward passes by prefix scans: measured faster than the per-step kernel
+# at every series length up to this K, while at K = 9 and 10 the backward
+# scan was no faster than the kernel.
 _SCAN_MAX_K = 8
-# Steps per block of the scans; a block's partial products take
-# _SCAN_BLOCK * K * K floats.
+# Steps per block of _row_recursion; a scanned block's partial products
+# take _SCAN_BLOCK * K * K floats.
 _SCAN_BLOCK = 512
 # Largest relative difference, entry by entry, between a scanned row and
 # one per-step recursion from the row before it that _scan_block accepts.
@@ -169,7 +170,9 @@ def forward_filter(
     emission column of the observed symbol, and renormalizes; the log of
     each normalizer is accumulated so log_likelihood = sum_t log c_t.
     initial_override replaces model.initial for the first step when given.
-    Models with at most _SCAN_MAX_K states run it as a blocked prefix scan.
+    The steps after the first run through _row_recursion with F = A, and
+    the normalizers are the sums its rows were scaled by.  The first
+    non-positive normalizer raises ImpossibleObservationError.
     """
     require_valid(model)
     y = _check_symbolic(model, obs)
@@ -177,36 +180,13 @@ def forward_filter(
         prior = _check_probability_vector(initial_override, model.K, "initial_override")
     else:
         prior = model.initial
-    if _use_scan(model.K):
-        forward = _forward_scan(model, y, prior)
-        if forward is not None:
-            return forward
-    return _forward_loop(model, y, prior)
-
-
-def _use_scan(k: int) -> bool:
-    """Whether forward_filter and backward_smooth run a K-state model as
-    blocked prefix scans rather than per-step loops."""
-    return k <= _SCAN_MAX_K
-
-
-def _forward_loop(
-    model: DiscreteHMM, y: np.ndarray, prior: np.ndarray
-) -> CategoricalPosteriorSequence:
-    """forward_filter one step at a time, from checked symbols and prior."""
-    T = y.shape[0]
-    transition = model.transition
-    # Row t starts as the emission column of y[t] and is finished in place.
-    filtered = model.emission.T[y]
-    norms = np.empty(T)
-    predicted = prior
+    emission_cols = model.emission.T
+    filtered = np.empty((y.shape[0], model.K))
+    norms = np.empty(y.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t, row in enumerate(filtered):
-            row *= predicted
-            # norms[t, ...] is a 0-d view: numpy divides by it faster than
-            # by the scalar row.sum() returns, with the same result.
-            row /= np.add.reduce(row, out=norms[t, ...])
-            predicted = row @ transition
+        first = np.multiply(emission_cols[y[0]], prior, out=filtered[0])
+        first /= np.add.reduce(first, out=norms[0, ...])
+        _row_recursion(filtered, model.transition, emission_cols, y, norms)
         log_norms = np.log(norms)
         # An impossible step leaves NaN behind it, so the first non-positive
         # normalizer is the first impossible observation.
@@ -220,9 +200,69 @@ def _forward_loop(
     )
 
 
+def _use_scan(k: int) -> bool:
+    """Whether _row_recursion fills the blocks of a K-state model by prefix
+    scans rather than on the per-step kernel."""
+    return k <= _SCAN_MAX_K
+
+
+def _row_recursion(
+    rows: np.ndarray,
+    matrix: np.ndarray,
+    emission_cols: np.ndarray,
+    y: np.ndarray,
+    sums: np.ndarray,
+) -> None:
+    """Fill rows[1:] from rows[0]: the block driver of both passes.
+
+    Row t becomes (rows[t - 1] @ matrix) * emission_cols[y[t]] scaled to
+    sum to one, and sums[t] the sum it was scaled by.  Each block of
+    _SCAN_BLOCK steps is scanned when _use_scan(K); a block that fails the
+    scan's check, and every block of a larger model, runs on _step_block
+    from the row before it instead.
+    """
+    n = rows.shape[0]
+    scan = _use_scan(matrix.shape[0])
+    for lo in range(1, n, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, n)
+        cols = emission_cols[y[lo:hi]]
+        if not (scan and _scan_block(rows, lo, hi, matrix, cols, sums)):
+            _step_block(rows, lo, hi, matrix, cols, sums)
+
+
+def _step_block(
+    rows: np.ndarray,
+    lo: int,
+    hi: int,
+    matrix: np.ndarray,
+    cols: np.ndarray,
+    sums: np.ndarray,
+) -> None:
+    """Fill rows[lo:hi] from rows[lo - 1] one step at a time.
+
+    Each row starts as its emission column and is finished in place:
+    weight by the prediction, sum, divide, predict.  These are the
+    operations of the plain forward recursion in its order.
+    """
+    block = rows[lo:hi]
+    block[...] = cols
+    predicted = rows[lo - 1] @ matrix
+    for t, row in enumerate(block, lo):
+        row *= predicted
+        # sums[t, ...] is a 0-d view: numpy divides by it faster than by
+        # the scalar row.sum() returns, with the same result.
+        row /= np.add.reduce(row, out=sums[t, ...])
+        predicted = row @ matrix
+
+
 def _scan_block(
-    rows: np.ndarray, lo: int, hi: int, matrix: np.ndarray, cols: np.ndarray
-) -> np.ndarray | None:
+    rows: np.ndarray,
+    lo: int,
+    hi: int,
+    matrix: np.ndarray,
+    cols: np.ndarray,
+    sums: np.ndarray,
+) -> bool:
     """Fill rows[lo:hi] from rows[lo - 1] by a prefix scan, and check it.
 
     Row t becomes rows[lo - 1] @ F_lo @ ... @ F_t scaled to sum to one,
@@ -239,9 +279,9 @@ def _scan_block(
     keeps, to zero or to a subnormal float, where its other entries are
     far larger.  So each row is compared with one step of that recursion
     from the row before it, (rows[t - 1] @ matrix) * cols[t - lo] scaled
-    to sum to one.  Returns the sums of those unscaled steps, or None when
-    some entry differs from its step by more than _SCAN_RTOL relative,
-    which includes an impossible step (NaN rows) and a lost entry.
+    to sum to one, whose sums go to sums[lo:hi].  Returns False when some
+    entry differs from its step by more than _SCAN_RTOL relative, which
+    includes an impossible step (NaN rows) and a lost entry.
     """
     k = matrix.shape[0]
     ones = np.ones(k * k)
@@ -262,53 +302,13 @@ def _scan_block(
     out /= (out @ ones[:k])[:, None]
     step = rows[lo - 1 : hi - 1] @ matrix
     step *= cols
-    sums = step @ ones[:k]
-    step /= sums[:, None]
+    sums[lo:hi] = step @ ones[:k]
+    step /= sums[lo:hi, None]
     error = out - step
     np.abs(error, out=error)
     step *= _SCAN_RTOL
     # A NaN on either side fails the comparison.
-    if not (error <= step).all():
-        return None
-    return sums
-
-
-def _forward_scan(
-    model: DiscreteHMM, y: np.ndarray, prior: np.ndarray
-) -> CategoricalPosteriorSequence | None:
-    """forward_filter as a prefix scan, or None where a block fails its
-    check (an impossible step or a lost entry), so that the loop runs and
-    raises or computes it instead.
-
-    The unnormalized filter row t is alpha_0 @ M_1 @ ... @ M_t with
-    M_t = A diag(e_t); each block of _SCAN_BLOCK steps is scanned from the
-    last filtered row of the one before.  The normalizers are the sums of
-    the checking steps, filtered[t-1] @ A times the emission column of
-    y[t], as in the loop.
-    """
-    T = y.shape[0]
-    transition = model.transition
-    emission_cols = model.emission.T
-    filtered = np.empty((T, model.K))
-    norms = np.empty(T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = prior * emission_cols[y[0]]
-        norms[0] = np.add.reduce(first)
-        if not norms[0] > 0.0:
-            return None
-        np.divide(first, norms[0], out=filtered[0])
-        for lo in range(1, T, _SCAN_BLOCK):
-            hi = min(lo + _SCAN_BLOCK, T)
-            sums = _scan_block(filtered, lo, hi, transition, emission_cols[y[lo:hi]])
-            if sums is None:
-                return None
-            norms[lo:hi] = sums
-    log_norms = np.log(norms)
-    return CategoricalPosteriorSequence(
-        filtered=filtered,
-        log_normalizers=log_norms,
-        log_likelihood=float(log_norms.sum()),
-    )
+    return bool((error <= step).all())
 
 
 def backward_smooth(
@@ -318,84 +318,44 @@ def backward_smooth(
 ) -> SmoothedSequence:
     """Scaled backward recursion combined with the forward pass.
 
-    Smoothed row t is elementwise filtered[t] * beta[t], with the backward
-    variables scaled so that the row sums to one; row T equals the filtered
-    row exactly.  Models with at most _SCAN_MAX_K states run it as a
-    blocked suffix scan.
+    Smoothed row t is elementwise filtered[t] * beta[t], scaled to sum to
+    one; row T equals the filtered row exactly.  The backward variables
+    run through _row_recursion with F = A^T over reversed time, each row
+    scaled by its own sum, so the normalizers are not needed.  Where they
+    lose all their mass to underflow, NumericalError names the latest step
+    whose smoothed row has no positive scale.
     """
     y = _check_symbolic(model, obs)
-    T = y.shape[0]
+    T, K = y.shape[0], model.K
     if forward.filtered.shape[0] != T:
         raise ValueError(
             f"forward pass covers {forward.filtered.shape[0]} steps, data has {T}"
         )
-    if _use_scan(model.K):
-        smooth = _backward_scan(model, y, forward.filtered)
-        if smooth is not None:
-            return smooth
-    return _backward_loop(model, y, forward)
-
-
-def _backward_loop(
-    model: DiscreteHMM, y: np.ndarray, forward: CategoricalPosteriorSequence
-) -> SmoothedSequence:
-    """backward_smooth one step at a time, from checked symbols."""
-    T, K = y.shape[0], model.K
     transition = model.transition
     filtered = forward.filtered
-    norms = np.exp(forward.log_normalizers)
     smoothed = np.empty((T, K))
-    pairwise = np.empty((max(T - 1, 0), K, K))
-    # Row t of rescaled starts as the emission column of y[t + 1]; the loop
-    # finishes it in place and writes beta[t] into smoothed[t].
-    rescaled = model.emission.T[y[1:]]
-    beta = np.ones(K)
-    for t in range(T - 2, -1, -1):
-        row = rescaled[t]
-        row *= beta
-        row /= norms[t + 1, ...]  # a 0-d view, as in _forward_loop
-        beta = np.matmul(transition, row, out=smoothed[t])
-    smoothed[:-1] *= filtered[:-1]
-    smoothed[T - 1] = filtered[T - 1]
-    np.multiply(filtered[:-1, :, None], transition, out=pairwise)
-    pairwise *= rescaled[:, None, :]
-    return SmoothedSequence(smoothed=smoothed, pairwise=pairwise)
-
-
-def _backward_scan(
-    model: DiscreteHMM, y: np.ndarray, filtered: np.ndarray
-) -> SmoothedSequence | None:
-    """backward_smooth as a suffix scan, or None where a block fails its
-    check or a scale is not positive, so that the loop runs instead.
-
-    Row t of the loop's rescaled array, e_{t+1} * beta[t+1] / c_{t+1}, is
-    up to scale g_{t+1} with g_{T-1} = e_{T-1} and
-    g_t = g_{t+1} @ A^T diag(e_t): a prefix scan over reversed time.  Its
-    scale follows from smoothed[t] = filtered[t] * (A @ rescaled[t])
-    summing to one, so the normalizers are not needed.
-    """
-    T, K = y.shape[0], model.K
-    transition = model.transition
-    smoothed = np.empty((T, K))
-    # Row j holds g_{T-1-j} scaled to sum to one, from symbol y[T-1-j].
+    # Row j is e_{T-1-j} * beta[T-1-j] up to scale, from symbol y[T-1-j]:
+    # row t of rescaled below is the backward row of step t + 1.
     reversed_rows = np.empty((T - 1, K))
-    reversed_y = y[::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         if T > 1:
-            last = model.emission[:, reversed_y[0]]
+            last = model.emission[:, y[T - 1]]
             np.divide(last, np.add.reduce(last), out=reversed_rows[0])
             transposed = np.ascontiguousarray(transition.T)
-            for lo in range(1, T - 1, _SCAN_BLOCK):
-                hi = min(lo + _SCAN_BLOCK, T - 1)
-                cols = model.emission.T[reversed_y[lo:hi]]
-                if _scan_block(reversed_rows, lo, hi, transposed, cols) is None:
-                    return None
+            _row_recursion(
+                reversed_rows, transposed, model.emission.T, y[::-1], np.empty(T - 1)
+            )
         rescaled = reversed_rows[::-1]
-        beta = rescaled @ transition.T
-        np.multiply(filtered[:-1], beta, out=smoothed[:-1])
+        # Row t is beta[t] = A @ rescaled[t], then filtered[t] * beta[t].
+        np.matmul(rescaled, transition.T, out=smoothed[:-1])
+        smoothed[:-1] *= filtered[:-1]
         scale = smoothed[:-1] @ np.ones(K)
-    if not (scale > 0.0).all():
-        return None
+    lost = np.flatnonzero(~(scale > 0.0))
+    if lost.size:
+        raise NumericalError(
+            f"backward recursion underflowed: smoothed row at t={int(lost[-1]) + 1} "
+            "has no positive mass"
+        )
     smoothed[:-1] /= scale[:, None]
     smoothed[T - 1] = filtered[T - 1]
     # Scaled last, so that a tiny scale cannot overflow a factor to inf.

@@ -490,6 +490,25 @@ class TestExitCodes:
                                str(data)])
         assert code == 3
 
+    def test_smoothing_underflow(self, capsys, tmp_path):
+        # Two consecutive moves of probability 1e-170: the forward pass
+        # succeeds, and the backward recursion loses all its mass at t=3.
+        rare = 1e-170
+        model = tmp_path / "rare.json"
+        write_model(
+            str(model),
+            DiscreteHMM([1.0, 0.0, 0.0],
+                        [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]],
+                        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]),
+        )
+        data = tmp_path / "d.csv"
+        write_series(str(data), ObservationSeries([0, 0, 0, 1, 2, 2, 1, 2], kind="symbolic"))
+        argv = ["--model", str(model), "--data", str(data)]
+        assert run_command(["filter", *argv]) == 0
+        capsys.readouterr()
+        assert run_command(["smooth", *argv]) == 3
+        assert "t=3 " in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0
         out = capsys.readouterr().out

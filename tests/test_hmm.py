@@ -4,6 +4,7 @@ The enumeration routine is itself checked against an independent
 plain-Python path sum before being used as the oracle for the recursions.
 """
 
+import contextlib
 import itertools
 import warnings
 import math
@@ -16,6 +17,7 @@ from ssmkit import (
     DiscreteHMM,
     EnumerationSizeError,
     ImpossibleObservationError,
+    NumericalError,
     ObservationSeries,
     SeededGenerator,
     backward_smooth,
@@ -28,6 +30,7 @@ from ssmkit import (
     viterbi,
 )
 from ssmkit import hmm
+from test_hmm_reference import reference_backward_smooth, reference_forward_filter
 
 BENCH = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
 BENCH_OBS = ObservationSeries([0, 1, 1], kind="symbolic")
@@ -527,7 +530,8 @@ class TestRelabelingInvariance:
 
 
 # The scans that forward_filter and backward_smooth run for small models,
-# against enumeration and against the per-step loops they replace.
+# against enumeration and against the per-step kernel that larger models
+# and failed blocks run.
 
 # Deterministic alternation: state 0 emits only symbol 0, state 1 only
 # symbol 1, so any repeated symbol is impossible.
@@ -549,10 +553,24 @@ def sparse_hmm(rng, k, m):
 TINY = np.finfo(float).tiny
 
 
+@contextlib.contextmanager
+def per_step_kernel():
+    """Run every block of forward_filter and backward_smooth on the
+    per-step kernel, whatever the model's size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmm, "_use_scan", lambda k: False)
+        yield
+
+
+def kernel_forward(model, obs, initial_override=None):
+    with per_step_kernel():
+        return forward_filter(model, obs, initial_override=initial_override)
+
+
 def loop_passes(model, obs, initial_override=None):
-    prior = model.initial if initial_override is None else np.asarray(initial_override)
-    forward = hmm._forward_loop(model, obs.values, prior)
-    return forward, hmm._backward_loop(model, obs.values, forward)
+    with per_step_kernel():
+        forward = forward_filter(model, obs, initial_override=initial_override)
+        return forward, backward_smooth(model, obs, forward)
 
 
 class TestScanAgainstEnumeration:
@@ -663,9 +681,8 @@ class TestScanImpossibleObservation:
     @staticmethod
     def check(model, y, override, position):
         obs = ObservationSeries(y, kind="symbolic")
-        prior = model.initial if override is None else np.asarray(override)
         with pytest.raises(ImpossibleObservationError) as expected:
-            hmm._forward_loop(model, y, prior)
+            kernel_forward(model, obs, override)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ImpossibleObservationError) as raised:
@@ -694,61 +711,76 @@ class TestScanImpossibleObservation:
         self.check(model, y, override, position)
 
 
-def count_loop_calls(monkeypatch):
-    calls = {"_forward_loop": 0, "_backward_loop": 0}
-    for name in calls:
-        wrapped = getattr(hmm, name)
+def kernel_blocks(monkeypatch):
+    """Record the first row of every block that runs on the per-step kernel."""
+    starts = []
+    kernel = hmm._step_block
 
-        def counting(*args, _name=name, _wrapped=wrapped):
-            calls[_name] += 1
-            return _wrapped(*args)
+    def recording(rows, lo, *args):
+        starts.append(lo)
+        return kernel(rows, lo, *args)
 
-        monkeypatch.setattr(hmm, name, counting)
-    return calls
+    monkeypatch.setattr(hmm, "_step_block", recording)
+    return starts
+
+
+def rare_moves(rare, k=3):
+    """Every path with positive probability makes the moves 0 -> 1 and
+    1 -> 2 of probability rare on consecutive steps (the model of
+    TestScanAgainstEnumeration::test_consecutive_rare_transitions at k = 3).
+    States 3..k-1 are entered by no path."""
+    initial = np.zeros(k)
+    initial[0] = 1.0
+    transition = np.eye(k)
+    transition[:3, :3] = [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]]
+    emission = np.full((k, 3), 1.0 / 3.0)
+    emission[:3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]
+    return DiscreteHMM(initial, transition, emission)
+
+
+RARE_MOVES_OBS = sym([0, 0, 0, 1, 2, 2, 1, 2])
 
 
 class TestScanDispatch:
     @pytest.mark.parametrize("k", range(1, hmm._SCAN_MAX_K + 1))
-    def test_small_models_never_run_the_loops(self, monkeypatch, k):
+    def test_small_models_never_run_the_kernel(self, monkeypatch, k):
         rng = np.random.default_rng(k)
         model = random_hmm(rng, k, 3)
         _, obs = simulate_hmm(model, 700, SeededGenerator(k))
-        calls = count_loop_calls(monkeypatch)
+        starts = kernel_blocks(monkeypatch)
         backward_smooth(model, obs, forward_filter(model, obs))
         fit_em(model, obs, tol=1e-12, max_iter=2)
-        assert calls == {"_forward_loop": 0, "_backward_loop": 0}
+        assert starts == []
 
-    def test_an_impossible_observation_is_raised_by_the_loop(self, monkeypatch):
-        calls = count_loop_calls(monkeypatch)
+    def test_an_impossible_observation_is_raised_from_the_kernel(self, monkeypatch):
+        starts = kernel_blocks(monkeypatch)
         with pytest.raises(ImpossibleObservationError) as raised:
             forward_filter(ALTERNATING, sym([0, 1, 1, 0]))
         assert raised.value.time_index == 3
-        assert calls == {"_forward_loop": 1, "_backward_loop": 0}
+        assert starts == [1]
 
-    def test_ten_states_run_the_loops(self, monkeypatch):
+    def test_ten_states_run_every_block_on_the_kernel(self, monkeypatch):
         rng = np.random.default_rng(10)
         model = random_hmm(rng, 10, 3)
-        _, obs = simulate_hmm(model, 50, SeededGenerator(10))
-        calls = count_loop_calls(monkeypatch)
+        t_len = 2 * hmm._SCAN_BLOCK + 100
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(10))
+        starts = kernel_blocks(monkeypatch)
         backward_smooth(model, obs, forward_filter(model, obs))
-        assert calls == {"_forward_loop": 1, "_backward_loop": 1}
+        forward_starts = list(range(1, t_len, hmm._SCAN_BLOCK))
+        backward_starts = list(range(1, t_len - 1, hmm._SCAN_BLOCK))
+        assert starts == forward_starts + backward_starts
 
-    def test_a_block_product_that_underflows_runs_the_loop(self, monkeypatch):
+    def test_a_block_product_that_underflows_runs_the_kernel(self, monkeypatch):
         # From state 0, symbol 1 needs the rare move 0 -> 1 and symbol 2
         # then the rare move 1 -> 2: the scan's product over those two
         # steps from state 0 is 1e-340, which underflows to zero, while
-        # each step of the loop is normalized.
-        rare = 1e-170
-        model = DiscreteHMM(
-            [1.0, 0.0, 0.0],
-            [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]],
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
-        )
-        y = np.array([0, 0, 0, 1, 2, 2, 1])
-        calls = count_loop_calls(monkeypatch)
-        fwd = forward_filter(model, sym(y))
-        assert calls["_forward_loop"] == 1
-        expected = hmm._forward_loop(model, y, model.initial)
+        # each step of the kernel is normalized.
+        model = rare_moves(1e-170)
+        y = sym([0, 0, 0, 1, 2, 2, 1])
+        starts = kernel_blocks(monkeypatch)
+        fwd = forward_filter(model, y)
+        assert starts == [1]
+        expected = kernel_forward(model, y)
         np.testing.assert_array_equal(fwd.filtered, expected.filtered)
         assert fwd.log_likelihood == expected.log_likelihood
 
@@ -757,11 +789,11 @@ class TestScanLostEntry:
     # A partial product of a block can lose an entry to underflow, or keep
     # it as a subnormal with few bits, while its other entries stay normal
     # floats, so no row turns NaN and no scale is zero.  The check against
-    # one per-step recursion catches it and the series runs on the loop.
+    # one per-step recursion catches it and the block runs on the kernel.
 
     # The scan's product over steps 1 and 2 from state 0 holds rare**2.
     # At 1e-170 it flushes to zero, so row 2 would read [0, 1] where the
-    # loop keeps [1e-40, 1], and a symbol 1 after it would have a zero
+    # kernel keeps [1e-40, 1], and a symbol 1 after it would have a zero
     # normalizer, which is not an impossible observation.  At 1e-157 it is
     # a subnormal that puts a relative error of 3.6e-11 into row 2.
     @pytest.mark.parametrize(
@@ -771,30 +803,92 @@ class TestScanLostEntry:
         model = DiscreteHMM(
             [1.0, 0.0], [[1.0, 1e-300], [0.0, 1.0]], [[rare, 1.0], [1.0, 0.0]]
         )
-        y = np.array(y)
-        calls = count_loop_calls(monkeypatch)
+        starts = kernel_blocks(monkeypatch)
         fwd = forward_filter(model, sym(y))
-        assert calls["_forward_loop"] == 1
-        expected = hmm._forward_loop(model, y, model.initial)
+        assert starts == [1]
+        expected = kernel_forward(model, sym(y))
         np.testing.assert_array_equal(fwd.filtered, expected.filtered)
         assert fwd.log_likelihood == expected.log_likelihood
 
     def test_backward(self, monkeypatch):
         # The reversed-time factors A^T diag(e) are those of the forward
         # case: the scan would lose entry 0 of the backward row for step 1
-        # and give smoothed[0, 0] = 0 where the loop keeps 1e-210.
+        # and give smoothed[0, 0] = 0 where the kernel keeps 1e-210.
         model = DiscreteHMM(
             [0.5, 0.5], [[1.0, 0.0], [1e-300, 1.0]], [[1e-170, 1.0], [1.0, 0.0]]
         )
-        y = np.array([0, 0, 0, 1])
-        fwd = forward_filter(model, sym(y))
-        calls = count_loop_calls(monkeypatch)
-        smooth = backward_smooth(model, sym(y), fwd)
-        assert calls["_backward_loop"] == 1
-        expected = hmm._backward_loop(model, y, fwd)
+        obs = sym([0, 0, 0, 1])
+        fwd = forward_filter(model, obs)
+        starts = kernel_blocks(monkeypatch)
+        smooth = backward_smooth(model, obs, fwd)
+        assert starts == [1]
+        filtered, log_norms, _ = reference_forward_filter(model, obs)
+        smoothed, pairwise = reference_backward_smooth(model, obs, filtered, log_norms)
         assert smooth.smoothed[0, 0] > 0.0
-        np.testing.assert_array_equal(smooth.smoothed, expected.smoothed)
-        np.testing.assert_array_equal(smooth.pairwise, expected.pairwise)
+        np.testing.assert_allclose(smooth.smoothed, smoothed, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(smooth.pairwise, pairwise, rtol=1e-12, atol=0)
+
+    def test_one_block_of_a_long_series(self, monkeypatch):
+        # The forward pattern in the middle of the second of four blocks:
+        # symbol 1 holds the chain in state 0, then symbols 0 take the rare
+        # move to state 1.  Only that block runs on the kernel, from the
+        # scanned row before it.
+        block = hmm._SCAN_BLOCK
+        model = DiscreteHMM(
+            [1.0, 0.0], [[1.0, 1e-300], [0.0, 1.0]], [[1e-170, 1.0], [1.0, 0.0]]
+        )
+        switch = block + block // 2
+        y = np.zeros(4 * block, dtype=int)
+        y[:switch] = 1
+        obs = sym(y)
+        starts = kernel_blocks(monkeypatch)
+        fwd = forward_filter(model, obs)
+        assert starts == [block + 1]
+        smooth = backward_smooth(model, obs, fwd)
+        assert starts == [block + 1]
+        assert fwd.filtered[switch + 1, 0] > 0.0
+        filtered, log_norms, log_likelihood = reference_forward_filter(model, obs)
+        smoothed, pairwise = reference_backward_smooth(model, obs, filtered, log_norms)
+        np.testing.assert_allclose(fwd.filtered, filtered, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fwd.log_normalizers, log_norms, rtol=1e-12, atol=0)
+        assert fwd.log_likelihood == pytest.approx(log_likelihood, rel=1e-12)
+        np.testing.assert_allclose(smooth.smoothed, smoothed, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(smooth.pairwise, pairwise, rtol=1e-12, atol=0)
+
+
+class TestRareMovesAboveScanSize:
+    # Enumeration over K**T paths is out of reach at K = 9 and T = 8, but
+    # no path enters the padding states, so the posterior is that of the
+    # three-state model with zeros beside it.
+    @pytest.mark.parametrize("k", [hmm._SCAN_MAX_K + 1, 16])
+    def test_matches_enumeration(self, k):
+        model = rare_moves(1e-160, k)
+        enum = exact_posterior_enumeration(rare_moves(1e-160), RARE_MOVES_OBS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fwd = forward_filter(model, RARE_MOVES_OBS)
+            smooth = backward_smooth(model, RARE_MOVES_OBS, fwd)
+        pairwise = np.zeros_like(smooth.pairwise)
+        pairwise[:, :3, :3] = enum.pairwise
+        smoothed = np.zeros_like(smooth.smoothed)
+        smoothed[:, :3] = enum.smoothed
+        np.testing.assert_allclose(fwd.filtered[:, :3], enum.filtered, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(smooth.smoothed, smoothed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(smooth.pairwise, pairwise, rtol=0, atol=1e-12)
+        assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [3, hmm._SCAN_MAX_K + 1])
+    def test_mass_lost_to_underflow_raises(self, k):
+        # At 1e-170 the backward variable of step 3 (1-based) is 2e-340 on
+        # state 0, the only state its symbol 0 allows, so it underflows
+        # and smoothed row 3 has no mass; the rows before it are lost too.
+        model = rare_moves(1e-170, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fwd = forward_filter(model, RARE_MOVES_OBS)
+            with pytest.raises(NumericalError, match=r"t=3\b") as raised:
+                backward_smooth(model, RARE_MOVES_OBS, fwd)
+        assert not isinstance(raised.value, ImpossibleObservationError)
 
 
 class TestForwardFilterMemory:

@@ -1,12 +1,16 @@
 """The forward filter, backward smoother, Baum-Welch step, EM loop and
 Viterbi decoder against the plain per-step recursions and the two-pass EM
-loop, compared byte for byte.
+loop.
 
-The forward and backward passes are tested on their per-step loops
-(_forward_loop, _backward_loop), and the Baum-Welch step and EM loop with
-the dispatch pinned to them: the scans that small models run instead
-change the arithmetic, and tests/test_hmm.py checks them against
-enumeration and against these loops within 1e-12."""
+The forward and backward passes, the Baum-Welch step and the EM loop run
+with the dispatch pinned to the per-step kernel (loop_path): the prefix
+scans that small models run instead change the arithmetic, and
+tests/test_hmm.py checks them against enumeration and against the kernel
+within 1e-12.  The forward pass and Viterbi are compared byte for byte.
+Everything that goes through the backward pass is compared within 1e-12
+relative: the kernel scales each backward row by its own sum, where the
+reference divides by the forward normalizers."""
+
 
 import warnings
 
@@ -18,8 +22,10 @@ from ssmkit import (
     ImpossibleObservationError,
     ObservationSeries,
     SeededGenerator,
+    backward_smooth,
     baum_welch_step,
     fit_em,
+    forward_filter,
     simulate_hmm,
     viterbi,
 )
@@ -159,11 +165,6 @@ def assert_bytes_equal(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-def assert_models_equal(actual, expected):
-    for name in ("initial", "transition", "emission"):
-        assert_bytes_equal(getattr(actual, name), getattr(expected, name))
-
-
 def random_hmm(rng, k, m):
     def rows(n, width):
         raw = rng.exponential(size=(n, width)) + 0.05
@@ -181,34 +182,38 @@ SPARSE = DiscreteHMM(
 )
 
 
-def loop_forward_filter(model, obs, initial_override=None):
-    """forward_filter on its per-step loop, whatever the model's size."""
-    if initial_override is None:
-        prior = model.initial
-    else:
-        prior = _check_probability_vector(initial_override, model.K, "initial_override")
-    return hmm._forward_loop(model, _check_symbolic(model, obs), prior)
+TINY = np.finfo(float).tiny
 
 
 @pytest.fixture
 def loop_path(monkeypatch):
-    """Pin forward_filter and backward_smooth to their per-step loops."""
+    """Pin forward_filter and backward_smooth to their per-step kernel."""
     monkeypatch.setattr(hmm, "_use_scan", lambda k: False)
+
+
+def assert_models_close(actual, expected):
+    for name in ("initial", "transition", "emission"):
+        np.testing.assert_allclose(
+            getattr(actual, name), getattr(expected, name), rtol=1e-12, atol=0
+        )
 
 
 def check_against_reference(model, obs, initial_override=None):
     expected = reference_forward_filter(model, obs, initial_override)
-    forward = loop_forward_filter(model, obs, initial_override)
+    forward = forward_filter(model, obs, initial_override)
     assert_bytes_equal(forward.filtered, expected[0])
     assert_bytes_equal(forward.log_normalizers, expected[1])
     assert forward.log_likelihood == expected[2]
 
-    smooth = hmm._backward_loop(model, _check_symbolic(model, obs), forward)
+    smooth = backward_smooth(model, obs, forward)
     smoothed, pairwise = reference_backward_smooth(model, obs, expected[0], expected[1])
-    assert_bytes_equal(smooth.smoothed, smoothed)
-    assert_bytes_equal(smooth.pairwise, pairwise)
+    # Below the normal range a float carries fewer than 53 bits, so the
+    # slack there is absolute.
+    np.testing.assert_allclose(smooth.smoothed, smoothed, rtol=1e-12, atol=TINY)
+    np.testing.assert_allclose(smooth.pairwise, pairwise, rtol=1e-12, atol=TINY)
 
 
+@pytest.mark.usefixtures("loop_path")
 class TestForwardBackward:
     @pytest.mark.parametrize("k, m", [(2, 2), (3, 4), (10, 5)])
     @pytest.mark.parametrize("t_len", [1, 2, 3, 57, 2000])
@@ -245,7 +250,7 @@ class TestBaumWelchStep:
         new_model, log_likelihood, held_trans, held_emit = reference_baum_welch_step(
             model, obs
         )
-        assert_models_equal(step.model, new_model)
+        assert_models_close(step.model, new_model)
         assert step.log_likelihood == log_likelihood
         assert step.held_transition_rows == held_trans
         assert step.held_emission_rows == held_emit
@@ -258,7 +263,7 @@ class TestBaumWelchStep:
             SPARSE, obs
         )
         assert 2 in held_trans and held_emit == (2,)
-        assert_models_equal(step.model, new_model)
+        assert_models_close(step.model, new_model)
         assert step.log_likelihood == log_likelihood
         assert step.held_transition_rows == held_trans
         assert step.held_emission_rows == held_emit
@@ -275,8 +280,8 @@ class TestFitEm:
         fitted, trace = fit_em(start, obs, tol=1e-3, max_iter=500)
         expected_model, expected_trace = reference_fit_em(start, obs, 1e-3, 500)
         assert len(trace) < 501
-        assert_bytes_equal(trace, expected_trace)
-        assert_models_equal(fitted, expected_model)
+        np.testing.assert_allclose(trace, expected_trace, rtol=1e-12, atol=0)
+        assert_models_close(fitted, expected_model)
 
     @pytest.mark.parametrize("k, m", [(2, 2), (3, 4), (10, 5)])
     def test_stops_by_max_iter(self, k, m):
@@ -287,15 +292,15 @@ class TestFitEm:
         fitted, trace = fit_em(start, obs, tol=1e-12, max_iter=4)
         expected_model, expected_trace = reference_fit_em(start, obs, 1e-12, 4)
         assert len(trace) == 5
-        assert_bytes_equal(trace, expected_trace)
-        assert_models_equal(fitted, expected_model)
+        np.testing.assert_allclose(trace, expected_trace, rtol=1e-12, atol=0)
+        assert_models_close(fitted, expected_model)
 
     def test_zero_entries(self):
         _, obs = simulate_hmm(SPARSE, 200, SeededGenerator(5))
         fitted, trace = fit_em(SPARSE, obs, tol=1e-8, max_iter=30)
         expected_model, expected_trace = reference_fit_em(SPARSE, obs, 1e-8, 30)
-        assert_bytes_equal(trace, expected_trace)
-        assert_models_equal(fitted, expected_model)
+        np.testing.assert_allclose(trace, expected_trace, rtol=1e-12, atol=0)
+        assert_models_close(fitted, expected_model)
 
 
 def check_viterbi(model, obs):
@@ -350,6 +355,7 @@ class TestViterbi:
 ALTERNATING = DiscreteHMM([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.usefixtures("loop_path")
 class TestImpossibleObservation:
     @pytest.mark.parametrize("override", [None, [0.0, 1.0]])
     @pytest.mark.parametrize("t_len, position", [(1, 0), (9, 0), (9, 4), (9, 8)])
@@ -363,7 +369,7 @@ class TestImpossibleObservation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ImpossibleObservationError) as raised:
-                loop_forward_filter(ALTERNATING, obs, override)
+                forward_filter(ALTERNATING, obs, override)
         assert raised.value.time_index == expected.value.time_index == position + 1
 
     @pytest.mark.parametrize("override", [None, [0.2, 0.8]])
@@ -381,7 +387,7 @@ class TestImpossibleObservation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ImpossibleObservationError) as raised:
-                loop_forward_filter(model, obs, override)
+                forward_filter(model, obs, override)
         assert raised.value.time_index == expected.value.time_index == position + 1
 
 
