@@ -21,9 +21,13 @@ recursion byte for byte.
 
 The backward rows are scaled by their own sums and each smoothed row by
 its sum, so the backward pass needs no normalizers and does not overflow
-where consecutive rare moves make them tiny.  Where the backward rows
-lose all their mass to underflow, NumericalError names the latest
-smoothed row with no positive scale.  The products with the filtered rows
+where consecutive rare moves make them tiny.  A backward row whose
+product underflows as a whole, where a rare symbol meets a rare move, is
+formed again from the factors' mantissas and exponents (_shifted_step)
+and the driver resumes from it.  Where the prediction itself has lost
+every state the symbol allows, NumericalError names the latest smoothed
+row with no positive scale.  The forward pass stops at its first
+non-positive normalizer.  The products with the filtered rows
 and the pairwise slabs are formed batched, with no T x K x K temporary,
 and smoothed[T-1] equals filtered[T-1] exactly.
 
@@ -172,7 +176,8 @@ def forward_filter(
     initial_override replaces model.initial for the first step when given.
     The steps after the first run through _row_recursion with F = A, and
     the normalizers are the sums its rows were scaled by.  The first
-    non-positive normalizer raises ImpossibleObservationError.
+    non-positive normalizer raises ImpossibleObservationError, and no step
+    after it is computed.
     """
     require_valid(model)
     y = _check_symbolic(model, obs)
@@ -186,13 +191,13 @@ def forward_filter(
     with np.errstate(divide="ignore", invalid="ignore"):
         first = np.multiply(emission_cols[y[0]], prior, out=filtered[0])
         first /= np.add.reduce(first, out=norms[0, ...])
-        _row_recursion(filtered, model.transition, emission_cols, y, norms)
-        log_norms = np.log(norms)
-        # An impossible step leaves NaN behind it, so the first non-positive
-        # normalizer is the first impossible observation.
-        impossible = np.flatnonzero(norms <= 0.0)
-    if impossible.size:
-        raise ImpossibleObservationError(int(impossible[0]) + 1)
+        if norms[0] > 0.0:
+            end = _row_recursion(filtered, model.transition, emission_cols, y, norms)
+        else:
+            end = 0
+    if end < y.shape[0]:
+        raise ImpossibleObservationError(end + 1)
+    log_norms = np.log(norms)
     return CategoricalPosteriorSequence(
         filtered=filtered,
         log_normalizers=log_norms,
@@ -212,22 +217,28 @@ def _row_recursion(
     emission_cols: np.ndarray,
     y: np.ndarray,
     sums: np.ndarray,
-) -> None:
+) -> int:
     """Fill rows[1:] from rows[0]: the block driver of both passes.
 
     Row t becomes (rows[t - 1] @ matrix) * emission_cols[y[t]] scaled to
     sum to one, and sums[t] the sum it was scaled by.  Each block of
     _SCAN_BLOCK steps is scanned when _use_scan(K); a block that fails the
     scan's check, and every block of a larger model, runs on _step_block
-    from the row before it instead.
+    from the row before it instead.  Returns the first step whose sum is
+    not positive, with no rows filled after it, or len(rows) if none is.
     """
     n = rows.shape[0]
     scan = _use_scan(matrix.shape[0])
     for lo in range(1, n, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK, n)
         cols = emission_cols[y[lo:hi]]
+        # A scanned block that passes its check has only positive sums.
         if not (scan and _scan_block(rows, lo, hi, matrix, cols, sums)):
             _step_block(rows, lo, hi, matrix, cols, sums)
+            lost = np.flatnonzero(~(sums[lo:hi] > 0.0))
+            if lost.size:
+                return lo + int(lost[0])
+    return n
 
 
 def _step_block(
@@ -311,6 +322,27 @@ def _scan_block(
     return bool((error <= step).all())
 
 
+def _shifted_step(rows: np.ndarray, t: int, matrix: np.ndarray, col: np.ndarray) -> bool:
+    """Set rows[t] to (rows[t - 1] @ matrix) * col scaled to sum to one,
+    where the product underflows as it stands.
+
+    Each factor is split into mantissa and exponent, and the product of
+    the mantissas is scaled by 2 to the power of its exponent less the
+    largest one, so that no entry of the product is lost only for being
+    small.  Returns False when the product has no positive entry.
+    """
+    predicted, predicted_exp = np.frexp(rows[t - 1] @ matrix)
+    emitted, emitted_exp = np.frexp(col)
+    mantissas = predicted * emitted
+    exps = predicted_exp + emitted_exp
+    positive = mantissas > 0.0
+    if not positive.any():
+        return False
+    row = np.ldexp(mantissas, exps - exps[positive].max(), out=rows[t])
+    row /= row.sum()
+    return True
+
+
 def backward_smooth(
     model: DiscreteHMM,
     obs: ObservationSeries,
@@ -321,9 +353,10 @@ def backward_smooth(
     Smoothed row t is elementwise filtered[t] * beta[t], scaled to sum to
     one; row T equals the filtered row exactly.  The backward variables
     run through _row_recursion with F = A^T over reversed time, each row
-    scaled by its own sum, so the normalizers are not needed.  Where they
-    lose all their mass to underflow, NumericalError names the latest step
-    whose smoothed row has no positive scale.
+    scaled by its own sum, so the normalizers are not needed.  A row whose
+    product underflows as a whole is formed again by _shifted_step.  Where
+    the rows lose all their mass to underflow, NumericalError names the
+    latest step whose smoothed row has no positive scale.
     """
     y = _check_symbolic(model, obs)
     T, K = y.shape[0], model.K
@@ -342,9 +375,19 @@ def backward_smooth(
             last = model.emission[:, y[T - 1]]
             np.divide(last, np.add.reduce(last), out=reversed_rows[0])
             transposed = np.ascontiguousarray(transition.T)
-            _row_recursion(
-                reversed_rows, transposed, model.emission.T, y[::-1], np.empty(T - 1)
-            )
+            cols, symbols, sums = model.emission.T, y[::-1], np.empty(T - 1)
+            start = 0
+            while True:
+                start += _row_recursion(
+                    reversed_rows[start:], transposed, cols, symbols[start:], sums[start:]
+                )
+                if start == T - 1:
+                    break
+                # The forward pass found every observation possible, so a
+                # row with no positive sum has underflowed.
+                if not _shifted_step(reversed_rows, start, transposed, cols[symbols[start]]):
+                    reversed_rows[start:] = np.nan
+                    break
         rescaled = reversed_rows[::-1]
         # Row t is beta[t] = A @ rescaled[t], then filtered[t] * beta[t].
         np.matmul(rescaled, transition.T, out=smoothed[:-1])

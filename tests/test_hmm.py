@@ -573,6 +573,22 @@ def loop_passes(model, obs, initial_override=None):
         return forward, backward_smooth(model, obs, forward)
 
 
+def rare_moves(rare, k=3):
+    """Every path with positive probability makes the moves 0 -> 1 and
+    1 -> 2 of probability rare on consecutive steps.  States 3..k-1 are
+    entered by no path."""
+    initial = np.zeros(k)
+    initial[0] = 1.0
+    transition = np.eye(k)
+    transition[:3, :3] = [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]]
+    emission = np.full((k, 3), 1.0 / 3.0)
+    emission[:3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]
+    return DiscreteHMM(initial, transition, emission)
+
+
+RARE_MOVES_OBS = sym([0, 0, 0, 1, 2, 2, 1, 2])
+
+
 class TestScanAgainstEnumeration:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("make", [random_hmm, sparse_hmm], ids=["dense", "zeros"])
@@ -594,17 +610,9 @@ class TestScanAgainstEnumeration:
                 assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, abs=1e-12)
 
     def test_consecutive_rare_transitions(self):
-        # Every path with positive probability makes the moves 0 -> 1 and
-        # 1 -> 2 of probability 1e-160 on consecutive steps.  The loop's
-        # backward variables, scaled by the inverse normalizers, overflow
-        # there; the scan scales each backward row by its own sum.
-        rare = 1e-160
-        model = DiscreteHMM(
-            [1.0, 0.0, 0.0],
-            [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]],
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
-        )
-        obs = sym([0, 0, 0, 1, 2, 2, 1, 2])
+        # The normalizers of the two rare steps are about 1e-160 each, so
+        # backward variables scaled by their inverses would overflow.
+        model, obs = rare_moves(1e-160), RARE_MOVES_OBS
         enum = exact_posterior_enumeration(model, obs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -724,23 +732,6 @@ def kernel_blocks(monkeypatch):
     return starts
 
 
-def rare_moves(rare, k=3):
-    """Every path with positive probability makes the moves 0 -> 1 and
-    1 -> 2 of probability rare on consecutive steps (the model of
-    TestScanAgainstEnumeration::test_consecutive_rare_transitions at k = 3).
-    States 3..k-1 are entered by no path."""
-    initial = np.zeros(k)
-    initial[0] = 1.0
-    transition = np.eye(k)
-    transition[:3, :3] = [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]]
-    emission = np.full((k, 3), 1.0 / 3.0)
-    emission[:3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]
-    return DiscreteHMM(initial, transition, emission)
-
-
-RARE_MOVES_OBS = sym([0, 0, 0, 1, 2, 2, 1, 2])
-
-
 class TestScanDispatch:
     @pytest.mark.parametrize("k", range(1, hmm._SCAN_MAX_K + 1))
     def test_small_models_never_run_the_kernel(self, monkeypatch, k):
@@ -769,6 +760,15 @@ class TestScanDispatch:
         forward_starts = list(range(1, t_len, hmm._SCAN_BLOCK))
         backward_starts = list(range(1, t_len - 1, hmm._SCAN_BLOCK))
         assert starts == forward_starts + backward_starts
+
+    def test_no_block_after_an_impossible_observation_is_filled(self, monkeypatch):
+        y = np.arange(3 * hmm._SCAN_BLOCK) % 2
+        y[2] = y[1]
+        starts = kernel_blocks(monkeypatch)
+        with pytest.raises(ImpossibleObservationError) as raised:
+            forward_filter(ALTERNATING, sym(y))
+        assert raised.value.time_index == 3
+        assert starts == [1]
 
     def test_a_block_product_that_underflows_runs_the_kernel(self, monkeypatch):
         # From state 0, symbol 1 needs the rare move 0 -> 1 and symbol 2
@@ -889,6 +889,48 @@ class TestRareMovesAboveScanSize:
             with pytest.raises(NumericalError, match=r"t=3\b") as raised:
                 backward_smooth(model, RARE_MOVES_OBS, fwd)
         assert not isinstance(raised.value, ImpossibleObservationError)
+
+
+class TestRareEmissionThenRareMove:
+    # A backward row is the emission column times the backward prediction.
+    # Here a symbol of probability 1e-170 is followed by a move of
+    # probability 1e-170, and the only state the posterior allows at that
+    # step is rare in both factors: the product of the row holds 1e-340,
+    # which underflows as it stands, while the posterior has its mass on
+    # one path.
+    MODELS = {
+        "emission on the likely state": (
+            DiscreteHMM(
+                [1.0, 0.0],
+                [[1.0, 1e-170], [0.0, 1.0]],
+                [[1e-170, 1.0, 0.0], [0.0, 0.5, 0.5]],
+            ),
+            sym([1, 0, 2]),
+        ),
+        "both factors rare on one state": (
+            DiscreteHMM(
+                [0.0, 1.0, 0.0],
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-170], [0.0, 0.0, 1.0]],
+                [[1.0, 0.0, 0.0], [1e-170, 0.0, 1.0], [0.0, 0.5, 0.5]],
+            ),
+            sym([2, 0, 1]),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("kernel", [False, True], ids=["dispatch", "kernel"])
+    def test_matches_enumeration(self, name, kernel):
+        model, obs = self.MODELS[name]
+        enum = exact_posterior_enumeration(model, obs)
+        with contextlib.ExitStack() as stack:
+            if kernel:
+                stack.enter_context(per_step_kernel())
+            stack.enter_context(warnings.catch_warnings())
+            warnings.simplefilter("error")
+            fwd = forward_filter(model, obs)
+            smooth = backward_smooth(model, obs, fwd)
+        np.testing.assert_allclose(smooth.smoothed, enum.smoothed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(smooth.pairwise, enum.pairwise, rtol=0, atol=1e-12)
 
 
 class TestForwardFilterMemory:

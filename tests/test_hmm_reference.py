@@ -198,6 +198,16 @@ def assert_models_close(actual, expected):
         )
 
 
+def assert_close_to_reference(actual, expected):
+    """Zero exactly where the reference is zero, within 1e-12 relative
+    where it is a normal float, and within TINY where it is subnormal: a
+    subnormal float carries fewer than 53 bits, and may round to zero."""
+    np.testing.assert_array_equal(actual[expected == 0.0], 0.0)
+    normal = expected >= TINY
+    np.testing.assert_allclose(actual[normal], expected[normal], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(actual[~normal], expected[~normal], rtol=0, atol=TINY)
+
+
 def check_against_reference(model, obs, initial_override=None):
     expected = reference_forward_filter(model, obs, initial_override)
     forward = forward_filter(model, obs, initial_override)
@@ -207,10 +217,8 @@ def check_against_reference(model, obs, initial_override=None):
 
     smooth = backward_smooth(model, obs, forward)
     smoothed, pairwise = reference_backward_smooth(model, obs, expected[0], expected[1])
-    # Below the normal range a float carries fewer than 53 bits, so the
-    # slack there is absolute.
-    np.testing.assert_allclose(smooth.smoothed, smoothed, rtol=1e-12, atol=TINY)
-    np.testing.assert_allclose(smooth.pairwise, pairwise, rtol=1e-12, atol=TINY)
+    assert_close_to_reference(smooth.smoothed, smoothed)
+    assert_close_to_reference(smooth.pairwise, pairwise)
 
 
 @pytest.mark.usefixtures("loop_path")
