@@ -5,42 +5,44 @@ and positive semidefiniteness over long horizons, and accumulates the
 log-likelihood by the prediction-error decomposition: each observation
 contributes log N(y_t; C m_pred, C P_pred C^T + R).
 
-Only the moment recursions run step by step.  The filter loop carries the
-predicted and filtered moments through the gain; what no later step reads
+Each pass chooses its path once, from the model's shape, and falls back
+one block at a time on a per-step numpy kernel: _moment_steps for the
+filter's moment recursion, _backward for the smoother's.
+
+A scalar model (d_x = d_y = 1) runs both recursions on Python floats, since
+a numpy call on 1x1 arrays costs far more than its arithmetic.  They keep
+the kernels' operation order; a 1x1 matmul product is 0 + a*b and a 1x1
+solve is a division, so the outputs equal the kernels' byte for byte.  A
+block with an exactly zero innovation variance or a value that is not
+finite runs again on the kernel from the moments it began with, so its
+errors and warnings are the kernel's.
+
+Any other model runs the steady-state path.  Every model is time-invariant,
+so the covariance recursion never reads the data and contracts to its
+Riccati fixed point.  The filter runs the kernel until the predicted
+covariance settles (max|P_t - P_{t-1}| <= 1e-15 max|P_{t-1}|,
+_FREEZE_RTOL) and freezes it there: later steps copy that step's
+covariances, the guard and Cholesky factor of the frozen innovation
+covariance are taken once, and only the mean recursion runs, as one affine
+recursion with the frozen gain.  The smoother does the same over the
+frozen steps: one backward gain, and a smoothed covariance that runs
+backward from T - 1 until it settles by the same rule.  These outputs
+differ from the kernels' in the last bits (tested within 1e-12 of each
+array's maximum), and the cost of a series depends on how fast its model's
+covariance settles.  Where it never settles or the series ends first, the
+kernel is all that runs; the smoother runs its kernel where the frozen
+predicted covariance has no Cholesky factor (the pseudo-inverse case) and
+on sequences that are not float64.
+
+Only the moment recursions run step by step.  What no later step reads
 (the CONDITION_GUARD eigenvalue check on every innovation covariance, its
-Cholesky factor, the log-determinant and the solved innovation) is computed
-afterwards in batched calls over blocks of steps, or in closed form when
-the observation is scalar.  The RTS smoother likewise computes its
-backward gains in blocks before running the mean and covariance recursion
-through them.  A batched LAPACK or matmul call works matrix by matrix,
-with the strides of the per-step call, and the closed forms repeat what
-LAPACK computes on a 1x1 matrix, so these outputs equal the per-step
-recursion byte for byte.
-
-Every model is time-invariant, so the covariance recursion never reads
-the data and contracts to its Riccati fixed point.  A model with d_x > 1
-or d_y > 1 runs the loop only until the predicted covariance settles
-(max|P_t - P_{t-1}| <= 1e-15 max|P_{t-1}|, _FREEZE_RTOL) and freezes it
-there: later steps copy that step's covariances, the guard and Cholesky
-factor of the frozen innovation covariance are taken once, and only the
-mean recursion runs, as one affine recursion with the frozen gain.  The
-smoother of a model with d_x > 1 does the same over the frozen steps: one
-backward gain, and a smoothed covariance that runs backward from T - 1
-until it settles by the same rule.  These outputs differ from the loop's
-in the last bits (tested within 1e-12 of each array's maximum), and the
-cost of a series depends on how fast its model's covariance settles.
-Where it never settles, where the series ends first, and where the frozen
-predicted covariance has no Cholesky factor (the smoother's
-pseudo-inverse case), the loops run as before; _path chooses among the
-paths.
-
-A scalar model (d_x = d_y = 1) runs the same filter and smoother
-recursions on Python floats, since a numpy call on 1x1 arrays costs far
-more than its arithmetic.  They keep the numpy loops' operation order; a
-1x1 matmul product is 0 + a*b and a 1x1 solve is a division, so the outputs
-equal the numpy loops byte for byte.  A series with an exactly zero
-innovation variance or a value that is not finite goes through the numpy
-loop instead, which reports it with its own errors and warnings.
+Cholesky factor, the log-determinant and the solved innovation) is
+computed afterwards in batched calls over blocks of steps, or in closed
+form when the observation is scalar; the smoother likewise computes its
+backward gains in blocks before running its recursion through them.  A
+batched LAPACK or matmul call works matrix by matrix, with the strides of
+the per-step call, and the closed forms repeat what LAPACK computes on a
+1x1 matrix, so these outputs equal the per-step recursion byte for byte.
 """
 
 from __future__ import annotations
@@ -172,18 +174,10 @@ def _steady_log_increments(s: np.ndarray, innovations: np.ndarray) -> np.ndarray
     return -0.5 * (len(s) * _LOG_2PI + log_det + np.einsum("it,it->t", z, z))
 
 
-def _moments(model: LinearGaussianModel, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The predict/update moment recursion, step by step: filtered,
-    predicted, innovation and innovation-covariance arrays, in that order
-    (means before covs).  The steady-state path runs it until the
-    covariance settles and is tested against it."""
-    arrays = _moment_arrays(model, y.shape[0])
-    _moment_steps(model, y, arrays, 0, y.shape[0], model.mu0, symmetrize(model.Sigma0))
-    return arrays
-
-
 def _moment_arrays(model: LinearGaussianModel, T: int) -> tuple[np.ndarray, ...]:
-    """Empty arrays for T steps of _moments, in the order it returns them."""
+    """Empty arrays for T steps of the moment recursion: filtered,
+    predicted, innovation and innovation-covariance arrays, in that order
+    (means before covs)."""
     d_x, d_y = model.d_x, model.d_y
     return (
         np.empty((T, d_x)), np.empty((T, d_x, d_x)), np.empty((T, d_x)),
@@ -192,8 +186,10 @@ def _moment_arrays(model: LinearGaussianModel, T: int) -> tuple[np.ndarray, ...]
 
 
 def _moment_steps(model, y, arrays, lo, hi, mean_pred, cov_pred):
-    """Steps lo..hi-1 of _moments, from the predicted moments of step lo,
-    written into arrays; returns the predicted moments of step hi."""
+    """Steps lo..hi-1 of the predict/update moment recursion, one numpy
+    step at a time, from the predicted moments of step lo, written into
+    the arrays of _moment_arrays; returns the predicted moments of step hi.
+    The scalar and steady-state paths fall back on it."""
     A, C, Q, R = model.A, model.C, model.Q, model.R
     eye = np.eye(model.d_x)
     (
@@ -266,17 +262,17 @@ def _settled(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
 def _steady_moments(
     model: LinearGaussianModel, y: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], int]:
-    """_moments until the predicted covariance settles, then the mean
+    """_moment_steps until the predicted covariance settles, then the mean
     recursion alone.
 
-    The loop runs in blocks of _FREEZE_CHECK steps and checks the freeze
+    The kernel runs in blocks of _FREEZE_CHECK steps and checks the freeze
     rule on each block's predicted covariances.  At the first step f whose
     P_pred settled against step f - 1, the covariances, innovation
     covariance and gain of step f are frozen: later steps copy them, and
     their predicted means follow m_{t+1} = A (I - G C) m_t + A G y_t, with
     the innovations and filtered means formed batched afterwards.  Returns
     the moment arrays and the first step that copies step f, or T where
-    the covariance never settled (the loop's arrays, unchanged).
+    the covariance never settled (the kernel's arrays, unchanged).
     """
     T = y.shape[0]
     A, C = model.A, model.C
@@ -314,60 +310,56 @@ def _steady_moments(
     return arrays, frozen
 
 
-def _scalar_moments(
-    model: LinearGaussianModel, y: np.ndarray
-) -> tuple[np.ndarray, ...] | None:
-    """_moments for d_x = d_y = 1 on Python floats, operation for operation.
+def _scalar_moments(model: LinearGaussianModel, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_moment_steps for d_x = d_y = 1 on Python floats, operation for
+    operation, in blocks of _BLOCK steps.
 
     A 1x1 product comes back from matmul as 0 + a*b, so each product adds
-    0.0 (which turns -0.0 into +0.0), and a 1x1 solve is b / s.  Returns
-    None when an innovation variance is zero or a value is not finite; the
-    numpy loop then runs the series with its own errors and warnings.
+    0.0 (which turns -0.0 into +0.0), and a 1x1 solve is b / s.  A block
+    with an exactly zero innovation variance or a value that is not finite
+    runs again on _moment_steps from the moments it began with, which
+    reports it with the kernel's errors and warnings.
     """
     T = y.shape[0]
     a, c, q, r = (float(m[0, 0]) for m in (model.A, model.C, model.Q, model.R))
     arrays = _moment_arrays(model, T)
     fm, fc, pm, pc, inn, ic = (memoryview(x.reshape(T)) for x in arrays)
+    values = memoryview(np.ascontiguousarray(y[:, 0]))
     m = float(model.mu0[0])
     p = float(model.Sigma0[0, 0])
     p = 0.5 * (p + p)
-    for t, yt in enumerate(memoryview(np.ascontiguousarray(y[:, 0]))):
-        pm[t] = m
-        pc[t] = p
-        e = yt - (c * m + 0.0)
-        cross = c * p + 0.0
-        s = cross * c + 0.0 + r
-        s = 0.5 * (s + s)
-        inn[t] = e
-        ic[t] = s
-        if s == 0.0:
-            return None
-        g = cross / s
-        mf = m + (g * e + 0.0)
-        j = 1.0 - (g * c + 0.0)
-        pf = ((j * p + 0.0) * j + 0.0) + ((g * r + 0.0) * g + 0.0)
-        pf = 0.5 * (pf + pf)
-        fm[t] = mf
-        fc[t] = pf
-        m = a * mf + 0.0
-        p = (a * pf + 0.0) * a + 0.0 + q
-        p = 0.5 * (p + p)
-    finite = math.isfinite(m) and math.isfinite(p)
-    return arrays if finite and all(np.isfinite(x).all() for x in arrays) else None
-
-
-def _path(*dims: int) -> str:
-    """The recursion kalman_filter and rts_smoother run for matrices of
-    these sizes (d_x and d_y for the filter, d_x for the smoother).
-
-    "scalar" when every size is 1: the Python-float recursions.  Otherwise
-    "steady": the numpy loop until the covariance recursion settles at its
-    Riccati fixed point, then the mean recursion alone; where it never
-    settles, the loop is all that runs.  The third path, "loop", runs the
-    numpy loop throughout: the smoother takes it for sequences that are
-    not float64, and the tests compare the steady-state path with it.
-    """
-    return "scalar" if all(d == 1 for d in dims) else "steady"
+    for lo in range(0, T, _BLOCK):
+        hi = min(lo + _BLOCK, T)
+        m0, p0 = m, p
+        for t, yt in enumerate(values[lo:hi], lo):
+            pm[t] = m
+            pc[t] = p
+            e = yt - (c * m + 0.0)
+            cross = c * p + 0.0
+            s = cross * c + 0.0 + r
+            s = 0.5 * (s + s)
+            inn[t] = e
+            ic[t] = s
+            if s == 0.0:
+                break
+            g = cross / s
+            mf = m + (g * e + 0.0)
+            j = 1.0 - (g * c + 0.0)
+            pf = ((j * p + 0.0) * j + 0.0) + ((g * r + 0.0) * g + 0.0)
+            pf = 0.5 * (pf + pf)
+            fm[t] = mf
+            fc[t] = pf
+            m = a * mf + 0.0
+            p = (a * pf + 0.0) * a + 0.0 + q
+            p = 0.5 * (p + p)
+        else:
+            # No zero innovation variance: keep the block if it is finite.
+            finite = math.isfinite(m) and math.isfinite(p)
+            if finite and all(np.isfinite(x[lo:hi]).all() for x in arrays):
+                continue
+        mean, cov = _moment_steps(model, y, arrays, lo, hi, np.array([m0]), np.array([[p0]]))
+        m, p = float(mean[0]), float(cov[0, 0])
+    return arrays
 
 
 def kalman_filter(
@@ -381,14 +373,10 @@ def kalman_filter(
     require_valid(model)
     y = _check_real(model, obs)
     T = y.shape[0]
-    path = _path(model.d_x, model.d_y)
-    frozen = T
-    if path == "steady":
-        moments, frozen = _steady_moments(model, y)
+    if model.d_x == model.d_y == 1:
+        moments, frozen = _scalar_moments(model, y), T
     else:
-        moments = _scalar_moments(model, y) if path == "scalar" else None
-        if moments is None:
-            moments = _moments(model, y)
+        moments, frozen = _steady_moments(model, y)
     (
         filtered_means, filtered_covs, predicted_means, predicted_covs,
         innovations, innovation_covs,
@@ -415,12 +403,15 @@ def kalman_filter(
 
 def _backward_gains(
     A: np.ndarray, filtered_covs: np.ndarray, predicted_next: np.ndarray
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Smoother gains P_filt[t] A^T P_pred[t+1]^-1 for a block of steps.
+) -> tuple[np.ndarray | list[np.ndarray], list[int]]:
+    """Smoother gains P_filt[t] A^T P_pred[t+1]^-1 for a block of steps, and
+    the positions in the block where P_pred[t+1] is singular.
 
-    Returns the solved systems G, whose transposes are the gains where
-    P_pred[t+1] has a Cholesky factor, and, by position in the block, the
-    gains through the pseudo-inverse where P_pred[t+1] is singular.
+    Where P_pred[t+1] has a Cholesky factor the gain is the transpose view
+    of the solved system, as in the per-step form; at a singular position
+    it goes through the pseudo-inverse.  A matrix-vector product rounds by
+    the layout of its matrix, so a block with singular positions comes back
+    as a list in which each pseudo-inverse gain keeps its own layout.
     """
     cross = filtered_covs @ A.T
     singular = np.zeros(len(cross), dtype=bool)
@@ -433,8 +424,7 @@ def _backward_gains(
                 chol[i] = np.linalg.cholesky(p)
             except np.linalg.LinAlgError:
                 singular[i] = True
-    # Solve P_pred[t+1] G = (P_filt[t] A^T)^T through the factor; the gain
-    # is the transpose view of G, as in the per-step form.
+    # Solve P_pred[t+1] G = (P_filt[t] A^T)^T through the factor.
     ok = ~singular
     lower = chol[ok]
     solved = np.empty_like(cross)
@@ -442,21 +432,20 @@ def _backward_gains(
         lower.transpose(0, 2, 1),
         np.linalg.solve(lower, cross[ok].transpose(0, 2, 1)),
     )
-    pinv = {
-        i: cross[i] @ np.linalg.pinv(predicted_next[i], rcond=1e-12)
-        for i in np.flatnonzero(singular).tolist()
-    }
-    return solved, pinv
+    gains = solved.transpose(0, 2, 1)
+    positions = np.flatnonzero(singular).tolist()
+    if positions:
+        gains = list(gains)
+        for i in positions:
+            gains[i] = cross[i] @ np.linalg.pinv(predicted_next[i], rcond=1e-12)
+    return gains, positions
 
 
-def _backward(forward, solved, pinv, smoothed_means, smoothed_covs, lo, hi) -> None:
+def _backward(forward, gains, smoothed_means, smoothed_covs, lo, hi) -> None:
     """The RTS mean and covariance recursion from step hi - 1 down to lo,
     through the gains of _backward_gains for that block."""
     filtered_means, filtered_covs = forward.filtered_means, forward.filtered_covs
     predicted_means, predicted_covs = forward.predicted_means, forward.predicted_covs
-    gains = list(solved.transpose(0, 2, 1))
-    for i, gain in pinv.items():
-        gains[i] = gain
     for t in range(hi - 1, lo - 1, -1):
         gain = gains[t - lo]
         smoothed_means[t] = filtered_means[t] + gain @ (
@@ -468,16 +457,11 @@ def _backward(forward, solved, pinv, smoothed_means, smoothed_covs, lo, hi) -> N
         )
 
 
-def _scalar_backward(
-    forward, solved, pinv, smoothed_means, smoothed_covs, lo, hi
-) -> bool:
+def _scalar_backward(forward, gains, smoothed_means, smoothed_covs, lo, hi) -> bool:
     """_backward for d_x = 1 on Python floats, operation for operation, as
     _scalar_moments does the filter.  Returns False when a value is not
-    finite; the numpy loop then runs the block again."""
-    gains = solved[:, 0, 0]
-    for i, gain in pinv.items():
-        gains[i] = gain[0, 0]
-    gains = gains.tolist()
+    finite; _backward then runs the block again."""
+    gains = np.asarray(gains)[:, 0, 0].tolist()
     filt_m = forward.filtered_means[lo:hi, 0].tolist()
     filt_c = forward.filtered_covs[lo:hi, 0, 0].tolist()
     pred_m = forward.predicted_means[lo + 1 : hi + 1, 0].tolist()
@@ -524,12 +508,12 @@ def _steady_backward(model, forward, smoothed_means, smoothed_covs) -> int:
     start = int(changed[-1]) + 1 if changed.size else 0
     if start >= T - 1:
         return T - 1
-    solved, pinv = _backward_gains(
+    gains, singular = _backward_gains(
         model.A, filtered_covs[start : start + 1], predicted_covs[start + 1 : start + 2]
     )
-    if pinv:
+    if singular:
         return T - 1
-    gain = solved[0].T
+    gain = gains[0]
     cov_filt, cov_pred = filtered_covs[-1], predicted_covs[-1]
     cov = smoothed_covs[T - 1]
     for t in range(T - 2, start - 1, -1):
@@ -560,23 +544,25 @@ def rts_smoother(
     smoothed_covs = np.empty_like(forward.filtered_covs)
     smoothed_means[T - 1] = forward.filtered_means[T - 1]
     smoothed_covs[T - 1] = forward.filtered_covs[T - 1]
-    path = (
-        _path(model.d_x)
-        if smoothed_means.dtype == smoothed_covs.dtype == float
-        else "loop"
+    # The Python-float and steady-state paths compute in float64; a sequence
+    # of another dtype reads each smoothed step back rounded, as only the
+    # numpy kernel does.
+    float64 = smoothed_means.dtype == smoothed_covs.dtype == float
+    scalar = float64 and model.d_x == 1
+    start = (
+        _steady_backward(model, forward, smoothed_means, smoothed_covs)
+        if float64 and model.d_x > 1
+        else T - 1
     )
-    start = T - 1
-    if path == "steady":
-        start = _steady_backward(model, forward, smoothed_means, smoothed_covs)
     pinv_steps: list[int] = []
     for hi in range(start, 0, -_BLOCK):
         lo = max(hi - _BLOCK, 0)
-        solved, pinv = _backward_gains(
+        gains, singular = _backward_gains(
             model.A, forward.filtered_covs[lo:hi], forward.predicted_covs[lo + 1 : hi + 1]
         )
-        pinv_steps[:0] = [i + lo + 2 for i in pinv]
-        block = (forward, solved, pinv, smoothed_means, smoothed_covs, lo, hi)
-        if not (path == "scalar" and _scalar_backward(*block)):
+        pinv_steps[:0] = [i + lo + 2 for i in singular]
+        block = (forward, gains, smoothed_means, smoothed_covs, lo, hi)
+        if not (scalar and _scalar_backward(*block)):
             _backward(*block)
     return GaussianSmoothedSequence(
         smoothed_means=smoothed_means,

@@ -43,7 +43,8 @@ class ObservationSeries:
 
     Symbolic values form an int vector of shape (T,); real values form a
     float matrix of shape (T, d_y).  Operations reject a series whose kind
-    does not match the model instead of coercing.
+    does not match the model instead of coercing.  The series keeps a
+    read-only copy of the values it was given.
     """
 
     values: np.ndarray
@@ -61,7 +62,7 @@ class ObservationSeries:
                     raise ModelValidationError("symbolic observations must be integers")
             v = v.astype(np.int64)
         elif self.kind == "real":
-            v = np.asarray(self.values, dtype=float)
+            v = np.array(self.values, dtype=float)
             if v.ndim == 1:
                 v = v[:, None]
             if v.ndim != 2:
@@ -72,6 +73,9 @@ class ObservationSeries:
                 raise ModelValidationError("real observations must be finite")
         else:
             raise ModelValidationError(f"unknown observation kind {self.kind!r}")
+        # A read-only copy: the checks above hold for the series' lifetime,
+        # and the caller's array stays the caller's.
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:

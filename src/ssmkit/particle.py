@@ -145,6 +145,8 @@ def _run_filter(
         )
     y = obs.values
     T = y.shape[0]
+    if T < 1:
+        raise ValueError("observation series must have at least one entry")
 
     particles = np.asarray(
         model.init_sampler(N, _step_stream(rng, 0)), dtype=float

@@ -274,6 +274,19 @@ class TestNelderMead:
         assert not report.converged
         assert report.iterations == 3
 
+    def test_shrink_and_nan_spread(self):
+        # The best vertex scores -inf, and a reflection or contraction that
+        # scores -inf does not improve on it, so every iteration shrinks the
+        # simplex.  Once every vertex scores -inf, the spread -inf - (-inf)
+        # is NaN, which reads as inf, so the run never converges.
+        report = nelder_mead(
+            lambda x: -np.inf if x[0] > 0.1 else 0.0, [0.0], step=0.5, max_iter=7
+        )
+        assert not report.converged
+        assert report.iterations == 7
+        assert report.simplex_spread == np.inf
+        assert report.final_value == -np.inf
+
     def test_deterministic(self):
         def bumpy(x):
             return float(np.sum(x**2) + 0.1 * np.sin(5 * x[0]))

@@ -17,6 +17,7 @@ from ssmkit import (
     DiscreteHMM,
     EnumerationSizeError,
     ImpossibleObservationError,
+    ModelValidationError,
     NumericalError,
     ObservationSeries,
     SeededGenerator,
@@ -106,6 +107,18 @@ class TestEnumerationOracle:
         m = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(EnumerationSizeError):
             exact_posterior_enumeration(m, sym(np.zeros(21, dtype=int)))
+
+
+class TestObservationChecks:
+    MODEL = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
+
+    def test_real_series_rejected(self):
+        with pytest.raises(ModelValidationError, match="symbolic observations"):
+            forward_filter(self.MODEL, ObservationSeries([0.5, 1.0], kind="real"))
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            forward_filter(self.MODEL, sym(np.zeros(0, dtype=np.int64)))
 
 
 class TestForwardFilter:

@@ -8,6 +8,7 @@ import pytest
 from grid_oracle import grid_posterior, random_scalar_model
 from ssmkit import (
     LinearGaussianModel,
+    ModelValidationError,
     NumericalDegeneracyError,
     ObservationSeries,
     SeededGenerator,
@@ -274,6 +275,22 @@ class TestJointGaussianOracle:
         assert np.all(np.isfinite(smooth.smoothed_means))
         _, s_means, _, _ = joint_gaussian_posterior(model, obs.values)
         np.testing.assert_allclose(smooth.smoothed_means, s_means, atol=1e-8)
+
+
+class TestObservationChecks:
+    MODEL = scalar_model(0.9, 0.19, 1.0, 0.5, 0.0, 1.0)
+
+    def test_symbolic_series_rejected(self):
+        with pytest.raises(ModelValidationError, match="real-valued observations"):
+            kalman_filter(self.MODEL, ObservationSeries([0, 1], kind="symbolic"))
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            kalman_filter(self.MODEL, ObservationSeries(np.zeros((0, 1)), kind="real"))
+
+    def test_observation_width_must_match_the_model(self):
+        with pytest.raises(ModelValidationError, match="dimension 2, model expects 1"):
+            kalman_filter(self.MODEL, ObservationSeries(np.zeros((3, 2)), kind="real"))
 
 
 class TestSmoother:

@@ -3,9 +3,9 @@ gains, against the plain per-step recursions, compared byte for byte.  The
 scalar models (d_x = d_y = 1), which run the recursion on Python floats, are
 compared the same way.  Larger models run the steady-state path, which
 freezes the covariance recursion once it settles; the byte comparisons run
-them on the library's per-step loop (the per_step_loop fixture), and
-TestSteadyStatePath compares the steady-state path with that loop within a
-stated tolerance."""
+them on the library's per-step kernel (the per_step_loop fixture), and
+TestSteadyStatePath compares the steady-state path with that kernel within
+a stated tolerance."""
 
 import warnings
 from types import SimpleNamespace
@@ -194,21 +194,30 @@ def block(request, monkeypatch):
     return request.param
 
 
-STEADY_OR_SCALAR = kalman._path
+def loop_moments(model, y):
+    """The moment arrays of the library's per-step kernel, _moment_steps,
+    run over the whole series."""
+    arrays = kalman._moment_arrays(model, y.shape[0])
+    kalman._moment_steps(model, y, arrays, 0, y.shape[0], model.mu0, symmetrize(model.Sigma0))
+    return arrays
 
 
-def loop_path(*dims):
-    """kalman._path with the per-step loop in place of the steady-state
-    path; scalar models keep the Python-float path."""
-    path = STEADY_OR_SCALAR(*dims)
-    return "loop" if path == "steady" else path
+def loop_path(patch):
+    """Put models with d > 1 on the per-step kernel: _steady_moments runs it
+    over the whole series, and _steady_backward smooths no step, which
+    leaves every step to the smoother's kernel.  Scalar models keep the
+    Python-float path."""
+    patch.setattr(kalman, "_steady_moments", lambda model, y: (loop_moments(model, y), len(y)))
+    patch.setattr(
+        kalman, "_steady_backward", lambda model, forward, *smoothed: len(forward.filtered_covs) - 1
+    )
 
 
 @pytest.fixture
 def per_step_loop(monkeypatch):
-    """Run models with d > 1 on the per-step loop, which the byte
+    """Run models with d > 1 on the per-step kernel, which the byte
     comparisons hold to the plain recursion."""
-    monkeypatch.setattr(kalman, "_path", loop_path)
+    loop_path(monkeypatch)
 
 
 @pytest.mark.usefixtures("block", "per_step_loop")
@@ -328,6 +337,34 @@ class TestSmootherOnHandBuiltSequences:
         assert got.pinv_steps == ref.pinv_steps
         assert ref.pinv_steps == tuple(range(9, 14))
 
+    def test_pseudo_inverse_gains_off_the_axes(self):
+        # Every other predicted covariance is indefinite along a rotated
+        # axis, by -1e-14 of its variance: its Cholesky factor fails and the
+        # pseudo-inverse drops that axis, so the gains are dense.  A
+        # matrix-vector product rounds by the layout of its matrix, and
+        # these gains keep the layout of the per-step product.
+        model = LinearGaussianModel(
+            A=[[0.9, 0.2], [-0.1, 0.7]], C=[[1.0, 0.5]], Q=0.2 * np.eye(2),
+            R=[[0.5]], mu0=[0.0, 0.0], Sigma0=np.eye(2),
+        )
+        ref = reference_kalman_filter(model, simulated(model, 40, 3))
+        c, s = np.cos(0.7), np.sin(0.7)
+        rotation = np.array([[c, -s], [s, c]])
+        predicted_covs = ref.predicted_covs.copy()
+        for t in range(1, 40, 2):
+            top = np.linalg.eigvalsh(predicted_covs[t])[1]
+            predicted_covs[t] = symmetrize(rotation @ np.diag([top, -1e-14 * top]) @ rotation.T)
+        forward = GaussianPosteriorSequence(
+            ref.filtered_means, ref.filtered_covs, ref.predicted_means, predicted_covs,
+            log_increments=np.zeros(40), log_likelihood=0.0,
+        )
+        want = reference_rts_smoother(model, forward)
+        got = rts_smoother(model, forward)
+        assert want.pinv_steps == tuple(range(2, 41, 2))
+        assert got.smoothed_means.tobytes() == want.smoothed_means.tobytes()
+        assert got.smoothed_covs.tobytes() == want.smoothed_covs.tobytes()
+        assert got.pinv_steps == want.pinv_steps
+
 
 # Tolerance of the steady-state path against the per-step loop, relative to
 # each array's largest magnitude.
@@ -369,9 +406,9 @@ def freezes(monkeypatch):
 
 
 def on_the_loop(model, obs):
-    """kalman_filter and rts_smoother on the per-step loop."""
+    """kalman_filter and rts_smoother on the per-step kernel."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kalman, "_path", loop_path)
+        loop_path(patch)
         forward = kalman_filter(model, obs)
         return forward, rts_smoother(model, forward)
 
@@ -413,7 +450,7 @@ class TestSteadyStatePath:
         assert freezes["smoother"] == [frozen - 1]
         # All six moment arrays, innovations and their covariances included.
         steady, _ = kalman._steady_moments(model, obs.values)
-        for got, want in zip(steady, kalman._moments(model, obs.values)):
+        for got, want in zip(steady, loop_moments(model, obs.values)):
             assert np.abs(got - want).max() <= STEADY_RTOL * np.abs(want).max()
         # The covariances are frozen from there on, and the smoothed ones
         # settle backward from T - 1.
@@ -460,7 +497,7 @@ class TestSteadyStatePath:
             )
 
         y = np.zeros((400, 2))
-        s = kalman._moments(model(1e-3), y)[5][:, 0, 0]
+        s = loop_moments(model(1e-3), y)[5][:, 0, 0]
         if short_by is None:
             r = 0.5 * (s[38] + s[39]) / CONDITION_GUARD
         else:
@@ -484,10 +521,12 @@ class TestSteadyStatePath:
 
     @pytest.mark.parametrize("step", [10, 300], ids=["before-freeze", "after-freeze"])
     def test_nan_observation_gives_nan_as_the_loop_does(self, freezes, step):
-        # The constructor rejects NaN, but the values array stays writable.
+        # ObservationSeries rejects NaN and keeps its values read-only, so
+        # the NaN reaches the filter in a plain namespace that bypasses it.
         model = rotating_model()
-        obs = simulated(model, 400, 25)
-        obs.values[step, 1] = np.nan
+        values = simulated(model, 400, 25).values.copy()
+        values[step, 1] = np.nan
+        obs = SimpleNamespace(values=values, kind="real")
         forward, smooth = assert_close_to_the_loop(model, obs)
         [frozen] = freezes["filter"]
         assert frozen < 300
@@ -694,8 +733,8 @@ class TestScalarPath:
         ids=["variance-overflow", "innovation-variance-overflow"],
     )
     def test_overflow_gives_the_numpy_loop_warnings(self, monkeypatch, model, T):
-        # The scalar path hands a series with a non-finite value to the
-        # numpy loops, so the values and the warnings are theirs.
+        # The scalar path hands a block with a non-finite value to the
+        # numpy kernels, so the values and the warnings are theirs.
         obs = zeros(T)
         ref, _ = assert_same_bytes(model, obs)
         assert not np.isfinite(ref.predicted_covs[-1, 0, 0] * ref.log_likelihood)
@@ -707,9 +746,46 @@ class TestScalarPath:
             return [str(w.message) for w in caught]
 
         got = run()
-        monkeypatch.setattr(kalman, "_scalar_moments", lambda model, y: None)
+        monkeypatch.setattr(kalman, "_scalar_moments", loop_moments)
         monkeypatch.setattr(kalman, "_scalar_backward", lambda *block: False)
         assert got and got == run()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failing_block_runs_on_the_kernel_from_its_start(self, monkeypatch, block):
+        # Unobserved and explosive: the predicted variance overflows near
+        # step 1055, after the first block at either block size, and every
+        # value from there on is inf or NaN.
+        model = scalar(A=1.4, C=0.0, mu0=1.0)
+        obs = zeros(1200)
+        loop = loop_moments(model, obs.values)
+        bad = int(np.flatnonzero(~np.isfinite(loop[3][:, 0, 0]))[0])
+        assert block <= bad and bad % block, "overflow after the first block, not at a block start"
+        first = bad - bad % block
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                forward = kalman_filter(model, obs)
+            return forward, [(w.category, str(w.message)) for w in caught]
+
+        blocks = []
+        moment_steps = kalman._moment_steps
+
+        def spy(model, y, arrays, lo, hi, *moments):
+            blocks.append((lo, hi))
+            return moment_steps(model, y, arrays, lo, hi, *moments)
+
+        monkeypatch.setattr(kalman, "_moment_steps", spy)
+        got, got_warnings = run()
+        assert blocks == [(lo, min(lo + block, 1200)) for lo in range(first, 1200, block)]
+        monkeypatch.setattr(kalman, "_scalar_moments", loop_moments)
+        want, want_warnings = run()
+        assert blocks[-1] == (0, 1200)
+        for name in COMPARED_ARRAYS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert np.isnan(got.log_likelihood) and np.isnan(want.log_likelihood)
+        assert got_warnings and got_warnings == want_warnings
+        assert all(category is RuntimeWarning for category, _ in got_warnings)
 
     @pytest.mark.parametrize("A", [-1e-200, 1e-200])
     @pytest.mark.parametrize("mu0", [-1e-150, 1e-150])

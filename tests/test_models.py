@@ -26,6 +26,10 @@ def scalar_lgssm(**overrides):
     return LinearGaussianModel(**fields)
 
 
+# Zeros of each kind, and a value that inference on the series rejects.
+ZERO_SERIES = [("real", np.zeros((5, 1)), np.nan), ("symbolic", np.zeros(5, dtype=np.int64), -1)]
+
+
 class TestObservationSeries:
     def test_symbolic_vector(self):
         obs = ObservationSeries([0, 1, 1], kind="symbolic")
@@ -51,6 +55,21 @@ class TestObservationSeries:
     def test_unknown_kind(self):
         with pytest.raises(ModelValidationError):
             ObservationSeries([0], kind="fuzzy")
+
+    @pytest.mark.parametrize("kind, values, bad", ZERO_SERIES)
+    def test_values_are_read_only_after_the_checks(self, kind, values, bad):
+        obs = ObservationSeries(values, kind=kind)
+        with pytest.raises(ValueError, match="read-only"):
+            obs.values[3] = bad
+        assert (obs.values == 0).all()
+
+    @pytest.mark.parametrize("kind, values, bad", ZERO_SERIES)
+    def test_the_callers_array_stays_writable_and_apart(self, kind, values, bad):
+        values = values.copy()
+        obs = ObservationSeries(values, kind=kind)
+        values[3] = bad
+        assert values.flags.writeable
+        assert (obs.values == 0).all()
 
 
 class TestStatePath:

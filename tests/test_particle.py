@@ -290,6 +290,22 @@ class TestFixedLagSmoother:
         assert abs(filt.log_likelihood_estimate - fwd.log_likelihood) < 0.02
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, obs: bootstrap_filter(model, obs, 10, SeededGenerator(1)),
+        lambda model, obs: fixed_lag_smoother(model, obs, 10, 1, SeededGenerator(1)),
+        lambda model, obs: pf_loglik(model, obs, 10, 2, 1),
+    ],
+    ids=["bootstrap_filter", "fixed_lag_smoother", "pf_loglik"],
+)
+def test_empty_series_rejected(run):
+    # As kalman_filter and forward_filter do, instead of a log-likelihood
+    # of 0 over no steps.
+    with pytest.raises(ValueError, match="at least one entry"):
+        run(point_mass_model(), real(np.zeros((0, 1))))
+
+
 class TestPfLoglik:
     MODEL = LinearGaussianModel(
         A=[[0.9]], C=[[1.0]], Q=[[0.19]], R=[[0.5]], mu0=[0.0], Sigma0=[[1.0]]
