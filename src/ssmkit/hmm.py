@@ -6,18 +6,25 @@ matching the t column of series files.
 
 Both passes are one row recursion, r_t = (r_{t-1} @ F) * e_t scaled to
 sum to one, with F = A forward and F = A^T over reversed time backward.
-One block driver (_row_recursion) fills each block of _SCAN_BLOCK steps
-from the last row of the block before.  Up to _SCAN_MAX_K states, chosen
-by K alone (_use_scan), a block is a prefix scan, checked row by row
-against one per-step recursion from the row before it.  A block that
-fails the check (an impossible observation, or an entry a partial product
-lost to underflow), and every block of a larger model, runs on the
-per-step kernel instead.  Scanned rows agree with the kernel's within
-1e-12 relative and keep exact zeros.  The kernel finishes a row of
-gathered emission columns in place (weight by the prediction, sum,
-divide, predict), the plain forward recursion's operations in their
-order, so a forward pass whose blocks all run on it equals that
-recursion byte for byte.
+One block driver (_row_recursion) fills each pass in one of three ways,
+chosen by K and the series length alone (_block_fill).  The per-step
+kernel finishes a row of gathered emission columns in place (weight by
+the prediction, sum, divide, predict), the plain forward recursion's
+operations in their order.  Up to _SCAN_MAX_K states, each block of
+_SCAN_BLOCK steps is a prefix scan, checked row by row against one
+per-step recursion from the row before it; scanned rows agree with the
+kernel's within 1e-12 relative and keep exact zeros.  Above that size,
+a long series runs on lanes: one batched recursion runs every block at
+once, each block's lane from a uniform row some steps before it, with
+the kernel's operations in its order.  The filter forgets where it
+started, and in floating point that forgetting is exact: a lane whose
+row equals the true row bit for bit at one step of its overlap holds the
+true rows from there on.  A block whose lane is so certified takes the
+lane's rows.  A block that fails its scan's check (an impossible
+observation, or an entry a partial product lost to underflow) or its
+lane's certification, and every block of a short series above
+_SCAN_MAX_K states, runs on the kernel from the row before it.  So at
+K > _SCAN_MAX_K both passes equal the kernel's byte for byte.
 
 The backward rows are scaled by their own sums and each smoothed row by
 its sum, so the backward pass needs no normalizers and does not overflow
@@ -83,6 +90,18 @@ _SCAN_BLOCK = 512
 # Largest relative difference, entry by entry, between a scanned row and
 # one per-step recursion from the row before it that _scan_block accepts.
 _SCAN_RTOL = 1e-12
+# Steps per lane block (_run_lanes), and steps of overlap before each
+# block but the first.  On the exact_long model (K = 10, stay 0.6, T = 1e4)
+# every lane met the true rows within 143 steps; an overlap of 160 left
+# some lanes unmet, 256 certified every lane at blocks of 256 and 512.
+# Its Dobrushin coefficient is 0.870, and 0.870**264 < 2**-53.
+_LANE_BLOCK = 256
+_LANE_OVERLAP = 256
+# Fewest rows a pass above _SCAN_MAX_K states needs to run on lanes rather
+# than on the kernel.  Lanes take _LANE_OVERLAP + _LANE_BLOCK batched steps
+# whatever the length; at K = 10 (one BLAS thread) they were slower than
+# the kernel at 700 rows and level with it at 800-900.
+_LANE_MIN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -205,10 +224,12 @@ def forward_filter(
     )
 
 
-def _use_scan(k: int) -> bool:
-    """Whether _row_recursion fills the blocks of a K-state model by prefix
-    scans rather than on the per-step kernel."""
-    return k <= _SCAN_MAX_K
+def _block_fill(k: int, n: int) -> str:
+    """How _row_recursion fills the blocks of n rows of a K-state model:
+    "scan", "lanes" or "kernel"."""
+    if k <= _SCAN_MAX_K:
+        return "scan"
+    return "lanes" if n >= _LANE_MIN_ROWS else "kernel"
 
 
 def _row_recursion(
@@ -221,24 +242,101 @@ def _row_recursion(
     """Fill rows[1:] from rows[0]: the block driver of both passes.
 
     Row t becomes (rows[t - 1] @ matrix) * emission_cols[y[t]] scaled to
-    sum to one, and sums[t] the sum it was scaled by.  Each block of
-    _SCAN_BLOCK steps is scanned when _use_scan(K); a block that fails the
-    scan's check, and every block of a larger model, runs on _step_block
-    from the row before it instead.  Returns the first step whose sum is
-    not positive, with no rows filled after it, or len(rows) if none is.
+    sum to one, and sums[t] the sum it was scaled by.  _block_fill picks
+    one fill per call.  A scan fills each block of _SCAN_BLOCK steps and
+    checks it.  Lanes run every block at once (_run_lanes), and each block
+    takes its lane's rows if the lane is certified (_take_lane).  A block
+    that fails its scan's check or its lane's certification, and every
+    block of the kernel fill, runs on _step_block from the row before it
+    instead.  Returns the first step whose sum is not positive, with no
+    rows filled after it, or len(rows) if none is.
     """
     n = rows.shape[0]
-    scan = _use_scan(matrix.shape[0])
-    for lo in range(1, n, _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK, n)
+    fill = _block_fill(matrix.shape[0], n)
+    if fill == "lanes":
+        starts, lanes, lane_sums = _run_lanes(rows[0], matrix, emission_cols, y[:n])
+        los = [1] + [start + _LANE_OVERLAP for start in starts[1:]]
+    else:
+        los = list(range(1, n, _SCAN_BLOCK))
+    for b, (lo, hi) in enumerate(zip(los, los[1:] + [n])):
         cols = emission_cols[y[lo:hi]]
-        # A scanned block that passes its check has only positive sums.
-        if not (scan and _scan_block(rows, lo, hi, matrix, cols, sums)):
+        if fill == "scan":
+            # A scanned block that passes its check has only positive sums.
+            done = _scan_block(rows, lo, hi, matrix, cols, sums)
+        elif fill == "lanes":
+            done = _take_lane(rows, lo, hi, starts[b], lanes[:, b], lane_sums[:, b], sums)
+        else:
+            done = False
+        if not done:
             _step_block(rows, lo, hi, matrix, cols, sums)
             lost = np.flatnonzero(~(sums[lo:hi] > 0.0))
             if lost.size:
                 return lo + int(lost[0])
     return n
+
+
+def _run_lanes(
+    first: np.ndarray, matrix: np.ndarray, emission_cols: np.ndarray, y: np.ndarray
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The lanes of a row recursion over len(y) rows from the row first.
+
+    Lane b runs _LANE_OVERLAP + _LANE_BLOCK steps from step starts[b] =
+    1 + b * _LANE_BLOCK: lane 0 from first, every other lane from a
+    uniform row.  Lane 0's block is all its steps and every other lane's
+    its last _LANE_BLOCK steps; there are as many lanes as it takes for
+    the blocks to cover the series.  All lanes advance together, and each
+    batched step is the kernel's step, operation for operation: a batched
+    product and sum round as _step_block's per-row calls do.  Returns the
+    starts, the rows (step, lane, state) and their sums (step, lane).
+    """
+    n, k = len(y), first.shape[0]
+    span = _LANE_OVERLAP + _LANE_BLOCK
+    starts = list(range(1, max(n - _LANE_OVERLAP, 2), _LANE_BLOCK))
+    # Steps past the series, in the last lane, repeat its last symbol and
+    # are never taken.
+    steps = np.minimum(np.add.outer(np.arange(span), starts), n - 1)
+    lanes = emission_cols[y[steps]]
+    lane_sums = np.empty(steps.shape)
+    predicted = np.empty((len(starts), 1, k))
+    previous = np.full((len(starts), k), 1.0 / k)
+    previous[0] = first
+    for lane, lane_sum in zip(lanes, lane_sums):
+        lane *= np.matmul(previous[:, None, :], matrix, out=predicted)[:, 0]
+        lane /= np.add.reduce(lane, axis=1, out=lane_sum)[:, None]
+        previous = lane
+    return starts, lanes, lane_sums
+
+
+def _take_lane(
+    rows: np.ndarray,
+    lo: int,
+    hi: int,
+    start: int,
+    lane: np.ndarray,
+    lane_sums: np.ndarray,
+    sums: np.ndarray,
+) -> bool:
+    """Set rows[lo:hi] and sums[lo:hi] from a lane that ran from step
+    start, if it is certified.
+
+    The lane's row for step t is lane[t - start].  It is certified when
+    its sums over the block are positive and, unless it started from the
+    true row (start == lo), its row equals rows[t] bit for bit at some
+    step t of its overlap start..lo - 1.  The lane then ran the kernel's
+    steps from the true row there, and the filter has forgotten where it
+    started.
+    """
+    taken = slice(lo - start, hi - start)
+    if not (lane_sums[taken] > 0.0).all():
+        return False
+    if lo > start:
+        # Compared as integers, bit for bit.
+        met = lane[: lo - start].view(np.int64) == rows[start:lo].view(np.int64)
+        if not met.all(axis=1).any():
+            return False
+    rows[lo:hi] = lane[taken]
+    sums[lo:hi] = lane_sums[taken]
+    return True
 
 
 def _step_block(

@@ -437,8 +437,20 @@ def _backward_gains(
     if positions:
         gains = list(gains)
         for i in positions:
-            gains[i] = cross[i] @ np.linalg.pinv(predicted_next[i], rcond=1e-12)
+            gains[i] = cross[i] @ _pinv(predicted_next[i])
     return gains, positions
+
+
+def _pinv(p: np.ndarray) -> np.ndarray:
+    """np.linalg.pinv(p, rcond=1e-12), operation for operation, except that
+    singular values below the smallest normal float are dropped too: where
+    P_pred has underflowed to subnormals, 1e-12 times the largest one is
+    zero and 1/s would overflow."""
+    u, s, vt = np.linalg.svd(p, full_matrices=False)
+    large = s > max(1e-12 * s.max(), np.finfo(float).tiny)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T)
 
 
 def _backward(forward, gains, smoothed_means, smoothed_covs, lo, hi) -> None:
@@ -536,7 +548,8 @@ def rts_smoother(
 
     The backward gain solves against the predicted covariance at t+1; when
     that matrix is singular (possible with Q = 0) a pseudo-inverse with a
-    1e-12 cutoff is used and the step is recorded in pinv_steps.
+    1e-12 relative cutoff, and an absolute one at the smallest normal
+    float, is used and the step is recorded in pinv_steps.
     """
     require_valid(model)
     T = forward.filtered_means.shape[0]

@@ -57,7 +57,14 @@ class ObservationSeries:
                 raise ModelValidationError(
                     f"symbolic observations must be a vector, got shape {v.shape}"
                 )
-            if v.size and not np.issubdtype(v.dtype, np.integer):
+            if v.size and not np.issubdtype(v.dtype, np.signedinteger):
+                # The cast below would turn inf, NaN and values past the
+                # int64 range into other numbers.
+                limit = 2**63 if np.issubdtype(v.dtype, np.integer) else 2.0**63
+                if not np.all((v >= -limit) & (v < limit)):
+                    raise ModelValidationError(
+                        "symbolic observations must be finite and within the int64 range"
+                    )
                 if not np.all(v == np.floor(v)):
                     raise ModelValidationError("symbolic observations must be integers")
             v = v.astype(np.int64)

@@ -567,12 +567,19 @@ TINY = np.finfo(float).tiny
 
 
 @contextlib.contextmanager
+def forced_fill(fill):
+    """Fill every pass of forward_filter and backward_smooth one way
+    ("scan", "lanes" or "kernel"), whatever the model's size and the
+    series' length."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmm, "_block_fill", lambda k, n: fill)
+        yield
+
+
 def per_step_kernel():
     """Run every block of forward_filter and backward_smooth on the
-    per-step kernel, whatever the model's size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hmm, "_use_scan", lambda k: False)
-        yield
+    per-step kernel."""
+    return forced_fill("kernel")
 
 
 def kernel_forward(model, obs, initial_override=None):
@@ -745,6 +752,19 @@ def kernel_blocks(monkeypatch):
     return starts
 
 
+def lane_passes(monkeypatch):
+    """Record the number of rows of every pass that runs on lanes."""
+    passes = []
+    run_lanes = hmm._run_lanes
+
+    def recording(first, matrix, emission_cols, y):
+        passes.append(len(y))
+        return run_lanes(first, matrix, emission_cols, y)
+
+    monkeypatch.setattr(hmm, "_run_lanes", recording)
+    return passes
+
+
 class TestScanDispatch:
     @pytest.mark.parametrize("k", range(1, hmm._SCAN_MAX_K + 1))
     def test_small_models_never_run_the_kernel(self, monkeypatch, k):
@@ -763,15 +783,31 @@ class TestScanDispatch:
         assert raised.value.time_index == 3
         assert starts == [1]
 
-    def test_ten_states_run_every_block_on_the_kernel(self, monkeypatch):
+    def test_ten_states_run_on_lanes(self, monkeypatch):
         rng = np.random.default_rng(10)
         model = random_hmm(rng, 10, 3)
-        t_len = 2 * hmm._SCAN_BLOCK + 100
+        t_len = 2 * hmm._LANE_MIN_ROWS
         _, obs = simulate_hmm(model, t_len, SeededGenerator(10))
+        passes = lane_passes(monkeypatch)
+        starts = kernel_blocks(monkeypatch)
+        backward_smooth(model, obs, forward_filter(model, obs))
+        assert passes == [t_len, t_len - 1]
+        # Every lane met the true rows: no block ran on the kernel.
+        assert starts == []
+
+    def test_short_series_above_scan_size_run_every_block_on_the_kernel(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(10)
+        model = random_hmm(rng, 10, 3)
+        t_len = hmm._LANE_MIN_ROWS - 1
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(10))
+        passes = lane_passes(monkeypatch)
         starts = kernel_blocks(monkeypatch)
         backward_smooth(model, obs, forward_filter(model, obs))
         forward_starts = list(range(1, t_len, hmm._SCAN_BLOCK))
         backward_starts = list(range(1, t_len - 1, hmm._SCAN_BLOCK))
+        assert passes == []
         assert starts == forward_starts + backward_starts
 
     def test_no_block_after_an_impossible_observation_is_filled(self, monkeypatch):
@@ -961,3 +997,223 @@ class TestForwardFilterMemory:
             tracemalloc.stop()
         outputs = fwd.filtered.nbytes + fwd.log_normalizers.nbytes
         assert peak < outputs + t_len * 8 + t_len * k * 8 // 4
+
+
+# Lanes: above _SCAN_MAX_K states, a long series runs every block at once
+# from uniform rows some steps before it, and a block keeps its lane's rows
+# only where the lane met the true rows bit for bit.  Every test compares
+# the bytes of both passes, or the error that stopped them, with the
+# per-step kernel's.
+
+
+def passes_or_error(model, obs, initial_override=None):
+    """The bytes of both passes' outputs, or the type and message of the
+    error that stopped them, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fwd = forward_filter(model, obs, initial_override=initial_override)
+            smooth = backward_smooth(model, obs, fwd)
+        except NumericalError as error:
+            return type(error), str(error)
+    arrays = (fwd.filtered, fwd.log_normalizers, smooth.smoothed, smooth.pairwise)
+    return tuple(a.tobytes() for a in arrays)
+
+
+def kernel_passes(model, obs, initial_override=None):
+    with per_step_kernel():
+        return passes_or_error(model, obs, initial_override)
+
+
+def assert_lanes_equal_kernel(model, obs, initial_override=None):
+    expected = kernel_passes(model, obs, initial_override)
+    with forced_fill("lanes"):
+        assert passes_or_error(model, obs, initial_override) == expected
+
+
+def lane_blocks(n):
+    """First rows of the blocks of a lane pass over n rows whose lanes
+    start from a uniform row."""
+    return list(range(1 + hmm._LANE_OVERLAP + hmm._LANE_BLOCK, n, hmm._LANE_BLOCK))
+
+
+def slowly_mixing_hmm(rng, k, m, stay):
+    transition = stay * np.eye(k) + (1.0 - stay) * rng.dirichlet(np.ones(k), size=k)
+    transition /= transition.sum(axis=1, keepdims=True)
+    return DiscreteHMM(np.full(k, 1.0 / k), transition, rng.dirichlet(np.ones(m), size=k))
+
+
+def lane_lengths():
+    block, overlap = hmm._LANE_BLOCK, hmm._LANE_OVERLAP
+    span = block + overlap
+    edges = {span - 1, span, span + 1, 2 * block + 1, 511, 512, 513, 514}
+    # Series whose last row is the first of the second lane's block, the
+    # last of it, and the first of the third's.
+    edges |= {span + 2, span + block + 1, span + block + 2}
+    edges |= {hmm._LANE_MIN_ROWS - 1, hmm._LANE_MIN_ROWS, hmm._LANE_MIN_ROWS + 1}
+    return sorted(edges | {1, 2, 3})
+
+
+class TestLanes:
+    def test_permutation_with_uninformative_emissions(self, monkeypatch):
+        # The forward rows are the initial law moved round a cycle, while a
+        # lane from the uniform row stays uniform: no forward lane meets.
+        # The backward rows are uniform, so every backward lane meets.
+        k, t_len = 10, 2000
+        rng = np.random.default_rng(11)
+        model = DiscreteHMM(
+            rng.dirichlet(np.ones(k)), np.roll(np.eye(k), 1, axis=1), np.full((k, 2), 0.5)
+        )
+        obs = sym(rng.integers(0, 2, size=t_len))
+        expected = kernel_passes(model, obs)
+        passes = lane_passes(monkeypatch)
+        starts = kernel_blocks(monkeypatch)
+        assert passes_or_error(model, obs) == expected
+        assert passes == [t_len, t_len - 1]
+        assert starts == lane_blocks(t_len)
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_slowly_mixing_model(self, monkeypatch, override):
+        # Stay 0.9 at K = 25: few lanes forget their start within the
+        # overlap, so most blocks run on the kernel from the row before.
+        rng = np.random.default_rng(25)
+        model = slowly_mixing_hmm(rng, 25, 5, 0.9)
+        t_len = 3000
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(25))
+        initial = rng.dirichlet(np.ones(25)) if override else None
+        expected = kernel_passes(model, obs, initial)
+        passes = lane_passes(monkeypatch)
+        assert passes_or_error(model, obs, initial) == expected
+        assert passes == [t_len, t_len - 1]
+
+    @pytest.mark.parametrize("t_len", lane_lengths())
+    @pytest.mark.parametrize(
+        "k, make", [(9, sparse_hmm), (10, random_hmm)], ids=["sparse9", "dense10"]
+    )
+    def test_block_and_overlap_boundaries(self, k, make, t_len):
+        rng = np.random.default_rng(k + t_len)
+        model = make(rng, k, 4)
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(k * t_len))
+        for initial in (None, rng.dirichlet(np.ones(k))):
+            assert_lanes_equal_kernel(model, obs, initial)
+
+    @pytest.mark.parametrize(
+        "position, kernel_block",
+        [
+            (0, []),
+            (1 + hmm._LANE_BLOCK + 10, [1]),
+            (1 + hmm._LANE_OVERLAP + hmm._LANE_BLOCK + 10, lane_blocks(2000)[:1]),
+            (1999, lane_blocks(2000)[-1:]),
+        ],
+        ids=["first step", "second lane's overlap", "second lane's block", "last step"],
+    )
+    def test_impossible_observation(self, monkeypatch, position, kernel_block):
+        # Symbol 2 is emitted by no state.
+        rng = np.random.default_rng(position)
+        emission = np.zeros((10, 3))
+        emission[:, :2] = rng.dirichlet(np.ones(2), size=10)
+        model = DiscreteHMM(
+            rng.dirichlet(np.ones(10)), rng.dirichlet(np.ones(10), size=10), emission
+        )
+        y = rng.integers(0, 2, size=2000)
+        y[position] = 2
+        obs = sym(y)
+        expected = kernel_passes(model, obs)
+        error = ImpossibleObservationError(position + 1)
+        assert expected == (ImpossibleObservationError, str(error))
+        passes = lane_passes(monkeypatch)
+        starts = kernel_blocks(monkeypatch)
+        assert passes_or_error(model, obs) == expected
+        # Only the block of the impossible step ran on the kernel, and no
+        # block after it was filled.
+        assert passes == ([] if position == 0 else [2000])
+        assert starts == kernel_block
+
+    @pytest.mark.parametrize("k", [hmm._SCAN_MAX_K + 1, 16])
+    @pytest.mark.parametrize("rare", [1e-160, 1e-170])
+    def test_rare_moves_past_step_1000(self, monkeypatch, k, rare):
+        # The rare_moves pattern after 1100 steps in state 0 and before 200
+        # in state 2.  The padding states, which emit every symbol alike,
+        # keep each backward row's sum positive, so no row needs
+        # _shifted_step.  At 1e-170 the smoothed row at the pattern's
+        # third step has no mass, and the backward pass raises
+        # NumericalError there.
+        offset = 1100
+        y = np.concatenate([np.zeros(offset, int), RARE_MOVES_OBS.values, [1, 2] * 100])
+        obs, model, t_len = sym(y), rare_moves(rare, k), len(y)
+        expected = kernel_passes(model, obs)
+        passes = lane_passes(monkeypatch)
+        rescues = shifted_steps(monkeypatch)
+        assert passes_or_error(model, obs) == expected
+        assert passes == [t_len, t_len - 1]
+        if rare == 1e-170:
+            message = (
+                f"backward recursion underflowed: smoothed row at t={offset + 3} "
+                "has no positive mass"
+            )
+            assert expected == (NumericalError, message)
+        assert rescues == []
+
+    @pytest.mark.parametrize("name", TestRareEmissionThenRareMove.MODELS)
+    def test_rare_emission_then_rare_move_past_step_1000(self, monkeypatch, name):
+        # The pattern after 1100 repeats of its first symbol and before 200
+        # of its last, with states no path enters up to K = 9:
+        # _shifted_step rescues a backward row between two lane passes.
+        small, pattern = TestRareEmissionThenRareMove.MODELS[name]
+        model = padded(small, hmm._SCAN_MAX_K + 1)
+        first, last = pattern.values[0], pattern.values[-1]
+        y = np.concatenate([np.full(1100, first), pattern.values, np.full(200, last)])
+        obs, t_len = sym(y), len(y)
+        expected = kernel_passes(model, obs)
+        passes = lane_passes(monkeypatch)
+        rescues = shifted_steps(monkeypatch)
+        assert passes_or_error(model, obs) == expected
+        assert rescues == [True]
+        assert passes[:2] == [t_len, t_len - 1] and len(passes) == 3
+        assert passes[2] >= hmm._LANE_MIN_ROWS
+
+
+def shifted_steps(monkeypatch):
+    """Record what every call of _shifted_step returns."""
+    results = []
+    shifted = hmm._shifted_step
+
+    def recording(*args):
+        results.append(shifted(*args))
+        return results[-1]
+
+    monkeypatch.setattr(hmm, "_shifted_step", recording)
+    return results
+
+
+def padded(model, k):
+    """model with states up to k that no path enters: each keeps to itself
+    and emits only a new symbol, which the series never shows, so that its
+    backward entries are zero too."""
+    small, m = model.K, model.M
+    initial = np.zeros(k)
+    initial[:small] = model.initial
+    transition = np.eye(k)
+    transition[:small, :small] = model.transition
+    emission = np.zeros((k, m + 1))
+    emission[:small, :m] = model.emission
+    emission[small:, m] = 1.0
+    return DiscreteHMM(initial, transition, emission)
+
+
+class TestLaneStepIsTheKernelStep:
+    # A lane step is the kernel's step only if a batched product and a
+    # batched sum round as the per-row calls of _step_block do.  If this
+    # fails, _step_block must take the batched call form.
+    @pytest.mark.parametrize("batch", [1, 2, 7, 64])
+    def test_batched_matmul_and_sum(self, batch):
+        rng = np.random.default_rng(batch)
+        for k in range(1, 41):
+            matrix = rng.dirichlet(np.ones(k), size=k)
+            rows = rng.dirichlet(np.ones(k), size=batch)
+            batched = np.matmul(rows[:, None, :], matrix)[:, 0]
+            single = np.array([row @ matrix for row in rows])
+            assert batched.tobytes() == single.tobytes(), k
+            sums = np.add.reduce(rows, axis=1)
+            single = np.array([np.add.reduce(row) for row in rows])
+            assert sums.tobytes() == single.tobytes(), k

@@ -188,7 +188,7 @@ TINY = np.finfo(float).tiny
 @pytest.fixture
 def loop_path(monkeypatch):
     """Pin forward_filter and backward_smooth to their per-step kernel."""
-    monkeypatch.setattr(hmm, "_use_scan", lambda k: False)
+    monkeypatch.setattr(hmm, "_block_fill", lambda k, n: "kernel")
 
 
 def assert_models_close(actual, expected):

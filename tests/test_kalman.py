@@ -1,6 +1,7 @@
 """Closed-form Gaussian recursions against quadrature and joint-Gaussian oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,32 @@ class TestJointGaussianOracle:
         assert np.all(np.isfinite(smooth.smoothed_means))
         _, s_means, _, _ = joint_gaussian_posterior(model, obs.values)
         np.testing.assert_allclose(smooth.smoothed_means, s_means, atol=1e-8)
+
+    def test_subnormal_prediction(self):
+        # With Q = 0 and a rank-1 stable A the predicted covariance shrinks
+        # about 275-fold a step, through the subnormal range near step 126
+        # to zero.  There 1e-12 times its largest singular value is zero,
+        # so a pseudo-inverse with a relative cutoff alone takes 1/s of a
+        # subnormal and overflows.
+        model = LinearGaussianModel(
+            A=np.outer([0.6, 0.8], [0.5, -0.3]),
+            C=[[1.0, 0.4]],
+            Q=np.zeros((2, 2)),
+            R=[[0.5]],
+            mu0=[0.0, 0.0],
+            Sigma0=np.eye(2),
+        )
+        _, obs = simulate_lgssm(model, 150, SeededGenerator(3))
+        result = kalman_filter(model, obs)
+        tiny = np.finfo(float).tiny
+        subnormal = (result.predicted_covs > 0.0) & (result.predicted_covs < tiny)
+        assert subnormal.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            smooth = rts_smoother(model, result)
+        _, s_means, s_covs, _ = joint_gaussian_posterior(model, obs.values)
+        np.testing.assert_allclose(smooth.smoothed_means, s_means, atol=1e-8)
+        np.testing.assert_allclose(smooth.smoothed_covs, s_covs, atol=1e-8)
 
 
 class TestObservationChecks:

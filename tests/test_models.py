@@ -1,5 +1,7 @@
 """Container construction, kind tagging, and the validation report."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,28 @@ class TestObservationSeries:
     def test_symbolic_rejects_fractions(self):
         with pytest.raises(ModelValidationError):
             ObservationSeries([0.5, 1.0], kind="symbolic")
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, np.inf, 1.0], [-np.inf], [np.nan], [2.0**63], [2**63], [2**64], [1e300]],
+        ids=["inf", "-inf", "nan", "float 2**63", "uint64 2**63", "int 2**64", "1e300"],
+    )
+    def test_symbolic_rejects_values_the_cast_would_change(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelValidationError, match="int64 range"):
+                ObservationSeries(values, kind="symbolic")
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-(2.0**63)], np.array([2**63 - 1], dtype=np.uint64)],
+        ids=["float", "uint64"],
+    )
+    def test_symbolic_keeps_the_int64_extremes(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = ObservationSeries(values, kind="symbolic")
+        assert obs.values.tolist() == [int(values[0])]
 
     def test_real_rejects_non_finite(self):
         with pytest.raises(ModelValidationError):
