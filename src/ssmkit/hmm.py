@@ -18,9 +18,9 @@ a long series runs on lanes: one batched recursion runs every block at
 once, each block's lane from a uniform row some steps before it, with
 the kernel's operations in its order.  The filter forgets where it
 started, and in floating point that forgetting is exact: a lane whose
-row equals the true row bit for bit at one step of its overlap holds the
-true rows from there on.  A block whose lane is so certified takes the
-lane's rows.  A block that fails its scan's check (an impossible
+row equals the true row bit for bit at the step before its block holds
+the true rows through the block.  A block whose lane is so certified
+takes the lane's rows.  A block that fails its scan's check (an impossible
 observation, or an entry a partial product lost to underflow) or its
 lane's certification, and every block of a short series above
 _SCAN_MAX_K states, runs on the kernel from the row before it.  So at
@@ -31,20 +31,27 @@ its sum, so the backward pass needs no normalizers and does not overflow
 where consecutive rare moves make them tiny.  A backward row whose
 product underflows as a whole, where a rare symbol meets a rare move, is
 formed again from the factors' mantissas and exponents (_shifted_step)
-and the driver resumes from it.  Where the prediction itself has lost
-every state the symbol allows, NumericalError names the latest smoothed
-row with no positive scale.  The forward pass stops at its first
-non-positive normalizer.  The products with the filtered rows
-and the pairwise slabs are formed batched, with no T x K x K temporary,
-and smoothed[T-1] equals filtered[T-1] exactly.
+and the driver resumes from it.  Where a state the forward pass excludes
+has swamped an entry a smoothed row needs, the rows are formed again
+with the emission columns masked to the filtered states.  Where the
+prediction itself has lost every state the symbol allows, NumericalError
+names the latest smoothed row with no positive scale.  The forward pass
+stops at its first non-positive normalizer.  The products with the
+filtered rows and the pairwise slabs are formed batched, with no
+T x K x K temporary, and smoothed[T-1] equals filtered[T-1] exactly.
 
-The Viterbi loop writes each step's scores into one K x K buffer and
-finishes a row of gathered log emission columns with their column
-maxima; the impossibility check runs once per block of gathered rows.
-Every element goes through the same floating-point operations in the
-same order as in the plain per-step recursion, so its outputs equal it
-byte for byte.  fit_em filters each model once and hands that pass to
-the next baum_welch_step.
+Viterbi runs the max-product recursion on normalized deltas: each step's
+row of best log scores has its maximum subtracted, so the rows are
+bounded and a lane started from a row of zeros meets the true rows bit
+for bit, as the filter's lanes do.  Long series run on the same lane
+layout (_lane_layout) at every K, each batched step the per-step
+kernel's step operation for operation; a block takes its lane's deltas
+and backpointers where its row maxima are finite and the lane is
+certified, and runs on the kernel (_viterbi_block) otherwise.  So the
+path equals the per-step normalized recursion's byte for byte, and
+log_joint, the path's log terms summed left to right, equals what the
+plain unnormalized recursion returns for that path.  fit_em filters each
+model once and hands that pass to the next baum_welch_step.
 """
 
 from __future__ import annotations
@@ -76,31 +83,30 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**6
-# Steps per block of gathered log emission columns in viterbi; bounds the
-# memory the gather takes.
-_BLOCK = 1024
 # Models with at most this many states fill the blocks of the forward and
 # backward passes by prefix scans: measured faster than the per-step kernel
 # at every series length up to this K, while at K = 9 and 10 the backward
 # scan was no faster than the kernel.
 _SCAN_MAX_K = 8
-# Steps per block of _row_recursion; a scanned block's partial products
-# take _SCAN_BLOCK * K * K floats.
+# Steps per block of a pass filled by scans or by the kernel alone; a
+# scanned block's partial products take _SCAN_BLOCK * K * K floats, and a
+# Viterbi block's gathered log emission columns _SCAN_BLOCK * K.
 _SCAN_BLOCK = 512
 # Largest relative difference, entry by entry, between a scanned row and
 # one per-step recursion from the row before it that _scan_block accepts.
 _SCAN_RTOL = 1e-12
-# Steps per lane block (_run_lanes), and steps of overlap before each
+# Steps per lane block (_lane_layout), and steps of overlap before each
 # block but the first.  On the exact_long model (K = 10, stay 0.6, T = 1e4)
-# every lane met the true rows within 143 steps; an overlap of 160 left
-# some lanes unmet, 256 certified every lane at blocks of 256 and 512.
+# every forward lane met the true rows within 143 steps; an overlap of 160
+# left some lanes unmet, 256 certified every lane at blocks of 256 and 512.
 # Its Dobrushin coefficient is 0.870, and 0.870**264 < 2**-53.
 _LANE_BLOCK = 256
 _LANE_OVERLAP = 256
-# Fewest rows a pass above _SCAN_MAX_K states needs to run on lanes rather
-# than on the kernel.  Lanes take _LANE_OVERLAP + _LANE_BLOCK batched steps
-# whatever the length; at K = 10 (one BLAS thread) they were slower than
-# the kernel at 700 rows and level with it at 800-900.
+# Fewest rows a pass needs to run on lanes rather than on the kernel.
+# Lanes take _LANE_OVERLAP + _LANE_BLOCK batched steps whatever the length;
+# at K = 10 (one BLAS thread) they were slower than the kernel at 700 rows
+# and level with it at 800-900.  Viterbi's lanes at 1024 steps were level
+# with its kernel at 1023 (K = 10, about 10 ms each).
 _LANE_MIN_ROWS = 1024
 
 
@@ -224,12 +230,48 @@ def forward_filter(
     )
 
 
-def _block_fill(k: int, n: int) -> str:
-    """How _row_recursion fills the blocks of n rows of a K-state model:
-    "scan", "lanes" or "kernel"."""
-    if k <= _SCAN_MAX_K:
+def _block_fill(k: int, n: int, scan: bool = True) -> str:
+    """How a pass over n rows of a K-state model fills its blocks: "scan",
+    "lanes" or "kernel".  scan is False for Viterbi, whose max-product
+    steps have no scan form."""
+    if scan and k <= _SCAN_MAX_K:
         return "scan"
     return "lanes" if n >= _LANE_MIN_ROWS else "kernel"
+
+
+def _lane_layout(fill: str, n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Lane starts and block bounds of a pass over n rows filled by fill.
+
+    On lanes, lane b runs _LANE_OVERLAP + _LANE_BLOCK steps from step
+    starts[b] = 1 + b * _LANE_BLOCK: lane 0 from the true row, every other
+    lane from a row that knows nothing of the start.  Lane 0's block is all
+    its steps and every other lane's its last _LANE_BLOCK steps; there are
+    as many lanes as it takes for the blocks to cover the series.  Block b
+    is rows bounds[b][0]:bounds[b][1].  Any other fill has no lanes and
+    blocks of _SCAN_BLOCK rows.
+    """
+    if fill == "lanes":
+        starts = np.arange(1, max(n - _LANE_OVERLAP, 2), _LANE_BLOCK)
+        los = [1] + [int(start) + _LANE_OVERLAP for start in starts[1:]]
+    else:
+        starts, los = np.arange(0), list(range(1, n, _SCAN_BLOCK))
+    return starts, list(zip(los, los[1:] + [n]))
+
+
+def _lane_steps(starts: np.ndarray, n: int) -> np.ndarray:
+    """Step of lane b at batched step s, at [s, b], for lanes that start at
+    starts in a pass over n rows.  Steps past the series, in the last lane,
+    repeat its last row and are never taken."""
+    return np.minimum(np.add.outer(np.arange(_LANE_OVERLAP + _LANE_BLOCK), starts), n - 1)
+
+
+def _certified(healthy: np.ndarray, lane_before: np.ndarray, true_before: np.ndarray) -> bool:
+    """Whether a block takes its lane's results: every step of the block is
+    healthy, and the lane's row at the step before the block equals the
+    true row there bit for bit.  Each row is a function of the row before
+    it, so the lane then ran the kernel's steps from the true row through
+    the block: the recursion has forgotten where the lane started."""
+    return bool(healthy.all()) and lane_before.tobytes() == true_before.tobytes()
 
 
 def _row_recursion(
@@ -245,26 +287,28 @@ def _row_recursion(
     sum to one, and sums[t] the sum it was scaled by.  _block_fill picks
     one fill per call.  A scan fills each block of _SCAN_BLOCK steps and
     checks it.  Lanes run every block at once (_run_lanes), and each block
-    takes its lane's rows if the lane is certified (_take_lane).  A block
-    that fails its scan's check or its lane's certification, and every
-    block of the kernel fill, runs on _step_block from the row before it
-    instead.  Returns the first step whose sum is not positive, with no
-    rows filled after it, or len(rows) if none is.
+    takes its lane's rows if its sums are positive and the lane is
+    certified.  A block that fails its scan's check or its lane's
+    certification, and every block of the kernel fill, runs on _step_block
+    from the row before it instead.  Returns the first step whose sum is
+    not positive, with no rows filled after it, or len(rows) if none is.
     """
     n = rows.shape[0]
     fill = _block_fill(matrix.shape[0], n)
+    starts, bounds = _lane_layout(fill, n)
     if fill == "lanes":
-        starts, lanes, lane_sums = _run_lanes(rows[0], matrix, emission_cols, y[:n])
-        los = [1] + [start + _LANE_OVERLAP for start in starts[1:]]
-    else:
-        los = list(range(1, n, _SCAN_BLOCK))
-    for b, (lo, hi) in enumerate(zip(los, los[1:] + [n])):
+        befores, lanes, lane_sums = _run_lanes(rows[0], matrix, emission_cols, y[:n])
+    for b, (lo, hi) in enumerate(bounds):
         cols = emission_cols[y[lo:hi]]
         if fill == "scan":
             # A scanned block that passes its check has only positive sums.
             done = _scan_block(rows, lo, hi, matrix, cols, sums)
         elif fill == "lanes":
-            done = _take_lane(rows, lo, hi, starts[b], lanes[:, b], lane_sums[:, b], sums)
+            taken = slice(lo - starts[b], hi - starts[b])
+            done = _certified(lane_sums[taken, b] > 0.0, befores[b], rows[lo - 1])
+            if done:
+                rows[lo:hi] = lanes[taken, b]
+                sums[lo:hi] = lane_sums[taken, b]
         else:
             done = False
         if not done:
@@ -276,67 +320,35 @@ def _row_recursion(
 
 
 def _run_lanes(
-    first: np.ndarray, matrix: np.ndarray, emission_cols: np.ndarray, y: np.ndarray
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The lanes of a row recursion over len(y) rows from the row first.
+    first: np.ndarray,
+    matrix: np.ndarray,
+    emission_cols: np.ndarray,
+    y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lanes (_lane_layout) of a row recursion over len(y) rows from
+    the row first, every other lane from a uniform row.
 
-    Lane b runs _LANE_OVERLAP + _LANE_BLOCK steps from step starts[b] =
-    1 + b * _LANE_BLOCK: lane 0 from first, every other lane from a
-    uniform row.  Lane 0's block is all its steps and every other lane's
-    its last _LANE_BLOCK steps; there are as many lanes as it takes for
-    the blocks to cover the series.  All lanes advance together, and each
-    batched step is the kernel's step, operation for operation: a batched
-    product and sum round as _step_block's per-row calls do.  Returns the
-    starts, the rows (step, lane, state) and their sums (step, lane).
+    All lanes advance together, and each batched step is the kernel's step,
+    operation for operation: a batched product and sum round as
+    _step_block's per-row calls do.  Returns each lane's row at the step
+    before its block (lane, state), the rows (step, lane, state) and their
+    sums (step, lane); lane b's row for step t is at t - starts[b].
     """
-    n, k = len(y), first.shape[0]
-    span = _LANE_OVERLAP + _LANE_BLOCK
-    starts = list(range(1, max(n - _LANE_OVERLAP, 2), _LANE_BLOCK))
-    # Steps past the series, in the last lane, repeat its last symbol and
-    # are never taken.
-    steps = np.minimum(np.add.outer(np.arange(span), starts), n - 1)
-    lanes = emission_cols[y[steps]]
-    lane_sums = np.empty(steps.shape)
+    k = first.shape[0]
+    starts, _ = _lane_layout("lanes", len(y))
+    lanes = emission_cols[y[_lane_steps(starts, len(y))]]
+    lane_sums = np.empty(lanes.shape[:2])
     predicted = np.empty((len(starts), 1, k))
     previous = np.full((len(starts), k), 1.0 / k)
     previous[0] = first
-    for lane, lane_sum in zip(lanes, lane_sums):
+    befores = previous.copy()
+    for s, (lane, lane_sum) in enumerate(zip(lanes, lane_sums)):
+        if s == _LANE_OVERLAP:
+            befores[1:] = previous[1:]
         lane *= np.matmul(previous[:, None, :], matrix, out=predicted)[:, 0]
         lane /= np.add.reduce(lane, axis=1, out=lane_sum)[:, None]
         previous = lane
-    return starts, lanes, lane_sums
-
-
-def _take_lane(
-    rows: np.ndarray,
-    lo: int,
-    hi: int,
-    start: int,
-    lane: np.ndarray,
-    lane_sums: np.ndarray,
-    sums: np.ndarray,
-) -> bool:
-    """Set rows[lo:hi] and sums[lo:hi] from a lane that ran from step
-    start, if it is certified.
-
-    The lane's row for step t is lane[t - start].  It is certified when
-    its sums over the block are positive and, unless it started from the
-    true row (start == lo), its row equals rows[t] bit for bit at some
-    step t of its overlap start..lo - 1.  The lane then ran the kernel's
-    steps from the true row there, and the filter has forgotten where it
-    started.
-    """
-    taken = slice(lo - start, hi - start)
-    if not (lane_sums[taken] > 0.0).all():
-        return False
-    if lo > start:
-        # Compared as integers, bit for bit.
-        met = lane[: lo - start].view(np.int64) == rows[start:lo].view(np.int64)
-        if not met.all(axis=1).any():
-            return False
-    rows[lo:hi] = lane[taken]
-    sums[lo:hi] = lane_sums[taken]
-    return True
+    return befores, lanes, lane_sums
 
 
 def _step_block(
@@ -453,8 +465,12 @@ def backward_smooth(
     run through _row_recursion with F = A^T over reversed time, each row
     scaled by its own sum, so the normalizers are not needed.  A row whose
     product underflows as a whole is formed again by _shifted_step.  Where
-    the rows lose all their mass to underflow, NumericalError names the
-    latest step whose smoothed row has no positive scale.
+    the latest smoothed row with no mass lost it because the backward row
+    after it lost an entry on a state the forward pass allows, beside the
+    entries of states it excludes, the rows are formed again with the
+    emission columns masked to the filtered states.  Where the rows still
+    lose all their mass to underflow, NumericalError names the latest step
+    whose smoothed row has no positive scale.
     """
     y = _check_symbolic(model, obs)
     T, K = y.shape[0], model.K
@@ -465,33 +481,38 @@ def backward_smooth(
     transition = model.transition
     filtered = forward.filtered
     smoothed = np.empty((T, K))
-    # Row j is e_{T-1-j} * beta[T-1-j] up to scale, from symbol y[T-1-j]:
-    # row t of rescaled below is the backward row of step t + 1.
+    # Row j is e_{T-1-j} * beta[T-1-j] up to scale: row t of rescaled below
+    # is the backward row of step t + 1.
     reversed_rows = np.empty((T - 1, K))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if T > 1:
-            last = model.emission[:, y[T - 1]]
-            np.divide(last, np.add.reduce(last), out=reversed_rows[0])
-            transposed = np.ascontiguousarray(transition.T)
-            cols, symbols, sums = model.emission.T, y[::-1], np.empty(T - 1)
-            start = 0
-            while True:
-                start += _row_recursion(
-                    reversed_rows[start:], transposed, cols, symbols[start:], sums[start:]
-                )
-                if start == T - 1:
-                    break
-                # The forward pass found every observation possible, so a
-                # row with no positive sum has underflowed.
-                if not _shifted_step(reversed_rows, start, transposed, cols[symbols[start]]):
-                    reversed_rows[start:] = np.nan
-                    break
-        rescaled = reversed_rows[::-1]
+    rescaled = reversed_rows[::-1]
+    transposed = np.ascontiguousarray(transition.T)
+
+    def smoothed_scale():
         # Row t is beta[t] = A @ rescaled[t], then filtered[t] * beta[t].
         np.matmul(rescaled, transition.T, out=smoothed[:-1])
         smoothed[:-1] *= filtered[:-1]
-        scale = smoothed[:-1] @ np.ones(K)
-    lost = np.flatnonzero(~(scale > 0.0))
+        return smoothed[:-1] @ np.ones(K)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        formed = _backward_rows(reversed_rows, transposed, model.emission.T, y[::-1])
+        scale = smoothed_scale()
+        lost = np.flatnonzero(~(scale > 0.0))
+        # Each backward row is scaled over every state, so a state the
+        # forward pass excludes can keep a large entry beside which the
+        # product with the emission column loses an entry the posterior
+        # needs.  Where the latest smoothed row with no mass comes from such
+        # a loss in the backward row after it (rather than from a prediction
+        # that has underflowed), form the rows again with the emission
+        # columns masked to the filtered states: the excluded states'
+        # entries reach no smoothed or pairwise value with positive
+        # filtered mass.
+        if formed and lost.size:
+            t = int(lost[-1])
+            if (rescaled[t][filtered[t + 1] > 0.0] == 0.0).any():
+                masked = model.emission.T[y[::-1]] * (filtered[::-1] > 0.0)
+                _backward_rows(reversed_rows, transposed, masked, np.arange(T))
+                scale = smoothed_scale()
+                lost = np.flatnonzero(~(scale > 0.0))
     if lost.size:
         raise NumericalError(
             f"backward recursion underflowed: smoothed row at t={int(lost[-1]) + 1} "
@@ -504,6 +525,32 @@ def backward_smooth(
     pairwise *= rescaled[:, None, :]
     pairwise /= scale[:, None, None]
     return SmoothedSequence(smoothed=smoothed, pairwise=pairwise)
+
+
+def _backward_rows(
+    rows: np.ndarray, transposed: np.ndarray, cols: np.ndarray, symbols: np.ndarray
+) -> bool:
+    """Fill rows with the backward rows over reversed time: row j is
+    cols[symbols[j]] times the backward prediction from row j - 1, scaled to
+    sum to one.  A row whose product underflows as a whole is formed again
+    by _shifted_step and the recursion resumes from it.  Returns False
+    where even that has no positive entry, with that row and every row
+    after it NaN.
+    """
+    if not len(rows):
+        return True
+    last = cols[symbols[0]]
+    np.divide(last, np.add.reduce(last), out=rows[0])
+    sums, start = np.empty(len(rows)), 0
+    while True:
+        start += _row_recursion(rows[start:], transposed, cols, symbols[start:], sums[start:])
+        if start == len(rows):
+            return True
+        # The forward pass found every observation possible, so a row with
+        # no positive sum has underflowed.
+        if not _shifted_step(rows, start, transposed, cols[symbols[start]]):
+            rows[start:] = np.nan
+            return False
 
 
 def predict_states(model: DiscreteHMM, filtered_t, k: int) -> np.ndarray:
@@ -525,44 +572,137 @@ def predict_states(model: DiscreteHMM, filtered_t, k: int) -> np.ndarray:
 def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, float]:
     """Most probable hidden path and its joint log-probability.
 
-    Max-product recursion in log domain.  Ties are broken toward the lower
-    state index at every backtrack step, so the result is the reverse-
-    lexicographically smallest maximizing path.
+    Max-product recursion in log domain on normalized deltas: each step's
+    row of best scores has its maximum subtracted, so the rows stay bounded.
+    Scores equal in floating point go to the lower state index.  The steps
+    after the first run on lanes (_viterbi_lanes) where _block_fill gives
+    the series to them; a block whose lane is not certified, and every
+    block of a shorter series, runs on the kernel (_viterbi_block) from the
+    deltas before it.  So the path equals the per-step normalized
+    recursion's byte for byte.  log_joint is the sum of the path's log
+    terms, added left to right as the plain unnormalized recursion adds
+    them along that path.
     """
     require_valid(model)
     y = _check_symbolic(model, obs)
-    T = y.shape[0]
-    K = model.K
+    T, K = y.shape[0], model.K
     with np.errstate(divide="ignore"):
         log_init = np.log(model.initial)
         log_trans = np.log(model.transition)
         log_emit = np.log(model.emission)
-    back = np.empty((T, K), dtype=np.int64)
-    scores = np.empty((K, K))
-    delta = None
-    for lo in range(0, T, _BLOCK):
-        # Each row starts as the gathered log emission column of its symbol
-        # and is finished in place into the best score of each state.
-        deltas = log_emit.T[y[lo : lo + _BLOCK]]
-        for t, row in enumerate(deltas, lo):
-            if delta is None:
-                row += log_init
+    # Row j of trans_t holds the scores' terms of the moves into state j.
+    trans_t, emit_cols = np.ascontiguousarray(log_trans.T), np.ascontiguousarray(log_emit.T)
+    first = emit_cols[y[0]] + log_init
+    top = first.max()
+    if top == -np.inf:
+        raise ImpossibleObservationError(1)
+    first -= top
+    fill = _block_fill(K, T, scan=False)
+    starts, bounds = _lane_layout(fill, T)
+    # The last lane writes backpointers past the series.
+    end = starts[-1] + _LANE_OVERLAP + _LANE_BLOCK if fill == "lanes" else T
+    back = np.empty((max(T, end), K), dtype=np.int64)
+    delta = first
+    with np.errstate(invalid="ignore"):
+        if fill == "lanes":
+            befores, ends, maxima = _viterbi_lanes(first, trans_t, emit_cols, y, starts, back)
+        for b, (lo, hi) in enumerate(bounds):
+            if fill == "lanes" and _certified(
+                maxima[lo - starts[b] : hi - starts[b], b] > -np.inf, befores[b], delta
+            ):
+                delta = ends[b]
             else:
-                np.add(delta[:, None], log_trans, out=scores)
-                np.argmax(scores, axis=0, out=back[t])
-                row += scores.max(axis=0)
-            delta = row
-        # Scores are never NaN, and a row of -inf stays -inf, so the first
-        # such row is the first impossible step.
-        impossible = np.flatnonzero(deltas.max(axis=1) == -np.inf)
-        if impossible.size:
-            raise ImpossibleObservationError(lo + int(impossible[0]) + 1)
+                delta = _viterbi_block(back, lo, trans_t, emit_cols[y[lo:hi]], delta)
     path = np.empty(T, dtype=np.int64)
     path[T - 1] = int(np.argmax(delta))
-    log_joint = float(delta[path[T - 1]])
     for t in range(T - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
-    return StatePath(path), log_joint
+    # The recursion forms each score as fl(e + fl(d + a)), so the sequence
+    # log init + log emit, log trans, log emit, ... summed left to right
+    # gives the score of the path.
+    terms = np.empty(2 * T - 1)
+    terms[0] = log_emit[path[0], y[0]] + log_init[path[0]]
+    terms[1::2] = log_trans[path[:-1], path[1:]]
+    terms[2::2] = log_emit[path[1:], y[1:]]
+    return StatePath(path), float(np.cumsum(terms)[-1])
+
+
+def _viterbi_block(
+    back: np.ndarray, lo: int, trans_t: np.ndarray, rows: np.ndarray, previous: np.ndarray
+) -> np.ndarray:
+    """Fill back[lo:lo + len(rows)] from the normalized deltas previous of
+    step lo - 1, one step at a time, and return the deltas of the block's
+    last step.
+
+    rows holds the block's gathered log emission columns, and each is
+    finished in place: add the transition terms to the deltas before it,
+    take each state's first best predecessor into back and its score, add
+    it, and subtract the row's maximum.  A row whose maximum is -inf is an
+    impossible observation, raised at its step.
+    """
+    scores = np.empty(trans_t.shape)
+    maxima = np.empty(rows.shape[0])
+    for t, row in enumerate(rows, lo):
+        np.add(previous, trans_t, out=scores)
+        scores.argmax(axis=1, out=back[t])
+        row += np.maximum.reduce(scores, axis=1)
+        # The maximum is kept, through a 0-d view, for the check below.
+        row -= np.maximum.reduce(row, out=maxima[t - lo, ...])
+        previous = row
+    # Every row after an impossible one is NaN, so the first maximum of
+    # -inf is the first impossible step.
+    impossible = np.flatnonzero(maxima == -np.inf)
+    if impossible.size:
+        raise ImpossibleObservationError(lo + int(impossible[0]) + 1)
+    return previous
+
+
+def _viterbi_lanes(
+    first: np.ndarray,
+    trans_t: np.ndarray,
+    emit_cols: np.ndarray,
+    y: np.ndarray,
+    starts: np.ndarray,
+    back: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the lanes (_lane_layout) of a Viterbi pass over len(y) steps,
+    lane 0 from the deltas first, every other lane from a row of zeros.
+
+    All lanes advance together, and each batched step is _viterbi_block's
+    step, operation for operation: add, argmax, add the maximum (gathered
+    through the argmax, the value the kernel's max returns) to the emission
+    rows gathered for that step, and subtract each row's maximum.  The backpointers go to back: at every
+    step each lane writes its step's row, and the lane whose block holds
+    that step writes it last.  Returns each lane's deltas at the step
+    before its block and at the last step of its block (lane, state), and
+    the maxima of every row (step, lane); lane b's maximum for step t is
+    at t - starts[b].
+    """
+    count, k = len(starts), first.shape[0]
+    symbols = y[_lane_steps(starts, len(y))]
+    maxima = np.empty(symbols.shape)
+    scores = np.empty((count, k, k))
+    # scores[b, j, i] is flat[offsets[b, j] + i].
+    flat, offsets = scores.reshape(-1), np.arange(0, count * k * k, k).reshape(count, k)
+    previous = np.zeros((count, k))
+    previous[0] = first
+    # A lane whose block is empty (a series of one step) ends on its start.
+    befores, ends = previous.copy(), previous.copy()
+    last = len(y) - 1 - starts[-1]
+    for s, (symbol, top) in enumerate(zip(symbols, maxima)):
+        if s == _LANE_OVERLAP:
+            befores[1:] = previous[1:]
+        np.add(previous[:, None, :], trans_t, out=scores)
+        pointers = back[1 + s : 1 + s + count * _LANE_BLOCK : _LANE_BLOCK]
+        scores.argmax(axis=2, out=pointers)
+        rows = emit_cols[symbol]
+        rows += flat[pointers + offsets]
+        rows -= np.maximum.reduce(rows, axis=1, out=top)[:, None]
+        previous = rows
+        if s == last:
+            ends[-1] = rows[-1]
+    ends[:-1] = previous[:-1]
+    return befores, ends, maxima
 
 
 def baum_welch_step(

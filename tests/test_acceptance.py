@@ -243,6 +243,16 @@ def test_criterion_7_performance_floor():
             f"forward_filter + backward_smooth K=10 T=1e4 took {passes_s:.3f}s"
         )
 
+        # Viterbi runs on lanes here: about 20 ms on a 2-vCPU host, where
+        # the per-step recursion took 62-130 ms.  Best of three.
+        decodes = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            viterbi(hmm, obs)
+            decodes.append(time.perf_counter() - t0)
+        viterbi_s = min(decodes)
+        assert viterbi_s < 0.05, f"viterbi K=10 T=1e4 took {viterbi_s:.3f}s"
+
         _, obs = simulate_lgssm(SCALAR_LG, 1000, SeededGenerator(77003))
         generic = lgssm_as_generic(SCALAR_LG)
         t0 = time.perf_counter()

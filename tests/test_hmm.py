@@ -31,7 +31,11 @@ from ssmkit import (
     viterbi,
 )
 from ssmkit import hmm
-from test_hmm_reference import reference_backward_smooth, reference_forward_filter
+from test_hmm_reference import (
+    reference_backward_smooth,
+    reference_forward_filter,
+    reference_viterbi,
+)
 
 BENCH = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
 BENCH_OBS = ObservationSeries([0, 1, 1], kind="symbolic")
@@ -568,17 +572,17 @@ TINY = np.finfo(float).tiny
 
 @contextlib.contextmanager
 def forced_fill(fill):
-    """Fill every pass of forward_filter and backward_smooth one way
-    ("scan", "lanes" or "kernel"), whatever the model's size and the
-    series' length."""
+    """Fill every pass of forward_filter, backward_smooth and viterbi one
+    way ("scan", "lanes" or "kernel"), whatever the model's size and the
+    series' length; viterbi runs every fill but lanes on its kernel."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hmm, "_block_fill", lambda k, n: fill)
+        patch.setattr(hmm, "_block_fill", lambda k, n, scan=True: fill)
         yield
 
 
 def per_step_kernel():
-    """Run every block of forward_filter and backward_smooth on the
-    per-step kernel."""
+    """Run every block of forward_filter, backward_smooth and viterbi on
+    the per-step kernel."""
     return forced_fill("kernel")
 
 
@@ -981,6 +985,31 @@ class TestRareEmissionThenRareMove:
         np.testing.assert_allclose(smooth.smoothed, enum.smoothed, rtol=0, atol=1e-12)
         np.testing.assert_allclose(smooth.pairwise, enum.pairwise, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kernel", [False, True], ids=["dispatch", "kernel"])
+    def test_state_no_path_enters_does_not_swamp_the_backward_rows(self, kernel):
+        # "emission on the likely state" with a third state that keeps to
+        # itself and emits every symbol alike.  No path enters it, but its
+        # entry in the backward row of step 2 is about 0.13, while the
+        # entry of state 0, which every path takes, is 6e-341 and
+        # underflows beside it.
+        small, obs = self.MODELS["emission on the likely state"]
+        third = 1.0 / 3.0
+        model = DiscreteHMM(
+            [1.0, 0.0, 0.0],
+            [[1.0, 1e-170, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            np.vstack([small.emission, [third, third, third]]),
+        )
+        enum = exact_posterior_enumeration(model, obs)
+        with contextlib.ExitStack() as stack:
+            if kernel:
+                stack.enter_context(forced_fill("kernel"))
+            stack.enter_context(warnings.catch_warnings())
+            warnings.simplefilter("error")
+            fwd = forward_filter(model, obs)
+            smooth = backward_smooth(model, obs, fwd)
+        np.testing.assert_allclose(smooth.smoothed, enum.smoothed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(smooth.pairwise, enum.pairwise, rtol=0, atol=1e-12)
+
 
 class TestForwardFilterMemory:
     def test_no_t_by_k_by_k_temporary(self):
@@ -1217,3 +1246,199 @@ class TestLaneStepIsTheKernelStep:
             sums = np.add.reduce(rows, axis=1)
             single = np.array([np.add.reduce(row) for row in rows])
             assert sums.tobytes() == single.tobytes(), k
+
+
+# Viterbi runs the max-product recursion on normalized deltas, and on lanes
+# for long series: a block keeps its lane's backpointers and deltas only
+# where the lane's deltas before it equal the true ones bit for bit.  Every
+# test compares the path and log_joint bytes, or the error that stopped
+# them, with the per-step kernel's.
+
+
+def viterbi_or_error(model, obs):
+    """The bytes of viterbi's path and log_joint, or the type and message
+    of the error that stopped it, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            path, log_joint = viterbi(model, obs)
+        except NumericalError as error:
+            return type(error), str(error)
+    return path.states.tobytes(), np.float64(log_joint).tobytes()
+
+
+def kernel_viterbi(model, obs):
+    with per_step_kernel():
+        return viterbi_or_error(model, obs)
+
+
+def assert_viterbi_lanes_equal_kernel(model, obs):
+    expected = kernel_viterbi(model, obs)
+    with forced_fill("lanes"):
+        assert viterbi_or_error(model, obs) == expected
+
+
+def viterbi_kernel_blocks(monkeypatch):
+    """Record the first step of every Viterbi block that runs on the
+    kernel."""
+    starts = []
+    kernel = hmm._viterbi_block
+
+    def recording(back, lo, *args):
+        starts.append(lo)
+        return kernel(back, lo, *args)
+
+    monkeypatch.setattr(hmm, "_viterbi_block", recording)
+    return starts
+
+
+def viterbi_lane_passes(monkeypatch):
+    """Record the number of steps of every Viterbi pass that runs on
+    lanes."""
+    passes = []
+    run_lanes = hmm._viterbi_lanes
+
+    def recording(first, trans_t, emit_cols, y, *args):
+        passes.append(len(y))
+        return run_lanes(first, trans_t, emit_cols, y, *args)
+
+    monkeypatch.setattr(hmm, "_viterbi_lanes", recording)
+    return passes
+
+
+class TestViterbiLanes:
+    def test_permutation_with_uninformative_emissions(self, monkeypatch):
+        # The deltas are the initial law's logs moved round a cycle, while
+        # a lane from zeros stays zeros: no lane but the first meets.
+        k, t_len = 10, 2000
+        rng = np.random.default_rng(12)
+        model = DiscreteHMM(
+            rng.dirichlet(np.ones(k)), np.roll(np.eye(k), 1, axis=1), np.full((k, 2), 0.5)
+        )
+        obs = sym(rng.integers(0, 2, size=t_len))
+        expected = kernel_viterbi(model, obs)
+        passes = viterbi_lane_passes(monkeypatch)
+        starts = viterbi_kernel_blocks(monkeypatch)
+        assert viterbi_or_error(model, obs) == expected
+        assert passes == [t_len]
+        assert starts == lane_blocks(t_len)
+
+    @pytest.mark.parametrize("k, stay", [(25, 0.9), (40, 0.95)])
+    def test_slowly_mixing_model(self, monkeypatch, k, stay):
+        rng = np.random.default_rng(k)
+        model = slowly_mixing_hmm(rng, k, 5, stay)
+        t_len = 3000
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(k))
+        expected = kernel_viterbi(model, obs)
+        passes = viterbi_lane_passes(monkeypatch)
+        assert viterbi_or_error(model, obs) == expected
+        assert passes == [t_len]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_and_two_states(self, monkeypatch, k):
+        rng = np.random.default_rng(30 + k)
+        model = random_hmm(rng, k, 3)
+        t_len = 2000
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(k))
+        expected = kernel_viterbi(model, obs)
+        passes = viterbi_lane_passes(monkeypatch)
+        assert viterbi_or_error(model, obs) == expected
+        assert passes == [t_len]
+
+    @pytest.mark.parametrize("t_len", lane_lengths())
+    @pytest.mark.parametrize(
+        "k, make", [(3, sparse_hmm), (10, random_hmm)], ids=["sparse3", "dense10"]
+    )
+    def test_block_and_overlap_boundaries(self, k, make, t_len):
+        rng = np.random.default_rng(k + t_len)
+        model = make(rng, k, 4)
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(k * t_len))
+        assert_viterbi_lanes_equal_kernel(model, obs)
+
+    @pytest.mark.parametrize(
+        "position, kernel_block",
+        [
+            (0, []),
+            (1 + hmm._LANE_BLOCK + 10, [1]),
+            (1 + hmm._LANE_OVERLAP + hmm._LANE_BLOCK + 10, lane_blocks(2000)[:1]),
+            (1999, lane_blocks(2000)[-1:]),
+        ],
+        ids=["first step", "second lane's overlap", "second lane's block", "last step"],
+    )
+    def test_impossible_observation(self, monkeypatch, position, kernel_block):
+        # Symbol 2 is emitted by no state.
+        rng = np.random.default_rng(position)
+        emission = np.zeros((10, 3))
+        emission[:, :2] = rng.dirichlet(np.ones(2), size=10)
+        model = DiscreteHMM(
+            rng.dirichlet(np.ones(10)), rng.dirichlet(np.ones(10), size=10), emission
+        )
+        y = rng.integers(0, 2, size=2000)
+        y[position] = 2
+        obs = sym(y)
+        with pytest.raises(ImpossibleObservationError) as reference:
+            reference_viterbi(model, obs)
+        assert reference.value.time_index == position + 1
+        expected = kernel_viterbi(model, obs)
+        assert expected == (ImpossibleObservationError, str(reference.value))
+        passes = viterbi_lane_passes(monkeypatch)
+        starts = viterbi_kernel_blocks(monkeypatch)
+        assert viterbi_or_error(model, obs) == expected
+        # Only the block of the impossible step ran on the kernel.
+        assert passes == ([] if position == 0 else [2000])
+        assert starts == kernel_block
+
+
+class TestViterbiLaneStepIsTheKernelStep:
+    # A lane step is _viterbi_block's step only if the batched add, argmax,
+    # maximum and subtraction give each row what the per-row calls give it.
+    @pytest.mark.parametrize("batch", [1, 2, 7, 64])
+    def test_batched_max_plus_step(self, batch):
+        rng = np.random.default_rng(100 + batch)
+        for k in range(1, 41):
+            with np.errstate(divide="ignore"):
+                trans_t = np.log(sparse_hmm(rng, k, 2).transition.T.copy())
+            previous = np.log(rng.dirichlet(np.ones(k), size=batch))
+            previous[rng.random((batch, k)) < 0.2] = -np.inf
+            previous[:, 0] = 0.0
+            emitted = np.log(rng.dirichlet(np.ones(k), size=batch))
+            # Ties: equal deltas on the first two states of every row.
+            previous[:, 1 % k] = previous[:, 0]
+
+            scores = np.empty((k, k))
+            single_back = np.empty((batch, k), dtype=np.int64)
+            single = emitted.copy()
+            for row, last, pointers in zip(single, previous, single_back):
+                np.add(last, trans_t, out=scores)
+                scores.argmax(axis=1, out=pointers)
+                row += np.maximum.reduce(scores, axis=1)
+                row -= np.maximum.reduce(row)
+
+            batched_scores = np.empty((batch, k, k))
+            offsets = np.arange(0, batch * k * k, k).reshape(batch, k)
+            # Backpointers go to a strided view, as lanes write them.
+            back = np.zeros((3 * batch, k), dtype=np.int64)
+            pointers = back[::3]
+            np.add(previous[:, None, :], trans_t, out=batched_scores)
+            batched_scores.argmax(axis=2, out=pointers)
+            batched = emitted.copy()
+            batched += batched_scores.reshape(-1)[pointers + offsets]
+            batched -= np.maximum.reduce(batched, axis=1)[:, None]
+            assert pointers.tobytes() == single_back.tobytes(), k
+            assert batched.tobytes() == single.tobytes(), k
+
+
+class TestViterbiMemory:
+    def test_no_lane_rows_kept(self):
+        rng = np.random.default_rng(26)
+        model = random_hmm(rng, 10, 5)
+        t_len, k = 10_000, 10
+        y = sym(rng.integers(0, 5, size=t_len))
+        tracemalloc.start()
+        try:
+            viterbi(model, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        back = t_len * k * 8
+        assert peak < back + 2 * t_len * k * 8

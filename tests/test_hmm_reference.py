@@ -6,12 +6,16 @@ The forward and backward passes, the Baum-Welch step and the EM loop run
 with the dispatch pinned to the per-step kernel (loop_path): the prefix
 scans that small models run instead change the arithmetic, and
 tests/test_hmm.py checks them against enumeration and against the kernel
-within 1e-12.  The forward pass and Viterbi are compared byte for byte.
-Everything that goes through the backward pass is compared within 1e-12
-relative: the kernel scales each backward row by its own sum, where the
-reference divides by the forward normalizers."""
+within 1e-12.  The forward pass is compared byte for byte.  Everything
+that goes through the backward pass is compared within 1e-12 relative:
+the kernel scales each backward row by its own sum, where the reference
+divides by the forward normalizers.  Viterbi is compared byte for byte
+with the per-step recursion on normalized deltas, and with the plain
+unnormalized recursion byte for byte where the two paths agree; where
+rounding separates a tie differently, the two paths must score the same."""
 
 
+import math
 import warnings
 
 import numpy as np
@@ -156,6 +160,53 @@ def reference_viterbi(model, obs):
     for t in range(T - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path, log_joint
+
+
+def reference_viterbi_normalized(model, obs):
+    """The max-product step on normalized deltas: a fresh score matrix, a
+    gather of the maxima through the argmax, the emission terms, then the
+    row's maximum subtracted, with the impossibility check at every step.
+    log_joint adds the path's log terms one at a time on Python floats."""
+    require_valid(model)
+    y = _check_symbolic(model, obs)
+    T = y.shape[0]
+    K = model.K
+    with np.errstate(divide="ignore"):
+        log_init = np.log(model.initial)
+        log_trans = np.log(model.transition)
+        log_emit = np.log(model.emission)
+    delta = log_emit[:, y[0]] + log_init
+    if np.max(delta) == -np.inf:
+        raise ImpossibleObservationError(1)
+    delta = delta - np.max(delta)
+    back = np.empty((T, K), dtype=np.int64)
+    for t in range(1, T):
+        scores = delta[:, None] + log_trans
+        back[t] = np.argmax(scores, axis=0)
+        delta = scores[back[t], np.arange(K)] + log_emit[:, y[t]]
+        if np.max(delta) == -np.inf:
+            raise ImpossibleObservationError(t + 1)
+        delta = delta - np.max(delta)
+    path = np.empty(T, dtype=np.int64)
+    path[T - 1] = int(np.argmax(delta))
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    log_joint = float(log_emit[path[0], y[0]] + log_init[path[0]])
+    for t in range(1, T):
+        log_joint += float(log_trans[path[t - 1], path[t]])
+        log_joint += float(log_emit[path[t], y[t]])
+    return path, log_joint
+
+
+def path_log_terms(model, y, path):
+    """The log-probability terms of a path: initial, first emission, then a
+    transition and an emission per step."""
+    with np.errstate(divide="ignore"):
+        terms = [np.log(model.initial[path[0]]), np.log(model.emission[path[0], y[0]])]
+        for t in range(1, len(y)):
+            terms.append(np.log(model.transition[path[t - 1], path[t]]))
+            terms.append(np.log(model.emission[path[t], y[t]]))
+    return [float(term) for term in terms]
 
 
 def assert_bytes_equal(actual, expected):
@@ -312,17 +363,29 @@ class TestFitEm:
 
 
 def check_viterbi(model, obs):
+    """Bytes equal to the normalized recursion's.  Bytes equal to the plain
+    recursion's where the paths agree; where they do not, rounding broke a
+    tie the other way, and the two paths score the same."""
     path, log_joint = viterbi(model, obs)
-    expected_path, expected_log_joint = reference_viterbi(model, obs)
+    expected_path, expected_log_joint = reference_viterbi_normalized(model, obs)
     assert_bytes_equal(path.states, expected_path)
     assert np.float64(log_joint).tobytes() == np.float64(expected_log_joint).tobytes()
+    plain_path, plain_log_joint = reference_viterbi(model, obs)
+    if np.array_equal(path.states, plain_path):
+        assert np.float64(log_joint).tobytes() == np.float64(plain_log_joint).tobytes()
+    else:
+        y = obs.values
+        assert math.fsum(path_log_terms(model, y, path.states)) == math.fsum(
+            path_log_terms(model, y, plain_path)
+        )
+        assert log_joint == pytest.approx(plain_log_joint, rel=1e-12, abs=0)
 
 
-@pytest.fixture(params=[1024, 4], ids=["default-block", "block-4"])
+@pytest.fixture(params=[hmm._SCAN_BLOCK, 4], ids=["default-block", "block-4"])
 def viterbi_block(request, monkeypatch):
     """Run with the default block size and with one that puts block
     boundaries inside short series."""
-    monkeypatch.setattr(hmm, "_BLOCK", request.param)
+    monkeypatch.setattr(hmm, "_SCAN_BLOCK", request.param)
 
 
 @pytest.mark.usefixtures("viterbi_block")
@@ -421,8 +484,11 @@ class TestViterbiImpossibleObservation:
     def check(model, obs, position):
         with pytest.raises(ImpossibleObservationError) as expected:
             reference_viterbi(model, obs)
+        with pytest.raises(ImpossibleObservationError) as normalized:
+            reference_viterbi_normalized(model, obs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ImpossibleObservationError) as raised:
                 viterbi(model, obs)
         assert raised.value.time_index == expected.value.time_index == position + 1
+        assert normalized.value.time_index == position + 1
