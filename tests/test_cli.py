@@ -486,28 +486,32 @@ class TestExitCodes:
         )
         data = tmp_path / "d.csv"
         data.write_text("t,y\n1,0\n2,1\n")
-        code, _ = run(capsys, ["filter", "--model", str(model), "--data",
-                               str(data)])
-        assert code == 3
+        for command in ("filter", "smooth"):
+            argv = [command, "--model", str(model), "--data", str(data)]
+            assert run_command(argv) == 3
+            assert "t=2 " in capsys.readouterr().err
 
     def test_smoothing_underflow(self, capsys, tmp_path):
-        # Two consecutive moves of probability 1e-170: the forward pass
-        # succeeds, and the backward recursion loses all its mass at t=3.
+        # Two consecutive moves of probability 1e-170: a backward row that
+        # keeps states the forward pass excludes would lose all its mass at
+        # t=3.  The posterior is a point mass, and smooth writes it.
         rare = 1e-170
+        hmm_rare = DiscreteHMM([1.0, 0.0, 0.0],
+                               [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]],
+                               [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
         model = tmp_path / "rare.json"
-        write_model(
-            str(model),
-            DiscreteHMM([1.0, 0.0, 0.0],
-                        [[1.0, rare, 0.0], [0.0, 1.0, rare], [0.0, 0.0, 1.0]],
-                        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]),
-        )
+        write_model(str(model), hmm_rare)
+        obs = ObservationSeries([0, 0, 0, 1, 2, 2, 1, 2], kind="symbolic")
         data = tmp_path / "d.csv"
-        write_series(str(data), ObservationSeries([0, 0, 0, 1, 2, 2, 1, 2], kind="symbolic"))
-        argv = ["--model", str(model), "--data", str(data)]
-        assert run_command(["filter", *argv]) == 0
-        capsys.readouterr()
-        assert run_command(["smooth", *argv]) == 3
-        assert "t=3 " in capsys.readouterr().err
+        write_series(str(data), obs)
+        out = str(tmp_path / "s.csv")
+        code, summary = run(capsys, ["smooth", "--model", str(model), "--data",
+                                     str(data), "--out", out])
+        assert code == 0
+        enum = hmm.exact_posterior_enumeration(hmm_rare, obs)
+        assert summary["log_likelihood"] == pytest.approx(enum.log_likelihood, rel=1e-12)
+        _, body = read_csv(out)
+        np.testing.assert_allclose(body[:, 1:], enum.smoothed, rtol=0, atol=1e-12)
 
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0
