@@ -5,7 +5,8 @@ log-ratios against its last entry (the softmax inverse), and each
 covariance maps to its Cholesky factor with logged diagonal.  Both
 transforms cover only the interior of the parameter space; boundary models
 (zero probabilities, singular covariances) are rejected and must be fit by
-EM instead.  Optimization is derivative-free Nelder-Mead.
+EM instead.  Optimization is derivative-free Nelder-Mead, on one objective
+(_objective) that owns which trial points score +inf.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import (
     NumericalError,
     SimplexInitError,
 )
-from .hmm import forward_filter
-from .kalman import kalman_filter
+from .hmm import _check_symbols, forward_filter
+from .kalman import _check_rows, kalman_filter
 from .models import (
     DiscreteHMM,
     LinearGaussianModel,
@@ -57,13 +58,14 @@ class _Block:
 
 @dataclass(frozen=True)
 class _Family:
-    """A model family: its class, its shape, the observation kind and the
-    filter of its likelihood, and its coordinate blocks in layout order,
+    """A model family: its class, its shape, the observation kind and check,
+    the filter of its likelihood, and its coordinate blocks in layout order,
     keyed by the model field each one holds."""
 
     cls: type
     shape: Callable[[Any], tuple[int, int]]
     kind: str
+    check: Callable[[ObservationSeries, int], np.ndarray]
     filter: Callable
     blocks: dict[str, _Block]
 
@@ -129,6 +131,7 @@ _FAMILIES = {
         DiscreteHMM,
         lambda model: (model.K, model.M),
         "symbolic",
+        _check_symbols,
         lambda model, obs: forward_filter(model, obs),
         {
             "initial": _Block(
@@ -146,6 +149,7 @@ _FAMILIES = {
         LinearGaussianModel,
         lambda model: (model.d_x, model.d_y),
         "real",
+        _check_rows,
         lambda model, obs: kalman_filter(model, obs),
         {
             "A": _Block(
@@ -258,7 +262,8 @@ def pack(model) -> ParameterVector:
 
 
 def unpack(theta: ParameterVector):
-    """Inverse of pack; always yields a valid interior model."""
+    """Inverse of pack.  Extreme coordinates can overflow to non-finite
+    parameters, which raise, or underflow to a singular R, which is invalid."""
     family = _family(theta.family)
     return _unpack_blocks(
         theta.values, family, theta.shape, _layout(family, theta.shape, family.blocks), {}
@@ -268,23 +273,32 @@ def unpack(theta: ParameterVector):
 def negative_loglik(theta: ParameterVector, obs: ObservationSeries) -> float:
     """Negative exact log-likelihood of the model encoded by theta.
 
-    Numerical failures inside the filter (impossible observations,
-    degenerate innovations) come back as +inf so optimizers can step away
-    from them instead of crashing.
+    A theta that gives no valid model, or where the filter fails
+    numerically (impossible observations, degenerate innovations), comes
+    back as +inf so optimizers can step away from it instead of crashing.
     """
     family = _family(theta.family)
     if obs.kind != family.kind:
         raise ValueError(f"{theta.family} parameters require {family.kind} observations")
-    return _negative_loglik(family, unpack(theta), obs)
+    layout = _layout(family, theta.shape, family.blocks)
+    return _objective(family, theta.shape, layout, {}, obs)(theta.values)
 
 
-def _negative_loglik(family: _Family, model, obs: ObservationSeries) -> float:
-    """-log-likelihood through the model family's filter; a NumericalError
-    inside the filter comes back as +inf."""
-    try:
-        return -family.filter(model, obs).log_likelihood
-    except NumericalError:
-        return np.inf
+def _objective(family: _Family, shape, layout, fixed: dict, obs: ObservationSeries):
+    """The negative log-likelihood of the coordinates of the blocks in
+    layout, fixed holding the other fields.  The series is checked first,
+    once, so that its faults raise.  A point scores +inf where a constructor
+    or require_valid rejects its model or the filter raises NumericalError."""
+    family.check(obs, shape[1])
+
+    def negative_loglik(x: np.ndarray) -> float:
+        try:
+            model = _unpack_blocks(x, family, shape, layout, fixed)
+            return -family.filter(model, obs).log_likelihood
+        except (ModelValidationError, NumericalError):
+            return np.inf
+
+    return negative_loglik
 
 
 def nelder_mead(
@@ -402,16 +416,7 @@ def fit_mle(
     if x0.size == 0:
         raise ValueError("no free blocks to optimize")
     fixed = {field: getattr(model0, field) for field in all_blocks if field not in blocks}
-
-    def objective(x: np.ndarray) -> float:
-        try:
-            # Extreme coordinates can overflow into non-finite parameters,
-            # which the constructors reject; treat those points as +inf.
-            model = _unpack_blocks(x, family, shape, layout, fixed)
-        except (ValueError, ModelValidationError):
-            return np.inf
-        return _negative_loglik(family, model, obs)
-
+    objective = _objective(family, shape, layout, fixed, obs)
     report = nelder_mead(objective, x0, step=step, tol=tol, max_iter=max_iter)
     fitted = _unpack_blocks(report.argmin, family, shape, layout, fixed)
     return fitted, report

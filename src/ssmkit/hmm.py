@@ -6,42 +6,38 @@ matching the t column of series files.
 
 Both passes are one row recursion, r_t = (r_{t-1} @ F) * e_t scaled to
 sum to one, with F = A forward and F = A^T over reversed time backward.
-One block driver (_row_recursion) fills each pass in one of three ways,
-chosen by K and the series length alone (_block_fill).  Each row starts
-as its step's column e_t, and the per-step kernel finishes it in place
-(weight by the prediction, sum, divide, predict), the plain forward
-recursion's operations in their order.  Up to _SCAN_MAX_K states, each
-block of _SCAN_BLOCK steps is a prefix scan, checked row by row against
-one per-step recursion from the row before it; scanned rows agree with
-the kernel's within 1e-12 relative and keep exact zeros.  Above that
-size, a long series runs on lanes: one batched recursion runs every
-block at once, each block's lane from a uniform row some steps before
-it, with the kernel's operations in its order.  The filter forgets where
-it started, and in floating point that forgetting is exact: a lane whose
-row equals the true row bit for bit at the step before its block holds
-the true rows through the block.  A block whose lane is so certified
-takes the lane's rows.  A block that fails its scan's check (an
-impossible observation, or an entry a partial product lost to underflow)
-or its lane's certification, and every block of a short series above
-_SCAN_MAX_K states, runs on the kernel from the row before it.  So at
-K > _SCAN_MAX_K both passes equal the kernel's byte for byte.
+One block driver (_row_recursion) forms every row, the first from the
+prior forward and from ones backward, the rest in blocks filled one of
+three ways, chosen by K and the series length alone (_block_fill).  Each
+row starts as its step's column e_t, and the per-step kernel finishes it
+in place (weight by the prediction, sum, divide, predict), the plain
+forward recursion's operations in their order.  Up to _SCAN_MAX_K
+states, each block is a prefix scan, checked row by row against one
+per-step recursion from the row before it; scanned rows agree with the
+kernel's within 1e-12 relative and keep exact zeros.  Above that size, a
+long series runs on lanes: one batched recursion, with the kernel's
+operations in its order, runs every block at once, each block's lane
+from a uniform row some steps before it.  The filter forgets where it
+started, and in floating point that forgetting is exact, so a block
+whose lane equals the true row bit for bit at the step before it takes
+the lane's rows.  Any other block runs on the kernel from the row before
+it, so at K > _SCAN_MAX_K both passes equal the kernel's byte for byte.
 
-The driver alone rescues rows from underflow, in both passes.  A kernel
-row whose product underflows as a whole, where a rare symbol meets a
-rare move, sums to zero; it is formed again from the factors' mantissas
-and exponents (_shifted_step), which also give the log of its true sum,
-and the block goes on from the row after it.  A pass stops only where
-that product has no positive entry, which in the forward pass is an
-impossible observation, raised at its step.  The forward's first row,
-prior times column, has the same rescue.  The backward rows are scaled
-by their own sums and each smoothed row by its sum, so the backward pass
-needs no normalizers and does not overflow where consecutive rare moves
-make them tiny.  It runs once, on the emission columns masked to the
-states the forward pass allows, so that no excluded state can swamp an
-entry a smoothed row needs.  A smoothed row with no positive scale left
-raises NumericalError.  The products with the filtered rows and the
-pairwise slabs are formed batched, with no T x K x K temporary, and
-smoothed[T-1] equals filtered[T-1] exactly.
+The driver alone rescues rows from underflow, in both passes.  A row
+whose product underflows as a whole, where a rare symbol meets a rare
+move, sums to zero; it is formed again from the factors' mantissas and
+exponents (_shifted_step), the prediction from the row before scaled by
+2**_RESCUE_EXP, which also give the log of its true sum.  A pass stops
+only where that product has no positive entry, which in the forward pass
+is an impossible observation, raised at its step.  The backward rows are
+scaled by their own sums and each smoothed row by its sum, so the
+backward pass needs no normalizers and does not overflow where
+consecutive rare moves make them tiny.  It runs once, on the emission
+columns masked to the states the forward pass allows, so that no
+excluded state can swamp an entry a smoothed row needs.  A smoothed row
+with no positive scale left raises NumericalError.  The products with
+the filtered rows and the pairwise slabs are formed batched, with no
+T x K x K temporary, and smoothed[T-1] equals filtered[T-1] exactly.
 
 Viterbi runs the max-product recursion on normalized deltas: each step's
 row of best log scores has its maximum subtracted, so the rows are
@@ -111,6 +107,9 @@ _LANE_OVERLAP = 256
 # and level with it at 800-900.  Viterbi's lanes at 1024 steps were level
 # with its kernel at 1023 (K = 10, about 10 ms each).
 _LANE_MIN_ROWS = 1024
+# Rows are at most one, so the rescue's prediction from the row before times
+# 2**1000 cannot overflow, and keeps a row entry >= 2**-1000 times any move.
+_RESCUE_EXP = 1000
 
 
 @dataclass(frozen=True)
@@ -164,6 +163,10 @@ class EnumerationResult:
 
 
 def _check_symbolic(model: DiscreteHMM, obs: ObservationSeries) -> np.ndarray:
+    return _check_symbols(obs, model.M)
+
+
+def _check_symbols(obs: ObservationSeries, m: int) -> np.ndarray:
     if obs.kind != "symbolic":
         raise ModelValidationError(
             "discrete HMM inference requires symbolic observations"
@@ -171,10 +174,10 @@ def _check_symbolic(model: DiscreteHMM, obs: ObservationSeries) -> np.ndarray:
     y = obs.values
     if y.shape[0] < 1:
         raise ValueError("observation series must have at least one entry")
-    if y.size and (y.min() < 0 or y.max() >= model.M):
-        bad = int(np.flatnonzero((y < 0) | (y >= model.M))[0])
+    if y.size and (y.min() < 0 or y.max() >= m):
+        bad = int(np.flatnonzero((y < 0) | (y >= m))[0])
         raise ModelValidationError(
-            f"symbol {y[bad]} at t={bad + 1} outside alphabet of size {model.M}"
+            f"symbol {y[bad]} at t={bad + 1} outside alphabet of size {m}"
         )
     return y
 
@@ -202,12 +205,8 @@ def forward_filter(
     emission column of the observed symbol, and renormalizes; the log of
     each normalizer is accumulated so log_likelihood = sum_t log c_t.
     initial_override replaces model.initial for the first step when given.
-    The steps after the first run through _row_recursion with F = A, and
-    the normalizers are the sums its rows were scaled by.  A step whose
-    product underflows as a whole, the first step included, is formed
-    again by _shifted_step, and its log normalizer is the log of the
-    product's true sum.  A step where that product has no positive entry
-    raises ImpossibleObservationError, and no step after it is computed.
+    _row_recursion forms every row with F = A; an impossible step raises
+    ImpossibleObservationError, and no step after it is computed.
     """
     require_valid(model)
     y = _check_symbolic(model, obs)
@@ -219,20 +218,12 @@ def forward_filter(
     filtered = model.emission.T[y]
     norms = np.empty(y.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        first = filtered[0]
-        first *= prior
-        first /= np.add.reduce(first, out=norms[0, ...])
-        rescued = {}
-        if not norms[0] > 0.0:
-            rescued[0] = _shifted_step(first, prior, model.emission[:, y[0]])
-            if rescued[0] is None:
-                raise ImpossibleObservationError(1)
-        end, later = _row_recursion(filtered, model.transition, norms)
+        end, rescued = _row_recursion(filtered, model.transition, norms, prior)
         log_norms = np.log(norms)
     if end < y.shape[0]:
         raise ImpossibleObservationError(end + 1)
     # A rescued step's sum underflowed; _shifted_step gave its log.
-    for t, log_norm in {**rescued, **later}.items():
+    for t, log_norm in rescued.items():
         log_norms[t] = log_norm
     return CategoricalPosteriorSequence(
         filtered=filtered,
@@ -286,36 +277,42 @@ def _certified(healthy: np.ndarray, lane_before: np.ndarray, true_before: np.nda
 
 
 def _row_recursion(
-    rows: np.ndarray, matrix: np.ndarray, sums: np.ndarray
+    rows: np.ndarray, matrix: np.ndarray, sums: np.ndarray, first: np.ndarray
 ) -> tuple[int, dict[int, float]]:
-    """Fill rows[1:] from rows[0]: the block driver of both passes.
+    """Fill rows, row 0 predicted by first: the block driver of both passes.
 
-    Each of rows[1:] holds its step's column on entry, so that a pass
-    needs no T x K array of columns beside its rows.  Row t becomes
-    (rows[t - 1] @ matrix) * its column scaled to sum to one, and sums[t]
-    the sum it was scaled by.  _block_fill picks one fill per call.  A scan
-    fills each block of _SCAN_BLOCK steps and checks it.  Lanes run every
-    block at once (_run_lanes), and each block takes its lane's rows if
-    its sums are positive and the lane is certified.  A block that fails
-    its scan's check or its lane's certification, and every block of the
-    kernel fill, runs on _step_block from the row before it instead.
-
-    The driver owns the underflow rescue: a kernel row whose sum is not
-    positive is formed again by _shifted_step, and the block goes on from
-    the row after it.  Returns the first step where even that product has
-    no positive entry, with no rows filled after it, or len(rows) if none
-    has; and the log of each rescued step's sum, by step.
+    Each row holds its step's column on entry, so that a pass needs no
+    T x K array of columns beside its rows.  Row t becomes its prediction
+    (first, or rows[t - 1] @ matrix) times its column scaled to sum to one,
+    and sums[t] the sum it was scaled by.  Row 0 takes the kernel's
+    operations here, and _block_fill picks one fill for the blocks after
+    it: scans (_scan_block), lanes (_run_lanes), whose blocks are taken
+    where certified, or the kernel (_step_block), which also runs every
+    block that fails its scan's check or its lane's certification.  A row
+    whose sum is not positive is formed again by _shifted_step, and the
+    pass goes on from the row after it.  Returns the first step where even
+    that product has no positive entry, with no rows filled after it, or
+    len(rows) if none has; and the log of each rescued step's sum, by step.
     """
     n = rows.shape[0]
     fill = _block_fill(matrix.shape[0], n)
     starts, bounds = _lane_layout(fill, n)
-    if fill == "lanes":
-        befores, lanes, lane_sums = _run_lanes(rows[0], matrix, rows)
     rescued = {}
+    col = rows[0].copy()
+    rows[0] *= first
+    rows[0] /= np.add.reduce(rows[0], out=sums[0, ...])
+    if not sums[0] > 0.0:
+        rescued[0] = _shifted_step(rows[0], np.ldexp(first, _RESCUE_EXP), col)
+        if rescued[0] is None:
+            return 0, rescued
+    if fill == "lanes":
+        lanes, lane_sums = _run_lanes(rows[0], matrix, rows)
     for b, (lo, hi) in enumerate(bounds):
         if fill == "lanes":
             taken = slice(lo - starts[b], hi - starts[b])
-            if _certified(lane_sums[taken, b] > 0.0, befores[b], rows[lo - 1]):
+            # Lane 0 starts from rows[0], any other at the end of its overlap.
+            before = lanes[_LANE_OVERLAP - 1, b] if b else rows[0]
+            if _certified(lane_sums[taken, b] > 0.0, before, rows[lo - 1]):
                 rows[lo:hi] = lanes[taken, b]
                 sums[lo:hi] = lane_sums[taken, b]
                 continue
@@ -330,7 +327,8 @@ def _row_recursion(
             if not lost.size:
                 break
             t = start + int(lost[0])
-            rescued[t] = _shifted_step(rows[t], rows[t - 1] @ matrix, cols[t - lo])
+            predicted = np.ldexp(rows[t - 1], _RESCUE_EXP) @ matrix
+            rescued[t] = _shifted_step(rows[t], predicted, cols[t - lo])
             if rescued[t] is None:
                 return t, rescued
             start = t + 1
@@ -339,16 +337,16 @@ def _row_recursion(
 
 def _run_lanes(
     first: np.ndarray, matrix: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The lanes (_lane_layout) of a row recursion over len(cols) rows from
     the row first, every other lane from a uniform row; cols[t] is step
     t's column.
 
     All lanes advance together, and each batched step is the kernel's step,
     operation for operation: a batched product and sum round as
-    _step_block's per-row calls do.  Returns each lane's row at the step
-    before its block (lane, state), the rows (step, lane, state) and their
-    sums (step, lane); lane b's row for step t is at t - starts[b].
+    _step_block's per-row calls do.  Returns the rows (step, lane, state)
+    and their sums (step, lane); lane b's row for step t is at
+    t - starts[b].
     """
     k = first.shape[0]
     starts, _ = _lane_layout("lanes", len(cols))
@@ -357,14 +355,11 @@ def _run_lanes(
     predicted = np.empty((len(starts), 1, k))
     previous = np.full((len(starts), k), 1.0 / k)
     previous[0] = first
-    befores = previous.copy()
-    for s, (lane, lane_sum) in enumerate(zip(lanes, lane_sums)):
-        if s == _LANE_OVERLAP:
-            befores[1:] = previous[1:]
+    for lane, lane_sum in zip(lanes, lane_sums):
         lane *= np.matmul(previous[:, None, :], matrix, out=predicted)[:, 0]
         lane /= np.add.reduce(lane, axis=1, out=lane_sum)[:, None]
         previous = lane
-    return befores, lanes, lane_sums
+    return lanes, lane_sums
 
 
 def _step_block(
@@ -452,11 +447,13 @@ def _shifted_step(row: np.ndarray, predicted: np.ndarray, col: np.ndarray) -> fl
     """Set row to predicted * col scaled to sum to one, where the product
     underflows as it stands, and return the log of the product's sum.
 
-    Each factor is split into mantissa and exponent, and the product of
-    the mantissas is scaled by 2 to the power of its exponent less the
-    largest one, so that no entry of the product is lost only for being
-    small; the log of the sum is that of the scaled row's sum plus the
-    shift times ln 2.  Returns None when the product has no positive entry.
+    predicted is the prediction times 2**_RESCUE_EXP, formed from the row
+    before so scaled: exactly so where no term of it was subnormal.  Each
+    factor is split into mantissa and exponent, and the product of the
+    mantissas is scaled by 2 to the power of its exponent less the largest
+    one, so that no entry of the product is lost only for being small; the
+    log of the sum is that of the scaled row's sum plus (shift -
+    _RESCUE_EXP) ln 2.  Returns None when the product has no positive entry.
     """
     predicted, predicted_exp = np.frexp(predicted)
     emitted, emitted_exp = np.frexp(col)
@@ -469,7 +466,7 @@ def _shifted_step(row: np.ndarray, predicted: np.ndarray, col: np.ndarray) -> fl
     np.ldexp(mantissas, exps - shift, out=row)
     total = np.add.reduce(row)
     row /= total
-    return float(np.log(total) + shift * np.log(2.0))
+    return float(np.log(total) + (shift - _RESCUE_EXP) * np.log(2.0))
 
 
 def backward_smooth(
@@ -480,15 +477,12 @@ def backward_smooth(
     """Scaled backward recursion combined with the forward pass.
 
     Smoothed row t is elementwise filtered[t] * beta[t], scaled to sum to
-    one; row T equals the filtered row exactly.  The backward variables
-    run through _row_recursion with F = A^T over reversed time, each row
-    scaled by its own sum, so the normalizers are not needed.  The
-    emission columns are masked to the states the forward pass allows
-    (filtered[t] > 0), whose entries are the only ones a smoothed or
-    pairwise value takes.  A row whose product underflows as a whole is
-    formed again by the driver (_shifted_step).  Where the rows still lose
-    all their mass to underflow, NumericalError names the latest step whose
-    smoothed row has no positive scale.
+    one; row T equals the filtered row exactly.  The backward variables,
+    every row of them, run through _row_recursion with F = A^T over
+    reversed time, each row scaled by its own sum, so the normalizers are
+    not needed.  Where the rows still lose all their mass to underflow,
+    NumericalError names the latest step whose smoothed row has no
+    positive scale.
     """
     y = _check_symbolic(model, obs)
     T, K = y.shape[0], model.K
@@ -500,20 +494,18 @@ def backward_smooth(
     filtered = forward.filtered
     smoothed = np.empty((T, K))
     # Row j is e_{T-1-j} * beta[T-1-j] up to scale, and starts as the
-    # emission column masked to the states the forward pass allows: each
-    # row is scaled over its states, and an excluded state's large entry
-    # could swamp one the posterior needs, while excluded entries reach no
-    # smoothed or pairwise value.  Row t of rescaled below is the backward
-    # row of step t + 1.
+    # emission column masked to the states the forward pass allows
+    # (filtered > 0): an excluded state's large entry could swamp one the
+    # posterior needs, and excluded entries reach no smoothed or pairwise
+    # value.  Row t of rescaled below is the backward row of step t + 1.
     reversed_rows = model.emission.T[y[:0:-1]]
     reversed_rows[filtered[:0:-1] == 0.0] = 0.0
     rescaled = reversed_rows[::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         if T > 1:
-            last = reversed_rows[0]
-            last /= np.add.reduce(last)
+            # Row 0's prediction is a row of ones: x * 1.0 == x.
             end, _ = _row_recursion(
-                reversed_rows, np.ascontiguousarray(transition.T), np.empty(T - 1)
+                reversed_rows, np.ascontiguousarray(transition.T), np.empty(T - 1), np.ones(K)
             )
             reversed_rows[end:] = np.nan
         # Row t is beta[t] = A @ rescaled[t], then filtered[t] * beta[t].

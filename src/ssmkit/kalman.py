@@ -107,6 +107,10 @@ class GaussianSmoothedSequence:
 
 
 def _check_real(model: LinearGaussianModel, obs: ObservationSeries) -> np.ndarray:
+    return _check_rows(obs, model.d_y)
+
+
+def _check_rows(obs: ObservationSeries, d_y: int) -> np.ndarray:
     if obs.kind != "real":
         raise ModelValidationError(
             "linear-Gaussian inference requires real-valued observations"
@@ -114,9 +118,9 @@ def _check_real(model: LinearGaussianModel, obs: ObservationSeries) -> np.ndarra
     y = obs.values
     if y.shape[0] < 1:
         raise ValueError("observation series must have at least one entry")
-    if y.shape[1] != model.d_y:
+    if y.shape[1] != d_y:
         raise ModelValidationError(
-            f"observations have dimension {y.shape[1]}, model expects {model.d_y}"
+            f"observations have dimension {y.shape[1]}, model expects {d_y}"
         )
     return y
 
@@ -387,10 +391,8 @@ def kalman_filter(
             log_increments,
             _steady_log_increments(innovation_covs[frozen], innovations[frozen:]),
         ])
-    # Sequential addition, as a per-step accumulation would give.
-    log_likelihood = 0.0
-    for increment in log_increments.tolist():
-        log_likelihood += increment
+    # np.add.accumulate adds left to right, as a per-step accumulation would.
+    log_likelihood = float(np.cumsum(log_increments)[-1])
     return GaussianPosteriorSequence(
         filtered_means=filtered_means,
         filtered_covs=filtered_covs,

@@ -9,6 +9,7 @@ from ssmkit import (
     BoundaryParameterError,
     DiscreteHMM,
     LinearGaussianModel,
+    ModelValidationError,
     ObservationSeries,
     OptimizerReport,
     ParameterVector,
@@ -18,14 +19,19 @@ from ssmkit import (
     fit_em,
     fit_mle,
     forward_filter,
+    kalman_filter,
     nelder_mead,
     negative_loglik,
     pack,
     simulate_hmm,
+    simulate_lgssm,
     unpack,
 )
 
 BENCH = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
+SCALAR = LinearGaussianModel(
+    A=[[0.9]], C=[[1.0]], Q=[[0.19]], R=[[0.5]], mu0=[0.0], Sigma0=[[1.0]]
+)
 
 
 def sym(values):
@@ -224,6 +230,66 @@ class TestNegativeLoglik:
         )
         obs = real([0.5, -0.2, 0.9])
         assert negative_loglik(pack(lg), obs) == -kalman_filter(lg, obs).log_likelihood
+
+
+class TestInvalidTrialPoints:
+    # A trial point that gives no valid model scores +inf in both
+    # negative_loglik and fit_mle, whichever check rejects it; a fault in
+    # the series raises.
+
+    @staticmethod
+    def with_r_coordinate(value):
+        # Coordinate 3 of the scalar model is log of R's Cholesky factor.
+        theta = pack(SCALAR)
+        values = theta.values.copy()
+        values[3] = value
+        return ParameterVector(values, theta.family, theta.shape)
+
+    def test_r_that_underflows_scores_inf(self):
+        # exp(-400) squared underflows to R = 0, which the constructor
+        # accepts and the filter's require_valid rejects.
+        theta = self.with_r_coordinate(-400.0)
+        obs = real([0.5, -0.2, 0.9])
+        with pytest.raises(ModelValidationError, match="R is not positive definite"):
+            kalman_filter(unpack(theta), obs)
+        assert negative_loglik(theta, obs) == np.inf
+
+    def test_r_that_overflows_scores_inf(self):
+        theta = self.with_r_coordinate(800.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ModelValidationError, match="R must be finite"):
+                unpack(theta)
+            assert negative_loglik(theta, real([0.5, -0.2, 0.9])) == np.inf
+
+    @pytest.mark.parametrize("r0, step", [(1e-300, 100.0), (1e-250, 200.0)])
+    def test_fit_steps_over_a_singular_r(self, r0, step):
+        # From a tiny R, a large simplex step in R's coordinate reaches
+        # points where R underflows to zero.
+        _, y = simulate_lgssm(SCALAR, 50, SeededGenerator(1))
+        start = LinearGaussianModel(
+            A=SCALAR.A, C=SCALAR.C, Q=SCALAR.Q, R=[[r0]], mu0=SCALAR.mu0, Sigma0=SCALAR.Sigma0
+        )
+        with np.errstate(over="ignore"):
+            fitted, report = fit_mle(start, y, max_iter=200, step=step, free_blocks=("R", "Q"))
+        assert np.isfinite(report.final_value)
+        assert report.final_value <= negative_loglik(pack(start), y)
+        assert report.final_value == -kalman_filter(fitted, y).log_likelihood
+
+    @pytest.mark.parametrize(
+        "model, obs, error",
+        [
+            (BENCH, sym([0, 2]), ModelValidationError),
+            (BENCH, sym([]), ValueError),
+            (SCALAR, real(np.zeros((3, 2))), ModelValidationError),
+            (SCALAR, real(np.zeros((0, 1))), ValueError),
+        ],
+        ids=["alphabet", "empty-symbols", "dimension", "empty-rows"],
+    )
+    def test_series_faults_raise(self, model, obs, error):
+        with pytest.raises(error):
+            negative_loglik(pack(model), obs)
+        with pytest.raises(error):
+            fit_mle(model, obs, max_iter=5)
 
 
 class TestNelderMead:

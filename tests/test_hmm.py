@@ -1015,7 +1015,10 @@ class TestForwardRowThatUnderflows:
     # 1e-170; in "rare prior and rare symbol" the first step needs state 1,
     # of prior 1e-200, and its symbol 0, of probability 1e-200.  The driver
     # forms the row again from mantissas and exponents, and the log
-    # normalizer is that of the product's true sum.
+    # normalizer is that of the product's true sum.  In "subnormal move"
+    # the second step needs the move 0 -> 2 of probability 5e-324, the
+    # smallest float: the prediction 0.4 * 5e-324 itself rounds to zero
+    # unless the row before it is scaled up first.
     MODELS = {
         "rare move and rare symbol": (
             DiscreteHMM(
@@ -1027,10 +1030,22 @@ class TestForwardRowThatUnderflows:
             DiscreteHMM([1.0, 1e-200], [[0.9, 0.1], [0.2, 0.8]], [[0.0, 1.0], [1e-200, 1.0]]),
             sym([0, 1]),
         ),
+        "subnormal move": (
+            DiscreteHMM(
+                [0.4, 0.6, 0.0],
+                [[1.0, 0.0, 5e-324], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            ),
+            sym([0, 1]),
+        ),
     }
     # Steps before the pattern, repeating its first symbol, and the symbol
     # after it, which every state emits with probability 1 or not at all.
-    LONG = {"rare move and rare symbol": (1100, 2), "rare prior and rare symbol": (0, 1)}
+    LONG = {
+        "rare move and rare symbol": (1100, 2),
+        "rare prior and rare symbol": (0, 1),
+        "subnormal move": (1100, 1),
+    }
 
     @staticmethod
     def forward(model, obs):
@@ -1083,6 +1098,44 @@ class TestForwardRowThatUnderflows:
         filtered[t_len - after :, : small.K] = predict_states(small, enum.filtered[-1], after)
         np.testing.assert_allclose(fwd.filtered, filtered, rtol=0, atol=1e-12)
         assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+
+    def test_subnormal_move_past_step_1024_on_scans(self, monkeypatch):
+        # The block of the pattern fails its scan's check and runs on the
+        # kernel, which goes on from the row after the rescued one; the
+        # blocks around it scan.
+        small, pattern = self.MODELS["subnormal move"]
+        offset, last = self.LONG["subnormal move"]
+        y = np.concatenate([np.zeros(offset, int), pattern.values, np.full(200, last)])
+        starts = kernel_blocks(monkeypatch)
+        fwd = self.forward(small, sym(y))
+        assert starts == [1 + offset // hmm._SCAN_BLOCK * hmm._SCAN_BLOCK, offset + 2]
+        enum = exact_posterior_enumeration(small, pattern)
+        filtered = np.zeros((len(y), small.K))
+        filtered[: offset + 1] = enum.filtered[0]
+        filtered[offset + 1 :] = enum.filtered[1]
+        np.testing.assert_allclose(fwd.filtered, filtered, rtol=0, atol=1e-12)
+        assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+
+    def test_subnormal_move_decodes_to_enumeration(self):
+        small, pattern = self.MODELS["subnormal move"]
+        enum = exact_posterior_enumeration(small, pattern)
+        path, log_joint = viterbi(small, pattern)
+        assert path.states.tolist() == [0, 2]
+        assert log_joint == enum.map_log_joint == enum.log_likelihood
+
+    @pytest.mark.parametrize("k", [3, hmm._SCAN_MAX_K + 1])
+    @pytest.mark.parametrize("offset", [0, 1100])
+    def test_smoothing_the_subnormal_move_raises(self, k, offset):
+        # A known defect: the forward pass holds the only path, but the
+        # smoothed row before the move, filtered * (backward row @ A.T),
+        # rounds 0.4 * 5e-324 to zero, so no smoothed rows come back.
+        small, pattern = self.MODELS["subnormal move"]
+        model = small if k == small.K else padded(small, k)
+        after = np.ones(200 if offset else 0, int)
+        y = np.concatenate([np.zeros(offset, int), pattern.values, after])
+        fwd = self.forward(model, sym(y))
+        with pytest.raises(NumericalError, match=f"t={offset + 1} "):
+            backward_smooth(model, sym(y), fwd)
 
 
 class TestForwardFilterMemory:
