@@ -110,13 +110,17 @@ def _cov_to_coords(cov: np.ndarray, name: str) -> np.ndarray:
 
 
 def _coords_to_cov(coords: np.ndarray, d: int) -> np.ndarray:
-    lower = np.zeros((d, d))
-    pos = 0
-    for i in range(d):
-        lower[i, :i] = coords[pos : pos + i]
-        lower[i, i] = np.exp(coords[pos + i])
-        pos += i + 1
-    return symmetrize(lower @ lower.T)
+    # An extreme coordinate overflows the factor or its square to inf, or
+    # NaN where inf meets zero or -inf; the model constructor rejects the
+    # covariance, so the warnings would only reach the caller.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = np.zeros((d, d))
+        pos = 0
+        for i in range(d):
+            lower[i, :i] = coords[pos : pos + i]
+            lower[i, i] = np.exp(coords[pos + i])
+            pos += i + 1
+        return symmetrize(lower @ lower.T)
 
 
 def _tri(d: int) -> int:

@@ -12,9 +12,10 @@ three ways, chosen by K and the series length alone (_block_fill).  Each
 row starts as its step's column e_t, and the per-step kernel finishes it
 in place (weight by the prediction, sum, divide, predict), the plain
 forward recursion's operations in their order.  Up to _SCAN_MAX_K
-states, each block is a prefix scan, checked row by row against one
-per-step recursion from the row before it; scanned rows agree with the
-kernel's within 1e-12 relative and keep exact zeros.  Above that size, a
+states, each block is a chunked prefix scan of linear work, checked row
+by row against one per-step recursion from the row before it; scanned
+rows agree with the kernel's within 1e-12 relative and keep exact zeros.
+A block that fails its check runs on the kernel.  Above that size, a
 long series runs on lanes: one batched recursion, with the kernel's
 operations in its order, runs every block at once, each block's lane
 from a uniform row some steps before it.  The filter forgets where it
@@ -85,12 +86,22 @@ ENUMERATION_GUARD = 10**6
 # Models with at most this many states fill the blocks of the forward and
 # backward passes by prefix scans: measured faster than the per-step kernel
 # at every series length up to this K, while at K = 9 and 10 the backward
-# scan was no faster than the kernel.
+# scan of O(K^3 log n) work was no faster than the kernel.  Above it, the
+# passes equal the kernel's byte for byte.
 _SCAN_MAX_K = 8
-# Steps per block of a pass filled by scans or by the kernel alone; a
-# scanned block's partial products take _SCAN_BLOCK * K * K floats, and a
-# Viterbi block's gathered log emission columns _SCAN_BLOCK * K.
-_SCAN_BLOCK = 512
+# Steps per block of a pass filled by scans or by the kernel alone.  A scan
+# does linear work, so its fixed cost per block dominates: one block covers
+# the benchmark's series of 2000 steps.  A block that fails its scan's
+# check reruns all its steps on the kernel.  A scanned block's products
+# take about _SCAN_BLOCK * K * K floats, and a Viterbi block's gathered log
+# emission columns _SCAN_BLOCK * K.  Kernel and Viterbi blocks go on from
+# the row or deltas before them, so only scanned rows depend on this size.
+_SCAN_BLOCK = 2048
+# Steps per chunk of a scan (_scan_block): _SCAN_CHUNK - 1 batched products
+# within the chunks, then a scan over _SCAN_BLOCK / _SCAN_CHUNK chunk totals.
+# On a block of 2047 rows at K = 2..8 (one BLAS thread), chunks of 8, 12 and
+# 16 took within 10% of each other's time, and chunks of 4 up to twice it.
+_SCAN_CHUNK = 8
 # Largest relative difference, entry by entry, between a scanned row and
 # one per-step recursion from the row before it that _scan_block accepts.
 _SCAN_RTOL = 1e-12
@@ -398,39 +409,65 @@ def _scan_block(
     """Fill rows[lo:hi] from rows[lo - 1] by a prefix scan, and check it.
 
     Row t becomes rows[lo - 1] @ F_lo @ ... @ F_t scaled to sum to one,
-    where F_s = matrix @ diag(cols[s - lo]).  Inclusive Hillis-Steele scan:
-    at stride d = 1, 2, 4, ... every partial product is multiplied by the
-    one d steps before it, so a block of n steps takes ceil(log2(n))
-    batched matmuls.  Each partial product is rescaled to unit sum, so a
-    product over many steps does not underflow as a whole.  The carry
-    enters through the first factor, whose rows all become
-    rows[lo - 1] @ F_lo: every row of a prefix product is then the wanted
-    row.
+    where F_s = matrix @ diag(cols[s - lo]).  The scan is chunked, reduce
+    then propagate (Blelloch 1990), so a block of n steps takes O(n)
+    matrix products:
+    1. The factors are laid out chunk-major, (_SCAN_CHUNK, chunks, K, K),
+       the last chunk padded with identities, and _SCAN_CHUNK - 1 batched
+       matmuls form every chunk's prefix products at once.
+    2. An inclusive Hillis-Steele scan over the chunk totals, but the
+       last, gives each chunk the product of all factors before it.
+    3. Each chunk's rows are its carry row @ its prefix products: one
+       batched vector-matrix product over the block.
+    Every product is rescaled to unit sum, so a product over many steps
+    does not underflow as a whole.  The carry enters through the first
+    factor, whose rows all become rows[lo - 1] @ F_lo: every row of a
+    product that starts with it is then the wanted row, so chunk 0 needs
+    no carry, and the scanned totals give the later chunks theirs.
 
-    A partial product can still lose an entry that the per-step recursion
-    keeps, to zero or to a subnormal float, where its other entries are
-    far larger.  So each row is compared with one step of that recursion
-    from the row before it, (rows[t - 1] @ matrix) * cols[t - lo] scaled
-    to sum to one, whose sums go to sums[lo:hi].  Returns False when some
-    entry differs from its step by more than _SCAN_RTOL relative, which
-    includes an impossible step (NaN rows) and a lost entry.
+    A product can still lose an entry that the per-step recursion keeps,
+    to zero or to a subnormal float, where its other entries are far
+    larger.  So each row is compared with one step of that recursion from
+    the row before it, (rows[t - 1] @ matrix) * cols[t - lo] scaled to sum
+    to one, whose sums go to sums[lo:hi].  Returns False when some entry
+    differs from its step by more than _SCAN_RTOL relative, which includes
+    an impossible step (NaN rows) and a lost entry.
     """
     k = matrix.shape[0]
     ones = np.ones(k * k)
     n = hi - lo
-    # Flat entry (i, j) of F_s is matrix[i, j] * cols[s - lo, j]; gathering
-    # the columns k times over is faster than a broadcast multiply.
-    prods = np.multiply(cols[:, np.arange(k * k) % k], matrix.ravel(), order="C")
-    prods = prods.reshape(n, k, k)
-    prods[0] = rows[lo - 1] @ prods[0]
+    # A block shorter than a chunk is one chunk of its own length.
+    c = min(_SCAN_CHUNK, n)
+    m = -(-n // c)
+    # Step lo + j * c + i is chunk j's factor i, at [i, j]; flat entry
+    # (a, b) of F_s is matrix[a, b] * cols[s - lo, b], and tiling the
+    # columns k times over is faster than a broadcast multiply.
+    padded = np.zeros((m * c, k))
+    padded[:n] = cols
+    prods = np.tile(padded.reshape(m, c, k).transpose(1, 0, 2), k)
+    prods *= matrix.ravel()
+    prods = prods.reshape(c, m, k, k)
+    prods[n - (m - 1) * c :, m - 1] = np.eye(k)
+    prods[0, 0] = rows[lo - 1] @ prods[0, 0]
+    # Products go to joined first, so that no matmul writes over its input.
+    joined = np.empty((m, k, k))
+    joined_flat = joined.reshape(m, k * k)
+    for i in range(1, c):
+        np.matmul(prods[i - 1], prods[i], out=joined)
+        np.divide(joined, (joined_flat @ ones)[:, None, None], out=prods[i])
+    # Chunk 0's products start with the carry, so their row 0 is the row.
+    carries = np.zeros((m, 1, k))
+    carries[0, 0, 0] = 1.0
+    totals = prods[c - 1, :-1].copy()
     d = 1
-    while d < n:
-        joined = np.matmul(prods[:-d], prods[d:])
-        joined /= (joined.reshape(n - d, k * k) @ ones)[:, None, None]
-        prods[d:] = joined
+    while d < m - 1:
+        part = np.matmul(totals[:-d], totals[d:], out=joined[: m - 1 - d])
+        np.divide(part, (joined_flat[: m - 1 - d] @ ones)[:, None, None], out=totals[d:])
         d *= 2
+    carries[1:] = totals[:, :1]
+    scanned = np.matmul(carries, prods)
     out = rows[lo:hi]
-    out[...] = prods[:, 0]
+    out[...] = scanned.transpose(1, 0, 2, 3).reshape(m * c, k)[:n]
     out /= (out @ ones[:k])[:, None]
     step = rows[lo - 1 : hi - 1] @ matrix
     step *= cols
@@ -708,8 +745,10 @@ def baum_welch_step(
     new_initial /= new_initial.sum()
 
     trans_counts = smooth.pairwise.sum(axis=0) if len(y) > 1 else np.zeros((K, K))
-    emit_counts = np.zeros((K, M))
-    np.add.at(emit_counts.T, y, smooth.smoothed)
+    # Each state's expected symbol counts, summed over t in order.
+    emit_counts = np.array(
+        [np.bincount(y, weights=weights, minlength=M) for weights in smooth.smoothed.T]
+    )
     new_rows, held = [], []
     for counts, rows in ((trans_counts, model.transition), (emit_counts, model.emission)):
         # Rows with no expected occupancy keep the input rows.

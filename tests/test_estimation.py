@@ -1,6 +1,7 @@
 """Coordinate transforms, the simplex optimizer, and likelihood fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,40 @@ class TestInvalidTrialPoints:
             with pytest.raises(ModelValidationError, match="R must be finite"):
                 unpack(theta)
             assert negative_loglik(theta, real([0.5, -0.2, 0.9])) == np.inf
+
+    @pytest.mark.parametrize(
+        "coords",
+        [[800.0], [0.0, 1e200, 0.0], [0.0, 0.0, 800.0], [800.0, -1e200, 800.0]],
+        ids=["scalar", "off-diagonal", "last-diagonal", "inf-minus-inf"],
+    )
+    def test_a_covariance_that_overflows_warns_nothing(self, coords):
+        # The coordinates of R overflow its factor or its square to inf, or
+        # to NaN (inf - inf, inf * 0); the point scores +inf, and no
+        # warning reaches the caller.
+        d_y = 1 if len(coords) == 1 else 2
+        model = LinearGaussianModel(
+            A=[[0.9]], C=np.ones((d_y, 1)), Q=[[0.19]], R=np.eye(d_y), mu0=[0.0], Sigma0=[[1.0]]
+        )
+        theta = pack(model)
+        values = theta.values.copy()
+        # Layout: A, C, chol(Q), chol(R), ...
+        values[2 + d_y : 2 + d_y + len(coords)] = coords
+        point = ParameterVector(values, theta.family, theta.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelValidationError, match="R must be finite"):
+                unpack(point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert negative_loglik(point, real(np.zeros((3, d_y)))) == np.inf
+
+    def test_a_fit_that_steps_to_an_overflowing_r_warns_nothing(self):
+        # A simplex step of 800 in R's coordinate overflows exp.
+        _, y = simulate_lgssm(SCALAR, 50, SeededGenerator(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted, report = fit_mle(SCALAR, y, max_iter=200, step=800.0, free_blocks=("R", "Q"))
+        assert np.isfinite(report.final_value)
+        assert report.final_value == -kalman_filter(fitted, y).log_likelihood
 
     @pytest.mark.parametrize("r0, step", [(1e-300, 100.0), (1e-250, 200.0)])
     def test_fit_steps_over_a_singular_r(self, r0, step):

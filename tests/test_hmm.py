@@ -385,6 +385,24 @@ class TestBaumWelch:
         np.testing.assert_allclose(step.model.emission, want_emission, atol=1e-12)
         np.testing.assert_allclose(step.model.initial, enum.smoothed[0], atol=1e-12)
 
+    @pytest.mark.parametrize("k, m, t_len", [(1, 4, 40), (2, 5, 2000), (4, 9, 700), (10, 12, 1500)])
+    def test_emission_counts_sum_in_order(self, k, m, t_len):
+        # Expected symbol counts, each the sum of its smoothed entries over
+        # t in order, give the emission rows' bytes.  Only symbols below
+        # m - 3 occur, so the last three columns count nothing.
+        rng = np.random.default_rng(k * m)
+        model = random_hmm(rng, k, m)
+        obs = sym(rng.integers(0, m - 3, size=t_len))
+        smoothed = backward_smooth(model, obs, forward_filter(model, obs)).smoothed
+        counts = np.zeros((k, m))
+        for symbol, row in zip(obs.values, smoothed):
+            counts[:, symbol] += row
+        denoms = counts.sum(axis=1)[:, None]
+        emission = np.divide(counts, denoms, out=model.emission.copy(), where=denoms > 0.0)
+        got = baum_welch_step(model, obs).model.emission
+        assert got.tobytes() == emission.tobytes()
+        assert (got[:, m - 3 :] == 0.0).all()
+
     def test_loglik_never_decreases(self):
         rng = np.random.default_rng(15)
         model = random_hmm(rng, 3, 3)
@@ -701,6 +719,54 @@ class TestScanAgainstLoop:
         np.testing.assert_array_equal(smooth.pairwise == 0.0, loop_smooth.pairwise == 0.0)
 
 
+def chunk_lengths():
+    """Scanned rows per pass at and around the scan's chunk and block
+    sizes: one row, a chunk less or more one row, one chunk, two chunks
+    and a row, and a block two or one rows short or long."""
+    c, block = hmm._SCAN_CHUNK, hmm._SCAN_BLOCK
+    return [1, c - 1, c, c + 1, 2 * c + 1, block - 2, block - 1, block + 1, block + 2]
+
+
+class TestScanChunkBoundaries:
+    @pytest.mark.parametrize("rows", chunk_lengths())
+    @pytest.mark.parametrize("make", [random_hmm, sparse_hmm], ids=["dense", "zeros"])
+    @pytest.mark.parametrize("k", range(1, hmm._SCAN_MAX_K + 1))
+    def test_against_the_kernel(self, monkeypatch, k, make, rows):
+        # The forward pass scans rows 1..T-1, the backward pass one row less.
+        t_len = rows + 1
+        rng = np.random.default_rng(100 * k + rows)
+        model = make(rng, k, 3)
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(k + rows))
+        loop_fwd, loop_smooth = loop_passes(model, obs)
+        starts = kernel_blocks(monkeypatch)
+        fwd = forward_filter(model, obs)
+        smooth = backward_smooth(model, obs, fwd)
+        # A sparse model can decay an entry into the subnormal range, where
+        # the scan's check fails and the block runs on the kernel.
+        if make is random_hmm:
+            assert starts == []
+        for got, want in [
+            (fwd.filtered, loop_fwd.filtered),
+            (fwd.log_normalizers, loop_fwd.log_normalizers),
+            (smooth.smoothed, loop_smooth.smoothed),
+            (smooth.pairwise, loop_smooth.pairwise),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=TINY)
+            np.testing.assert_array_equal(got[want == 0.0], 0.0)
+        assert fwd.log_likelihood == pytest.approx(loop_fwd.log_likelihood, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    def test_an_impossible_observation_in_the_padded_last_chunk(self, offset):
+        # Rows 1..2c+3 scan in three chunks, the last holding three rows
+        # and padded with identities.
+        c = hmm._SCAN_CHUNK
+        t_len = 2 * c + 4
+        position = 2 * c + 1 + offset
+        y = np.arange(t_len) % 2
+        y[position] = 1 - y[position]
+        TestScanImpossibleObservation.check(ALTERNATING, y, None, position)
+
+
 def impossible_positions():
     block = hmm._SCAN_BLOCK
     t_len = 2 * block + 3
@@ -825,17 +891,32 @@ class TestScanDispatch:
 
     def test_a_block_product_that_underflows_runs_the_kernel(self, monkeypatch):
         # From state 0, symbol 1 needs the rare move 0 -> 1 and symbol 2
-        # then the rare move 1 -> 2: the scan's product over those two
-        # steps from state 0 is 1e-340, which underflows to zero, while
-        # each step of the kernel is normalized.
+        # then the rare move 1 -> 2.  At the first two steps of chunk 1
+        # the scan's within-chunk product over those steps starts from
+        # every state, not from the carry row: its entry for the path from
+        # state 0 is 1e-340, which underflows to zero beside the paths from
+        # states 1 and 2, while each step of the kernel is normalized.
         model = rare_moves(1e-170)
-        y = sym([0, 0, 0, 1, 2, 2, 1])
+        y = sym([0] * (1 + hmm._SCAN_CHUNK) + [1, 2, 2, 1])
         starts = kernel_blocks(monkeypatch)
         fwd = forward_filter(model, y)
         assert starts == [1]
         expected = kernel_forward(model, y)
         np.testing.assert_array_equal(fwd.filtered, expected.filtered)
         assert fwd.log_likelihood == expected.log_likelihood
+
+    def test_a_rare_pair_in_chunk_0_scans(self, monkeypatch):
+        # The same moves inside chunk 0, where the carry row enters the
+        # first factor: every product there is a normalized row, so
+        # nothing underflows and no block runs on the kernel.
+        model = rare_moves(1e-170)
+        y = sym([0, 0, 0, 1, 2, 2, 1])
+        starts = kernel_blocks(monkeypatch)
+        fwd = forward_filter(model, y)
+        assert starts == []
+        expected = kernel_forward(model, y)
+        np.testing.assert_allclose(fwd.filtered, expected.filtered, rtol=1e-12, atol=0)
+        assert fwd.log_likelihood == pytest.approx(expected.log_likelihood, rel=1e-12)
 
 
 class TestScanLostEntry:
