@@ -3,8 +3,9 @@
 Finite-state hidden Markov models get exact filtering, smoothing,
 prediction, Viterbi decoding, and Baum-Welch EM; linear-Gaussian models
 get the Kalman filter and RTS smoother; everything else runs through a
-bootstrap particle filter over user-supplied callbacks.  Estimation is
-exact-likelihood Nelder-Mead in unconstrained coordinates, and the
+bootstrap particle filter over user-supplied callbacks.  Estimation
+maximizes the exact likelihood in unconstrained coordinates (BFGS on the
+score for HMMs, Nelder-Mead for linear-Gaussian models), and the
 forgetting module measures how fast filters lose their initial condition.
 """
 

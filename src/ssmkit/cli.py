@@ -9,6 +9,7 @@ success, 1 usage error, 2 model or data error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,6 +40,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Parsing leaves the parser unchanged, so one parser serves every command
+# run in a process instead of being rebuilt for each.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ssmkit", description="state-space model inference")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,7 +69,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("fit", help="fit parameters by EM or Nelder-Mead MLE")
+    p = sub.add_parser("fit", help="fit parameters by EM or direct MLE")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=("em", "mle"), default=None)

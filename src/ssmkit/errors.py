@@ -68,7 +68,8 @@ class DegenerateCurveError(NumericalError):
 
 
 class SimplexInitError(NumericalError):
-    """Every vertex of the initial simplex evaluated to +inf."""
+    """The optimizer cannot start: every vertex of the initial simplex, or
+    the quasi-Newton start point, evaluated to +inf."""
 
 
 class EnumerationSizeError(SsmError):

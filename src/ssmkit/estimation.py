@@ -5,8 +5,11 @@ log-ratios against its last entry (the softmax inverse), and each
 covariance maps to its Cholesky factor with logged diagonal.  Both
 transforms cover only the interior of the parameter space; boundary models
 (zero probabilities, singular covariances) are rejected and must be fit by
-EM instead.  Optimization is derivative-free Nelder-Mead, on one objective
-(_objective) that owns which trial points score +inf.
+EM instead.  One objective (_objective) owns which trial points score +inf.
+
+A family with a score (the HMM: its log-likelihood gradient from one
+backward pass, by the Fisher identity) is fit by BFGS quasi-Newton descent;
+a family without one (linear-Gaussian) by derivative-free Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     NumericalError,
     SimplexInitError,
 )
-from .hmm import _check_symbols, forward_filter
+from .hmm import _check_symbols, _expected_counts, backward_smooth, forward_filter
 from .kalman import _check_rows, kalman_filter
 from .models import (
     DiscreteHMM,
@@ -59,14 +62,17 @@ class _Block:
 @dataclass(frozen=True)
 class _Family:
     """A model family: its class, its shape, the observation kind and check,
-    the filter of its likelihood, and its coordinate blocks in layout order,
-    keyed by the model field each one holds."""
+    the filter of its likelihood, its score (model, series and filter pass to
+    the log-likelihood gradient in each block's coordinates, keyed by block;
+    None where the family has none), and its coordinate blocks in layout
+    order, keyed by the model field each one holds."""
 
     cls: type
     shape: Callable[[Any], tuple[int, int]]
     kind: str
     check: Callable[[ObservationSeries, int], np.ndarray]
     filter: Callable
+    score: Callable | None
     blocks: dict[str, _Block]
 
 
@@ -127,9 +133,28 @@ def _tri(d: int) -> int:
     return d * (d + 1) // 2
 
 
+def _rows_score(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # The gradient of sum_j c_j log p_j in each row's log-ratios: c - n p,
+    # with n the row's total count, last column dropped.
+    return (counts - counts.sum(axis=1, keepdims=True) * rows)[:, :-1].ravel()
+
+
+def _hmm_score(model: DiscreteHMM, obs: ObservationSeries, forward) -> dict[str, np.ndarray]:
+    # Fisher identity: the log-likelihood gradient is the expected gradient
+    # of the complete-data log-likelihood, whose counts one backward pass
+    # gives (Cappe, Moulines & Ryden 2005, ch. 10).
+    smooth = backward_smooth(model, obs, forward)
+    first, transitions, emissions = _expected_counts(model, obs.values, smooth)
+    return {
+        "initial": _rows_score(first[None], model.initial[None]),
+        "transition": _rows_score(transitions, model.transition),
+        "emission": _rows_score(emissions, model.emission),
+    }
+
+
 # Block sizes and inverse maps take the shape, (K, M) or (d_x, d_y).  The
-# filters are looked up at call time, so a wrapped module binding sees every
-# likelihood evaluation.
+# filters and the backward pass of the score are looked up at call time, so
+# a wrapped module binding sees every likelihood evaluation.
 _FAMILIES = {
     "discrete-hmm": _Family(
         DiscreteHMM,
@@ -137,6 +162,7 @@ _FAMILIES = {
         "symbolic",
         _check_symbols,
         lambda model, obs: forward_filter(model, obs),
+        _hmm_score,
         {
             "initial": _Block(
                 lambda k, m: k - 1, _row_to_coords, lambda v, k, m: _coords_to_rows(v, 1)[0]
@@ -155,6 +181,7 @@ _FAMILIES = {
         "real",
         _check_rows,
         lambda model, obs: kalman_filter(model, obs),
+        None,
         {
             "A": _Block(
                 lambda x, y: x * x, lambda a, _: a.ravel(), lambda v, x, y: v.reshape(x, x)
@@ -229,8 +256,16 @@ class ParameterVector:
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    """Outcome of a Nelder-Mead run.  converged means the simplex value
-    spread fell below the tolerance before the iteration budget ran out."""
+    """Outcome of an optimizer run.  converged is simplex_spread < tol,
+    reached before the iteration budget ran out.
+
+    Nelder-Mead: iterations counts simplex updates and simplex_spread is the
+    spread between the best and worst vertex values.  Quasi-Newton (fit_mle
+    on a family with a score): iterations counts accepted steps, each of
+    which lowered the objective, and simplex_spread is the larger of the
+    last accepted decrease and the decrease g.Hg/2 that the next step
+    predicts (0 where no step along the steepest descent lowers the value).
+    """
 
     argmin: np.ndarray
     final_value: float
@@ -288,21 +323,42 @@ def negative_loglik(theta: ParameterVector, obs: ObservationSeries) -> float:
     return _objective(family, theta.shape, layout, {}, obs)(theta.values)
 
 
-def _objective(family: _Family, shape, layout, fixed: dict, obs: ObservationSeries):
+def _objective(
+    family: _Family, shape, layout, fixed: dict, obs: ObservationSeries, gradient: bool = False
+):
     """The negative log-likelihood of the coordinates of the blocks in
-    layout, fixed holding the other fields.  The series is checked first,
-    once, so that its faults raise.  A point scores +inf where a constructor
-    or require_valid rejects its model or the filter raises NumericalError."""
+    layout, fixed holding the other fields; with gradient, the pair of it
+    and its gradient from the family's score.  The series is checked first,
+    once, so that its faults raise.  A point scores +inf, with a zero
+    gradient, where a constructor or require_valid rejects its model or the
+    filter or the score raises NumericalError."""
     family.check(obs, shape[1])
 
-    def negative_loglik(x: np.ndarray) -> float:
+    def negative_loglik(x: np.ndarray):
         try:
             model = _unpack_blocks(x, family, shape, layout, fixed)
-            return -family.filter(model, obs).log_likelihood
+            forward = family.filter(model, obs)
+            if not gradient:
+                return -forward.log_likelihood
+            score = family.score(model, obs, forward)
         except (ModelValidationError, NumericalError):
-            return np.inf
+            return (np.inf, np.zeros_like(x)) if gradient else np.inf
+        return -forward.log_likelihood, -np.concatenate([score[name] for name, *_ in layout])
 
     return negative_loglik
+
+
+def _checked_start(x0, step: float, tol: float, max_iter: int) -> np.ndarray:
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or x0.size < 1:
+        raise ValueError("x0 must be a nonempty vector")
+    return x0
 
 
 def nelder_mead(
@@ -320,15 +376,7 @@ def nelder_mead(
     Objective values of NaN are treated as +inf; if every vertex of the
     initial simplex is +inf the run cannot start.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.size < 1:
-        raise ValueError("x0 must be a nonempty vector")
+    x0 = _checked_start(x0, step, tol, max_iter)
     d = x0.shape[0]
 
     def f(x: np.ndarray) -> float:
@@ -388,6 +436,74 @@ def nelder_mead(
     )
 
 
+def _quasi_newton(fg, x0, step: float, tol: float, max_iter: int) -> OptimizerReport:
+    """BFGS descent on fg(x) -> (value, gradient), dense inverse Hessian H.
+
+    Each step backtracks from the full step -H.g by halving until the
+    Armijo test (c1 = 1e-4) passes; +inf and NaN fail it.  A steepest
+    descent trial (the first, and after each restart) moves at most step in
+    any coordinate.  H restarts from the identity where -H.g is not a
+    descent direction or no point along it passes; the first update after a
+    (re)start scales H by s.y / y.y, and an update with s.y <= 0 is skipped.
+    The run converges once the last accepted decrease and the predicted
+    decrease g.Hg/2 are both below tol, and stops after max_iter accepted
+    steps.  A start that scores +inf cannot start.
+    """
+    x = _checked_start(x0, step, tol, max_iter)
+    f, g = fg(x)
+    if not f < np.inf:
+        raise SimplexInitError("objective is +inf at the start point")
+    identity = np.eye(x.shape[0])
+    h, fresh = identity, True
+    iterations, decrease = 0, np.inf
+    while True:
+        d = -(h @ g)
+        slope = float(g @ d)
+        if not (fresh or slope < 0.0):
+            h, fresh = identity, True
+            continue
+        predicted = -0.5 * slope
+        if (decrease < tol and predicted < tol) or iterations == max_iter:
+            break
+        accepted = False
+        if -np.inf < slope < 0.0:
+            t = min(1.0, step / float(np.max(np.abs(d)))) if fresh else 1.0
+            while not accepted and np.any(x + t * d != x):
+                trial = x + t * d
+                f_trial, g_trial = fg(trial)
+                accepted = f_trial <= f + 1e-4 * t * slope
+                t *= 0.5
+        if not accepted:
+            if fresh:
+                # No point along the steepest descent lowers the value.
+                decrease = 0.0
+                break
+            h, fresh = identity, True
+            continue
+        s, y = trial - x, g_trial - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if fresh:
+                h, fresh = (sy / float(y @ y)) * identity, False
+            hy = h @ y
+            h = h + ((sy + float(y @ hy)) / sy**2) * np.outer(s, s) - (
+                np.outer(hy, s) + np.outer(s, hy)
+            ) / sy
+        decrease = f - f_trial
+        x, f, g = trial, f_trial, g_trial
+        iterations += 1
+    spread = float(np.maximum(decrease, predicted))
+    if np.isnan(spread):
+        spread = np.inf
+    return OptimizerReport(
+        argmin=x.copy(),
+        final_value=float(f),
+        iterations=iterations,
+        converged=spread < tol,
+        simplex_spread=spread,
+    )
+
+
 def fit_mle(
     model0,
     obs: ObservationSeries,
@@ -396,13 +512,22 @@ def fit_mle(
     step: float = 0.25,
     free_blocks: tuple[str, ...] | None = None,
 ) -> tuple:
-    """Maximize the exact likelihood by Nelder-Mead in coordinates.
+    """Maximize the exact likelihood in coordinates.
 
     model0 fixes the family, the shapes, and the start point.  free_blocks
     selects which parameter blocks are optimized (default: all); blocks
     left out keep their values from model0, which allows boundary values
     such as a zero covariance to stay pinned while interior blocks move.
     The fitted model's log-likelihood never falls below the start's.
+
+    Discrete HMMs have a score, so they are fit by BFGS quasi-Newton
+    descent: each evaluation runs the forward and backward passes, step
+    bounds the first trial move in every coordinate, max_iter bounds the
+    accepted steps, and tol bounds both the last accepted decrease and the
+    predicted one.  Linear-Gaussian models are fit by nelder_mead: step is
+    the initial simplex edge, max_iter bounds the simplex updates, and tol
+    bounds the spread of the simplex values.  The report's fields are read
+    as OptimizerReport describes for each path.
     """
     require_valid(model0)
     name, family = _family_of(model0, "fit")
@@ -420,7 +545,9 @@ def fit_mle(
     if x0.size == 0:
         raise ValueError("no free blocks to optimize")
     fixed = {field: getattr(model0, field) for field in all_blocks if field not in blocks}
-    objective = _objective(family, shape, layout, fixed, obs)
-    report = nelder_mead(objective, x0, step=step, tol=tol, max_iter=max_iter)
+    scored = family.score is not None
+    objective = _objective(family, shape, layout, fixed, obs, gradient=scored)
+    optimize = _quasi_newton if scored else nelder_mead
+    report = optimize(objective, x0, step, tol, max_iter)
     fitted = _unpack_blocks(report.argmin, family, shape, layout, fixed)
     return fitted, report

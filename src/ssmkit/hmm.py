@@ -719,6 +719,21 @@ def _viterbi_lanes(
     return befores, ends, maxima
 
 
+def _expected_counts(
+    model: DiscreteHMM, y: np.ndarray, smooth: SmoothedSequence
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The E-step's expected counts: smoothed row 1 (a view), the K x K
+    expected transition counts and the K x M expected symbol counts, for
+    the symbols y that smooth was run on."""
+    K, M = model.K, model.M
+    trans_counts = smooth.pairwise.sum(axis=0) if len(y) > 1 else np.zeros((K, K))
+    # Each state's expected symbol counts, summed over t in order.
+    emit_counts = np.array(
+        [np.bincount(y, weights=weights, minlength=M) for weights in smooth.smoothed.T]
+    )
+    return smooth.smoothed[0], trans_counts, emit_counts
+
+
 def baum_welch_step(
     model: DiscreteHMM,
     obs: ObservationSeries,
@@ -739,16 +754,11 @@ def baum_welch_step(
     if forward is None:
         forward = forward_filter(model, obs)
     smooth = backward_smooth(model, obs, forward)
-    K, M = model.K, model.M
+    first, trans_counts, emit_counts = _expected_counts(model, y, smooth)
 
-    new_initial = smooth.smoothed[0].copy()
+    new_initial = first.copy()
     new_initial /= new_initial.sum()
 
-    trans_counts = smooth.pairwise.sum(axis=0) if len(y) > 1 else np.zeros((K, K))
-    # Each state's expected symbol counts, summed over t in order.
-    emit_counts = np.array(
-        [np.bincount(y, weights=weights, minlength=M) for weights in smooth.smoothed.T]
-    )
     new_rows, held = [], []
     for counts, rows in ((trans_counts, model.transition), (emit_counts, model.emission)):
         # Rows with no expected occupancy keep the input rows.

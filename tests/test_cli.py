@@ -15,6 +15,7 @@ from ssmkit import (
     backward_smooth,
     bootstrap_filter,
     fit_em,
+    fit_mle,
     fixed_lag_smoother,
     forward_filter,
     kalman_filter,
@@ -25,6 +26,7 @@ from ssmkit import (
     parse_model,
     rts_smoother,
     run_command,
+    simulate_hmm,
     write_model,
     write_series,
 )
@@ -314,6 +316,31 @@ class TestFit:
         fitted = parse_model(out)
         assert isinstance(fitted, LinearGaussianModel)
 
+    def test_mle_on_hmm_reports_accepted_steps(self, capsys, tmp_path, hmm_model):
+        # iterations counts the quasi-Newton steps taken, and converged
+        # says the last and predicted decreases fell below --tol.
+        _, obs = simulate_hmm(HMM, 200, SeededGenerator(3))
+        data = str(tmp_path / "long.csv")
+        write_series(data, obs)
+        out = str(tmp_path / "fitted.json")
+        summaries = {}
+        for max_iter in (2, 500):
+            code, summary = run(capsys, ["fit", "--model", hmm_model, "--data", data,
+                                         "--method", "mle", "--tol", "1e-6",
+                                         "--max-iter", str(max_iter), "--out", out])
+            assert code == 0
+            _, report = fit_mle(HMM, obs, tol=1e-6, max_iter=max_iter)
+            assert summary["iterations"] == report.iterations
+            assert summary["converged"] == report.converged == (report.simplex_spread < 1e-6)
+            assert summary["log_likelihood"] == -report.final_value
+            assert forward_filter(parse_model(out), obs).log_likelihood == pytest.approx(
+                -report.final_value, rel=1e-12
+            )
+            summaries[max_iter] = summary
+        assert (summaries[2]["iterations"], summaries[2]["converged"]) == (2, False)
+        assert summaries[500]["converged"]
+        assert 2 < summaries[500]["iterations"] < 500
+
     def test_em_on_gaussian_is_usage_error(self, capsys, tmp_path, lg_model,
                                            lg_data):
         code, _ = run(capsys, ["fit", "--model", lg_model, "--data", lg_data,
@@ -523,6 +550,42 @@ class TestExitCodes:
         code, _ = run(capsys, ["filter", "--model", hmm_model, "--data",
                                hmm_data, "--out", out])
         assert code == 2
+
+
+class TestParserCache:
+    def test_cached_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, tmp_path,
+                                                  hmm_model, hmm_data, lg_model, lg_data):
+        # One parser serves every command of a process; commands, help,
+        # usage errors and unknown commands come out as from a new parser.
+        sim = str(tmp_path / "sim.csv")
+        commands = [
+            ["simulate", "--model", hmm_model, "--T", "20", "--seed", "4", "--out", sim],
+            ["filter", "--model", hmm_model, "--data", sim],
+            ["--help"],
+            ["smooth", "--help"],
+            ["fit", "--model", lg_model, "--data", lg_data, "--max-iter", "20",
+             "--out", str(tmp_path / "fit.json")],
+            ["filter", "--model", hmm_model],
+            ["predict", "--model", hmm_model, "--data", hmm_data, "--k", "x",
+             "--out", str(tmp_path / "p.csv")],
+            ["transmogrify"],
+            ["loglik", "--model", hmm_model, "--data", hmm_data],
+        ]
+
+        def answers():
+            out = []
+            for argv in commands:
+                code = run_command(argv)
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        assert cli._build_parser() is cli._build_parser()
+        cached = answers()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = answers()
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 1, 1, 1, 0]
 
 
 class TestConsoleScript:

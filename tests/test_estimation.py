@@ -1,11 +1,16 @@
 """Coordinate transforms, the simplex optimizer, and likelihood fitting."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from ssmkit import estimation
+from ssmkit.estimation import HMM_BLOCKS
 from ssmkit import (
     BoundaryParameterError,
     DiscreteHMM,
@@ -15,7 +20,9 @@ from ssmkit import (
     OptimizerReport,
     ParameterVector,
     SeededGenerator,
+    NumericalError,
     SimplexInitError,
+    backward_smooth,
     exact_posterior_enumeration,
     fit_em,
     fit_mle,
@@ -481,3 +488,248 @@ class TestFitMle:
         assert negative_loglik(pack(model), obs) == pytest.approx(
             negative_loglik(pack(permuted), obs), abs=1e-12
         )
+
+
+def scored_objective(model, obs, blocks):
+    """The fit's value-and-gradient objective over blocks, and its start."""
+    family = estimation._FAMILIES["discrete-hmm"]
+    shape = (model.K, model.M)
+    layout = estimation._layout(family, shape, blocks)
+    fixed = {name: getattr(model, name) for name in HMM_BLOCKS if name not in blocks}
+    x0 = estimation._pack_blocks(model, layout)
+    return estimation._objective(family, shape, layout, fixed, obs, gradient=True), x0
+
+
+def central_differences(model, obs, blocks, h=1e-5):
+    """Central differences of negative_loglik in the coordinates of blocks,
+    in the order given, from the full coordinate vector."""
+    theta = pack(model)
+    family = estimation._FAMILIES["discrete-hmm"]
+    spans = {
+        name: range(i, j)
+        for name, _, i, j in estimation._layout(family, theta.shape, HMM_BLOCKS)
+    }
+    out = []
+    for name in blocks:
+        for i in spans[name]:
+            up, down = theta.values.copy(), theta.values.copy()
+            up[i] += h
+            down[i] -= h
+            f_up = negative_loglik(ParameterVector(up, theta.family, theta.shape), obs)
+            f_down = negative_loglik(ParameterVector(down, theta.family, theta.shape), obs)
+            out.append((f_up - f_down) / (2 * h))
+    return np.array(out)
+
+
+class TestHmmScore:
+    # The score is the exact gradient of the log-likelihood in pack
+    # coordinates (Fisher identity), so it matches central differences of
+    # negative_loglik, and it vanishes where EM has converged.
+
+    # Every (K, M, free blocks) with at least one coordinate: K = 1 has no
+    # initial or transition coordinates, M = 1 no emission coordinates.
+    CASES = [
+        (k, m, blocks)
+        for k in (1, 2, 3, 4)
+        for m in (1, 3)
+        for blocks in (HMM_BLOCKS, ("emission",), ("transition", "emission"), ("initial",))
+        if k > 1 and blocks != ("emission",) or m > 1 and "emission" in blocks
+    ]
+
+    @pytest.mark.parametrize(
+        "k, m, blocks", CASES, ids=[f"K{k}-M{m}-{'-'.join(b)}" for k, m, b in CASES]
+    )
+    def test_matches_central_differences(self, k, m, blocks):
+        rng = np.random.default_rng(1000 * k + 10 * m + len(blocks))
+        model = random_interior_hmm(rng, k, m)
+        obs = sym(rng.integers(0, m, size=60))
+        fg, x0 = scored_objective(model, obs, blocks)
+        value, gradient = fg(x0)
+        assert value == pytest.approx(negative_loglik(pack(model), obs), rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(
+            gradient, central_differences(model, obs, blocks), rtol=1e-5, atol=1e-8
+        )
+
+    def test_vanishes_at_an_em_fixed_point(self):
+        _, obs = simulate_hmm(BENCH, 300, SeededGenerator(71))
+        start = DiscreteHMM([0.6, 0.4], [[0.7, 0.3], [0.4, 0.6]], [[0.6, 0.4], [0.3, 0.7]])
+        fitted, _ = fit_em(start, obs, tol=1e-12, max_iter=100_000)
+        _, gradient = scored_objective(fitted, obs, HMM_BLOCKS)[0](pack(fitted).values)
+        assert np.max(np.abs(gradient)) < 1e-5
+
+
+def quasi_newton(fg, x0, step=0.5, tol=1e-10, max_iter=1000):
+    return estimation._quasi_newton(fg, x0, step, tol, max_iter)
+
+
+def rosenbrock(x):
+    value = (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+    gradient = np.array(
+        [-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2), 200 * (x[1] - x[0] ** 2)]
+    )
+    return value, gradient
+
+
+class TestQuasiNewton:
+    def test_quadratic_bowl(self):
+        target = np.array([1.0, -2.0, 3.0])
+        scales = np.array([1.0, 10.0, 0.1])
+
+        def bowl(x):
+            return float(np.sum(scales * (x - target) ** 2)), 2 * scales * (x - target)
+
+        report = quasi_newton(bowl, np.zeros(3))
+        assert report.converged
+        assert report.simplex_spread < 1e-10
+        np.testing.assert_allclose(report.argmin, target, atol=1e-5)
+
+    def test_rosenbrock(self):
+        report = quasi_newton(rosenbrock, [-1.2, 1.0], tol=1e-14)
+        assert report.converged
+        np.testing.assert_allclose(report.argmin, [1.0, 1.0], atol=1e-5)
+        assert report.final_value == rosenbrock(report.argmin)[0]
+
+    def test_budget_exhaustion_reported(self):
+        start = rosenbrock(np.array([-1.2, 1.0]))[0]
+        report = quasi_newton(rosenbrock, [-1.2, 1.0], tol=1e-15, max_iter=3)
+        assert not report.converged
+        assert report.iterations == 3
+        assert report.simplex_spread >= 1e-15
+        assert report.final_value < start
+
+    def test_first_move_bounded_by_step(self):
+        seen = []
+
+        def steep(x):
+            seen.append(x.copy())
+            return float(50.0 * x @ x), 100.0 * x
+
+        quasi_newton(steep, [1.0, -2.0], step=0.25, max_iter=1)
+        assert np.max(np.abs(seen[1] - seen[0])) == pytest.approx(0.25, rel=1e-12)
+
+    def test_a_small_first_decrease_does_not_stop_the_run(self):
+        # The first move, bounded to 1e-6, lowers x.x by about 4e-6, below
+        # tol; the decrease the next step predicts is not, so the run goes on.
+        def bowl(x):
+            return float(x @ x), 2 * x
+
+        report = quasi_newton(bowl, [1.0, 1.0], step=1e-6, tol=1e-5)
+        assert report.converged
+        assert report.iterations > 1
+        np.testing.assert_allclose(report.argmin, [0.0, 0.0], atol=1e-6)
+
+    def test_backtracks_out_of_an_infinite_region(self):
+        # Everything past x = 0.5 scores +inf; the unbounded first move of
+        # 2.0 lands there, and halving brings the trial back.
+        def walled(x):
+            if x[0] > 0.5:
+                return np.inf, np.zeros(1)
+            return float((x[0] - 0.4) ** 2), 2 * (x - 0.4)
+
+        report = quasi_newton(walled, [-1.0], step=2.0)
+        assert report.converged
+        assert report.argmin[0] == pytest.approx(0.4, abs=1e-5)
+
+    def test_nan_gradient_stops_unconverged(self):
+        report = quasi_newton(lambda x: (1.0, np.full(1, np.nan)), [0.0])
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.simplex_spread == np.inf
+
+    def test_stationary_start_converges_immediately(self):
+        report = quasi_newton(lambda x: (7.0, np.zeros(2)), [1.0, 2.0])
+        assert report.converged
+        assert report.iterations == 0
+        assert report.final_value == 7.0
+        np.testing.assert_array_equal(report.argmin, [1.0, 2.0])
+
+    def test_infinite_start_rejected(self):
+        with pytest.raises(SimplexInitError):
+            quasi_newton(lambda x: (np.inf, np.zeros(2)), [0.0, 0.0])
+
+    def test_deterministic(self):
+        def bumpy(x):
+            value = float(np.sum(x**2) + 0.1 * np.sin(5 * x[0]))
+            return value, 2 * x + np.array([0.5 * np.cos(5 * x[0]), 0.0])
+
+        a = quasi_newton(bumpy, [2.0, -1.0])
+        b = quasi_newton(bumpy, [2.0, -1.0])
+        assert a.argmin.tobytes() == b.argmin.tobytes()
+        assert (a.final_value, a.iterations, a.simplex_spread) == (
+            b.final_value,
+            b.iterations,
+            b.simplex_spread,
+        )
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            quasi_newton(rosenbrock, [1.0, 1.0], step=0.0)
+        with pytest.raises(ValueError):
+            quasi_newton(rosenbrock, [1.0, 1.0], tol=0.0)
+        with pytest.raises(ValueError):
+            quasi_newton(rosenbrock, [1.0, 1.0], max_iter=0)
+
+
+class TestFitMleByScore:
+    def test_matches_nelder_mead_on_criterion_5(self):
+        # The HMM series and start of acceptance criterion 5.
+        _, obs = simulate_hmm(BENCH, 200, SeededGenerator(55002))
+        start = DiscreteHMM([0.5, 0.5], [[0.7, 0.3], [0.3, 0.7]], [[0.7, 0.3], [0.3, 0.7]])
+        fitted, report = fit_mle(start, obs, tol=1e-10, max_iter=4000)
+        assert report.converged
+        objective, x0 = scored_objective(start, obs, HMM_BLOCKS)
+        simplex = nelder_mead(lambda x: objective(x)[0], x0, step=0.25, tol=1e-10, max_iter=20_000)
+        assert simplex.converged
+        assert report.final_value == pytest.approx(simplex.final_value, abs=1e-6)
+        assert report.final_value == -forward_filter(fitted, obs).log_likelihood
+
+    def test_iterations_and_convergence(self):
+        _, obs = simulate_hmm(BENCH, 200, SeededGenerator(7))
+        start = DiscreteHMM([0.5, 0.5], [[0.7, 0.3], [0.3, 0.7]], [[0.7, 0.3], [0.3, 0.7]])
+        start_value = negative_loglik(pack(start), obs)
+        _, short = fit_mle(start, obs, tol=1e-6, max_iter=2)
+        assert (short.iterations, short.converged) == (2, False)
+        assert short.simplex_spread >= 1e-6
+        _, full = fit_mle(start, obs, tol=1e-6, max_iter=500)
+        assert full.converged and full.simplex_spread < 1e-6
+        assert full.iterations < 500
+        assert full.final_value < short.final_value < start_value
+
+    def test_a_failing_backward_pass_scores_inf(self, monkeypatch):
+        # One trial point's backward pass raises NumericalError; the point
+        # scores +inf and the line search steps back from it.
+        _, obs = simulate_hmm(BENCH, 150, SeededGenerator(606))
+        start = random_interior_hmm(np.random.default_rng(55), 2, 2)
+        calls = []
+
+        def failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericalError("injected")
+            return backward_smooth(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "backward_smooth", failing_once)
+        fitted, report = fit_mle(start, obs, tol=1e-6, max_iter=500)
+        assert len(calls) > 3
+        assert np.isfinite(report.final_value)
+        assert report.final_value <= negative_loglik(pack(start), obs)
+        assert report.final_value == -forward_filter(fitted, obs).log_likelihood
+
+    def test_does_not_import_scipy_optimize(self):
+        code = (
+            "import sys\n"
+            "import ssmkit\n"
+            "model = ssmkit.DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],"
+            " [[0.8, 0.2], [0.3, 0.7]])\n"
+            "obs = ssmkit.ObservationSeries([0, 1, 1, 0, 1, 1, 1, 0], kind='symbolic')\n"
+            "ssmkit.fit_mle(model, obs)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "False"
