@@ -53,7 +53,7 @@ def main():
         A=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]], mu0=[0.0], Sigma0=[[0.0]]
     )
     fitted_lg, report = fit_mle(template, series, tol=1e-10, free_blocks=("R", "mu0"))
-    print(f"\nstatic Gaussian fit ({report.iterations} simplex iterations, "
+    print(f"\nstatic Gaussian fit ({report.iterations} accepted steps, "
           f"converged: {report.converged})")
     print(f"  mean      fitted {fitted_lg.mu0[0]:.4f}   closed form {y.mean():.4f}")
     print(f"  variance  fitted {fitted_lg.R[0, 0]:.4f}   "

@@ -5,7 +5,7 @@ prediction, Viterbi decoding, and Baum-Welch EM; linear-Gaussian models
 get the Kalman filter and RTS smoother; everything else runs through a
 bootstrap particle filter over user-supplied callbacks.  Estimation
 maximizes the exact likelihood in unconstrained coordinates (BFGS on the
-score for HMMs, Nelder-Mead for linear-Gaussian models), and the
+exact score, with an adjoint pass for linear-Gaussian models), and the
 forgetting module measures how fast filters lose their initial condition.
 """
 

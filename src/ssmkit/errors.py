@@ -69,7 +69,8 @@ class DegenerateCurveError(NumericalError):
 
 class SimplexInitError(NumericalError):
     """The optimizer cannot start: every vertex of the initial simplex, or
-    the quasi-Newton start point, evaluated to +inf."""
+    the quasi-Newton start point, evaluated to +inf, or the start point's
+    score failed."""
 
 
 class EnumerationSizeError(SsmError):

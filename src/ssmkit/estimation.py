@@ -7,9 +7,11 @@ transforms cover only the interior of the parameter space; boundary models
 (zero probabilities, singular covariances) are rejected and must be fit by
 EM instead.  One objective (_objective) owns which trial points score +inf.
 
-A family with a score (the HMM: its log-likelihood gradient from one
-backward pass, by the Fisher identity) is fit by BFGS quasi-Newton descent;
-a family without one (linear-Gaussian) by derivative-free Nelder-Mead.
+Every family is fit by BFGS quasi-Newton descent on its exact score, the
+log-likelihood gradient: for an HMM from the expected counts of one
+backward pass (the Fisher identity), for a linear-Gaussian model from one
+adjoint (disturbance smoother) pass over the filter's moments.  Each
+block maps its field's share of the score to its own coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     SimplexInitError,
 )
 from .hmm import _check_symbols, _expected_counts, backward_smooth, forward_filter
-from .kalman import _check_rows, kalman_filter
+from .kalman import _adjoint, _check_rows, kalman_filter
 from .models import (
     DiscreteHMM,
     LinearGaussianModel,
@@ -52,27 +54,30 @@ __all__ = [
 class _Block:
     """One block of a family's coordinates: its coordinate count for the
     family's shape, the map from its model field (and the field's name) to
-    coordinates, and the map back from coordinates and shape."""
+    coordinates, the map back from coordinates and shape, and the map from
+    the family's score for the field (and the field) to the log-likelihood
+    gradient in the block's coordinates."""
 
     size: Callable[..., int]
     to_coords: Callable[[np.ndarray, str], np.ndarray]
     from_coords: Callable[..., np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class _Family:
     """A model family: its class, its shape, the observation kind and check,
     the filter of its likelihood, its score (model, series and filter pass to
-    the log-likelihood gradient in each block's coordinates, keyed by block;
-    None where the family has none), and its coordinate blocks in layout
-    order, keyed by the model field each one holds."""
+    what each block's gradient map reads, keyed by model field), and its
+    coordinate blocks in layout order, keyed by the model field each one
+    holds."""
 
     cls: type
     shape: Callable[[Any], tuple[int, int]]
     kind: str
     check: Callable[[ObservationSeries, int], np.ndarray]
     filter: Callable
-    score: Callable | None
+    score: Callable
     blocks: dict[str, _Block]
 
 
@@ -129,6 +134,23 @@ def _coords_to_cov(coords: np.ndarray, d: int) -> np.ndarray:
         return symmetrize(lower @ lower.T)
 
 
+def _cov_gradient(grad: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    # With cov = L L^T, d loglik = tr(G dcov) = tr(L^T (G + G^T) dL): the
+    # gradient is (G + G^T) L below the diagonal and (G + G^T) L_ii L_ii in
+    # each logged diagonal entry, in _cov_to_coords' order.
+    lower = np.linalg.cholesky(cov)
+    full = (grad + grad.T) @ lower
+    out = []
+    for i in range(len(full)):
+        out.extend(full[i, :i])
+        out.append(full[i, i] * lower[i, i])
+    return np.array(out)
+
+
+def _ravel(values: np.ndarray, _) -> np.ndarray:
+    return values.ravel()
+
+
 def _tri(d: int) -> int:
     return d * (d + 1) // 2
 
@@ -145,16 +167,29 @@ def _hmm_score(model: DiscreteHMM, obs: ObservationSeries, forward) -> dict[str,
     # gives (Cappe, Moulines & Ryden 2005, ch. 10).
     smooth = backward_smooth(model, obs, forward)
     first, transitions, emissions = _expected_counts(model, obs.values, smooth)
-    return {
-        "initial": _rows_score(first[None], model.initial[None]),
-        "transition": _rows_score(transitions, model.transition),
-        "emission": _rows_score(emissions, model.emission),
-    }
+    return {"initial": first, "transition": transitions, "emission": emissions}
 
 
-# Block sizes and inverse maps take the shape, (K, M) or (d_x, d_y).  The
-# filters and the backward pass of the score are looked up at call time, so
-# a wrapped module binding sees every likelihood evaluation.
+def _rows_block(size: Callable[[int, int], int]) -> _Block:
+    """A block of K probability rows, size(K, M) coordinates in all."""
+    return _Block(size, _rows_to_coords, lambda v, k, m: _coords_to_rows(v, k), _rows_score)
+
+
+def _cov_block(side: Callable[[int, int], int]) -> _Block:
+    """A covariance block whose side is side(d_x, d_y)."""
+    return _Block(
+        lambda x, y: _tri(side(x, y)),
+        _cov_to_coords,
+        lambda v, x, y: _coords_to_cov(v, side(x, y)),
+        _cov_gradient,
+    )
+
+
+# Block sizes and inverse maps take the shape, (K, M) or (d_x, d_y).  An HMM
+# block's gradient reads the field's expected counts, a linear-Gaussian
+# block's the gradient in the field's entries.  The filters and the passes
+# of the scores are looked up at call time, so a wrapped module binding sees
+# every likelihood evaluation.
 _FAMILIES = {
     "discrete-hmm": _Family(
         DiscreteHMM,
@@ -165,14 +200,13 @@ _FAMILIES = {
         _hmm_score,
         {
             "initial": _Block(
-                lambda k, m: k - 1, _row_to_coords, lambda v, k, m: _coords_to_rows(v, 1)[0]
+                lambda k, m: k - 1,
+                _row_to_coords,
+                lambda v, k, m: _coords_to_rows(v, 1)[0],
+                lambda counts, row: _rows_score(counts[None], row[None]),
             ),
-            "transition": _Block(
-                lambda k, m: k * (k - 1), _rows_to_coords, lambda v, k, m: _coords_to_rows(v, k)
-            ),
-            "emission": _Block(
-                lambda k, m: k * (m - 1), _rows_to_coords, lambda v, k, m: _coords_to_rows(v, k)
-            ),
+            "transition": _rows_block(lambda k, m: k * (k - 1)),
+            "emission": _rows_block(lambda k, m: k * (m - 1)),
         },
     ),
     "linear-gaussian": _Family(
@@ -181,20 +215,14 @@ _FAMILIES = {
         "real",
         _check_rows,
         lambda model, obs: kalman_filter(model, obs),
-        None,
+        lambda model, obs, forward: _adjoint(model, obs.values, forward),
         {
-            "A": _Block(
-                lambda x, y: x * x, lambda a, _: a.ravel(), lambda v, x, y: v.reshape(x, x)
-            ),
-            "C": _Block(
-                lambda x, y: y * x, lambda c, _: c.ravel(), lambda v, x, y: v.reshape(y, x)
-            ),
-            "Q": _Block(lambda x, y: _tri(x), _cov_to_coords, lambda v, x, y: _coords_to_cov(v, x)),
-            "R": _Block(lambda x, y: _tri(y), _cov_to_coords, lambda v, x, y: _coords_to_cov(v, y)),
-            "mu0": _Block(lambda x, y: x, lambda mu, _: mu, lambda v, x, y: v),
-            "Sigma0": _Block(
-                lambda x, y: _tri(x), _cov_to_coords, lambda v, x, y: _coords_to_cov(v, x)
-            ),
+            "A": _Block(lambda x, y: x * x, _ravel, lambda v, x, y: v.reshape(x, x), _ravel),
+            "C": _Block(lambda x, y: y * x, _ravel, lambda v, x, y: v.reshape(y, x), _ravel),
+            "Q": _cov_block(lambda x, y: x),
+            "R": _cov_block(lambda x, y: y),
+            "mu0": _Block(lambda x, y: x, _ravel, lambda v, x, y: v, _ravel),
+            "Sigma0": _cov_block(lambda x, y: x),
         },
     ),
 }
@@ -259,12 +287,13 @@ class OptimizerReport:
     """Outcome of an optimizer run.  converged is simplex_spread < tol,
     reached before the iteration budget ran out.
 
-    Nelder-Mead: iterations counts simplex updates and simplex_spread is the
-    spread between the best and worst vertex values.  Quasi-Newton (fit_mle
-    on a family with a score): iterations counts accepted steps, each of
-    which lowered the objective, and simplex_spread is the larger of the
-    last accepted decrease and the decrease g.Hg/2 that the next step
-    predicts (0 where no step along the steepest descent lowers the value).
+    fit_mle (quasi-Newton on the exact score, for every family): iterations
+    counts accepted steps, each of which lowered the objective, and
+    simplex_spread is the larger of the last accepted decrease and the
+    decrease g.Hg/2 that the next step predicts (0 where no step along the
+    steepest descent lowers the value).  nelder_mead: iterations counts
+    simplex updates and simplex_spread is the spread between the best and
+    worst vertex values.
     """
 
     argmin: np.ndarray
@@ -328,22 +357,32 @@ def _objective(
 ):
     """The negative log-likelihood of the coordinates of the blocks in
     layout, fixed holding the other fields; with gradient, the pair of it
-    and its gradient from the family's score.  The series is checked first,
-    once, so that its faults raise.  A point scores +inf, with a zero
-    gradient, where a constructor or require_valid rejects its model or the
-    filter or the score raises NumericalError."""
+    and a function that forms its gradient from the family's score, so that
+    a caller pays for the score only at the points it keeps.  The series is
+    checked first, once, so that its faults raise.  A point scores +inf
+    where a constructor or require_valid rejects its model or the filter
+    raises NumericalError; the gradient function returns None where the
+    score raises NumericalError or a covariance has no Cholesky factor."""
     family.check(obs, shape[1])
 
     def negative_loglik(x: np.ndarray):
         try:
             model = _unpack_blocks(x, family, shape, layout, fixed)
             forward = family.filter(model, obs)
-            if not gradient:
-                return -forward.log_likelihood
-            score = family.score(model, obs, forward)
         except (ModelValidationError, NumericalError):
-            return (np.inf, np.zeros_like(x)) if gradient else np.inf
-        return -forward.log_likelihood, -np.concatenate([score[name] for name, *_ in layout])
+            return (np.inf, lambda: None) if gradient else np.inf
+        if not gradient:
+            return -forward.log_likelihood
+
+        def score():
+            try:
+                stats = family.score(model, obs, forward)
+                parts = [b.gradient(stats[name], getattr(model, name)) for name, b, *_ in layout]
+                return -np.concatenate(parts)
+            except (NumericalError, np.linalg.LinAlgError):
+                return None
+
+        return -forward.log_likelihood, score
 
     return negative_loglik
 
@@ -437,21 +476,26 @@ def nelder_mead(
 
 
 def _quasi_newton(fg, x0, step: float, tol: float, max_iter: int) -> OptimizerReport:
-    """BFGS descent on fg(x) -> (value, gradient), dense inverse Hessian H.
+    """BFGS descent on fg(x) -> (value, score), dense inverse Hessian H,
+    where score() forms the gradient at x, or gives None where it cannot.
 
     Each step backtracks from the full step -H.g by halving until the
-    Armijo test (c1 = 1e-4) passes; +inf and NaN fail it.  A steepest
-    descent trial (the first, and after each restart) moves at most step in
-    any coordinate.  H restarts from the identity where -H.g is not a
+    Armijo test (c1 = 1e-4) passes; +inf and NaN fail it.  The gradient is
+    formed only at a point that passes, and a point whose gradient is None
+    or not finite is rejected as if it had failed.  A steepest descent
+    trial (the first, and after each restart) moves at most step in any
+    coordinate.  H restarts from the identity where -H.g is not a
     descent direction or no point along it passes; the first update after a
     (re)start scales H by s.y / y.y, and an update with s.y <= 0 is skipped.
     The run converges once the last accepted decrease and the predicted
     decrease g.Hg/2 are both below tol, and stops after max_iter accepted
-    steps.  A start that scores +inf cannot start.
+    steps.  A start that scores +inf, or whose gradient is None, cannot
+    start.
     """
     x = _checked_start(x0, step, tol, max_iter)
-    f, g = fg(x)
-    if not f < np.inf:
+    f, score = fg(x)
+    g = score() if f < np.inf else None
+    if g is None:
         raise SimplexInitError("objective is +inf at the start point")
     identity = np.eye(x.shape[0])
     h, fresh = identity, True
@@ -470,8 +514,10 @@ def _quasi_newton(fg, x0, step: float, tol: float, max_iter: int) -> OptimizerRe
             t = min(1.0, step / float(np.max(np.abs(d)))) if fresh else 1.0
             while not accepted and np.any(x + t * d != x):
                 trial = x + t * d
-                f_trial, g_trial = fg(trial)
-                accepted = f_trial <= f + 1e-4 * t * slope
+                f_trial, score = fg(trial)
+                if f_trial <= f + 1e-4 * t * slope:
+                    g_trial = score()
+                    accepted = g_trial is not None and bool(np.isfinite(g_trial).all())
                 t *= 0.5
         if not accepted:
             if fresh:
@@ -520,14 +566,13 @@ def fit_mle(
     such as a zero covariance to stay pinned while interior blocks move.
     The fitted model's log-likelihood never falls below the start's.
 
-    Discrete HMMs have a score, so they are fit by BFGS quasi-Newton
-    descent: each evaluation runs the forward and backward passes, step
-    bounds the first trial move in every coordinate, max_iter bounds the
-    accepted steps, and tol bounds both the last accepted decrease and the
-    predicted one.  Linear-Gaussian models are fit by nelder_mead: step is
-    the initial simplex edge, max_iter bounds the simplex updates, and tol
-    bounds the spread of the simplex values.  The report's fields are read
-    as OptimizerReport describes for each path.
+    Every family is fit by BFGS quasi-Newton descent on its exact score:
+    each trial point runs the filter, and each accepted one the score's
+    backward pass (the HMM's backward pass for the expected counts, or the
+    linear-Gaussian adjoint pass).  step bounds the first trial move in
+    every coordinate, max_iter bounds the accepted steps, and tol bounds
+    both the last accepted decrease and the predicted one.  The report's
+    fields are read as OptimizerReport describes.
     """
     require_valid(model0)
     name, family = _family_of(model0, "fit")
@@ -545,9 +590,7 @@ def fit_mle(
     if x0.size == 0:
         raise ValueError("no free blocks to optimize")
     fixed = {field: getattr(model0, field) for field in all_blocks if field not in blocks}
-    scored = family.score is not None
-    objective = _objective(family, shape, layout, fixed, obs, gradient=scored)
-    optimize = _quasi_newton if scored else nelder_mead
-    report = optimize(objective, x0, step, tol, max_iter)
+    objective = _objective(family, shape, layout, fixed, obs, gradient=True)
+    report = _quasi_newton(objective, x0, step, tol, max_iter)
     fitted = _unpack_blocks(report.argmin, family, shape, layout, fixed)
     return fitted, report

@@ -43,6 +43,11 @@ backward gains in blocks before running its recursion through them.  A
 batched LAPACK or matmul call works matrix by matrix, with the strides of
 the per-step call, and the closed forms repeat what LAPACK computes on a
 1x1 matrix, so these outputs equal the per-step recursion byte for byte.
+
+The exact log-likelihood gradient that maximum likelihood reads comes from
+one adjoint pass over a filter run (_adjoint), on the same two paths:
+Python floats for a scalar model, and one affine recursion over a frozen
+filter's suffix otherwise.
 """
 
 from __future__ import annotations
@@ -584,6 +589,109 @@ def rts_smoother(
         smoothed_covs=smoothed_covs,
         pinv_steps=tuple(pinv_steps),
     )
+
+
+def _adjoint(model: LinearGaussianModel, y: np.ndarray, forward) -> dict[str, np.ndarray]:
+    """The log-likelihood gradient in each field of the model, keyed by
+    field, from one backward pass of the adjoint (disturbance smoother)
+    recursion over the filter's predicted moments a_t, P_t (Koopman &
+    Shephard 1992).
+
+    With v_t = y_t - C a_t, F_t = C P_t C^T + R, K_t = P_t C^T F_t^-1 and
+    L_t = A (I - K_t C), the adjoints run back from r_{T-1} = 0, N_{T-1} = 0:
+    r_{t-1} = C^T F_t^-1 v_t + L_t^T r_t, N_{t-1} = C^T F_t^-1 C + L_t^T N_t L_t.
+    The smoothed moments are x_t = a_t + P_t r_{t-1}, V_t = P_t - P_t N_{t-1} P_t,
+    and u_t = F_t^-1 v_t - (A K_t)^T r_t.  Each gradient is taken in the
+    entries of its field as free (d loglik = sum G_ij dM_ij):
+    mu0 r_{-1}, Sigma0 (r_{-1} r_{-1}^T - N_{-1}) / 2, Q sum (r_t r_t^T - N_t) / 2,
+    R sum (u_t u_t^T - F_t^-1 - (A K_t)^T N_t A K_t) / 2,
+    A sum (r_t x_t^T - N_t L_t P_t) and C sum (u_t x_t^T - R^-1 C V_t).
+    Neither Q nor Sigma0 is inverted, so each gradient holds where they are
+    singular.
+
+    The steps from the first whose predicted covariance repeats the last
+    one bit for bit (a frozen filter's suffix) share F, K and L: r runs
+    through them as one affine recursion and N until it settles by the
+    freeze rule, copied from there on down, and their sums are taken once.
+    The other steps run one at a time, on Python floats for a scalar model.
+    A value that is not finite reaches the gradients without a warning.
+    """
+    A, C, R = model.A, model.C, model.R
+    means, covs = forward.predicted_means, forward.predicted_covs
+    T, d = means.shape
+    scalar = model.d_x == model.d_y == 1
+    if scalar:
+        s = T - 1
+    else:
+        changed = np.flatnonzero(~(covs == covs[-1]).all(axis=(1, 2)))
+        s = int(changed[-1]) + 1 if changed.size else 0
+    with np.errstate(all="ignore"):
+        # Steps 0..s; step s stands for every step from s on.
+        p = covs[: s + 1]
+        cross = p @ C.T
+        f = C @ cross + R
+        f_inv = 1.0 / f if model.d_y == 1 else np.linalg.inv(f)
+        gain = A @ cross @ f_inv
+        L = A - gain @ C
+        info = C.T @ f_inv @ C
+        step = np.minimum(np.arange(T), s)
+        fv = np.einsum("tij,tj->ti", f_inv[step], y - means @ C.T)
+        b = fv @ C
+        # r[t + 1] = r_t and N[t + 1] = N_t, for t = -1..T-1.
+        r = np.zeros((T + 1, d))
+        N = np.zeros((T + 1, d, d))
+        if scalar:
+            r[:, 0], N[:, 0, 0] = _scalar_adjoint(
+                b[:, 0].tolist(), L[:, 0, 0].tolist(), info[:, 0, 0].tolist()
+            )
+        else:
+            lt = L.transpose(0, 2, 1)
+            # Backward in time: the reversed views run the recursion forward.
+            _affine_recursion(lt[s], r[T], b[s:][::-1], r[s:][::-1])
+            for t in range(T - 1, s - 1, -1):
+                N[t] = info[s] + lt[s] @ N[t + 1] @ L[s]
+                if _settled(N[t + 1], N[t]):
+                    N[s:t] = N[t]
+                    break
+            for t in range(s - 1, -1, -1):
+                r[t] = b[t] + lt[t] @ r[t + 1]
+                N[t] = info[t] + lt[t] @ N[t + 1] @ L[t]
+        # N_t and N_{t-1} at each step before s, and their sums from s on.
+        n_next, n_this = N[1 : s + 2].copy(), N[: s + 1].copy()
+        n_next[s], n_this[s] = N[s + 1 :].sum(axis=0), N[s:T].sum(axis=0)
+        smoothed = means + np.einsum("tij,tj->ti", covs, r[:T])
+        u = fv - np.einsum("tji,tj->ti", gain[step], r[1:])
+        v_sum = covs.sum(axis=0) - (p @ n_this @ p).sum(axis=0)
+        return {
+            "A": r[1:T].T @ smoothed[: T - 1] - (n_next @ L @ p).sum(axis=0),
+            "C": u.T @ smoothed - np.linalg.solve(R, C @ v_sum),
+            "Q": 0.5 * (r[1:T].T @ r[1:T] - N[1:T].sum(axis=0)),
+            "R": 0.5 * (
+                u.T @ u
+                - f_inv[:s].sum(axis=0)
+                - (T - s) * f_inv[s]
+                - (gain.transpose(0, 2, 1) @ n_next @ gain).sum(axis=0)
+            ),
+            "mu0": r[0],
+            "Sigma0": 0.5 * (np.outer(r[0], r[0]) - N[0]),
+        }
+
+
+def _scalar_adjoint(b: list, L: list, info: list) -> tuple[np.ndarray, np.ndarray]:
+    """The r and N recursions of _adjoint for d_x = d_y = 1 on Python
+    floats: r[t] = b[t] + L[t] r[t + 1] and N[t] = info[t] + L[t]^2 N[t + 1]
+    from r[T] = N[T] = 0."""
+    T = len(b)
+    r_out = array("d", bytes(8 * (T + 1)))
+    n_out = array("d", bytes(8 * (T + 1)))
+    r = n = 0.0
+    for t in range(T - 1, -1, -1):
+        lt = L[t]
+        r = b[t] + lt * r
+        n = info[t] + lt * n * lt
+        r_out[t] = r
+        n_out[t] = n
+    return np.frombuffer(r_out), np.frombuffer(n_out)
 
 
 def kalman_predict(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ssmkit import estimation
-from ssmkit.estimation import HMM_BLOCKS
+from ssmkit.estimation import HMM_BLOCKS, LGSSM_BLOCKS
 from ssmkit import (
     BoundaryParameterError,
     DiscreteHMM,
@@ -490,24 +490,31 @@ class TestFitMle:
         )
 
 
-def scored_objective(model, obs, blocks):
-    """The fit's value-and-gradient objective over blocks, and its start."""
-    family = estimation._FAMILIES["discrete-hmm"]
-    shape = (model.K, model.M)
-    layout = estimation._layout(family, shape, blocks)
-    fixed = {name: getattr(model, name) for name in HMM_BLOCKS if name not in blocks}
+def scored_objective(model, obs, blocks, family="discrete-hmm"):
+    """The fit's objective over blocks as a function of the coordinates to
+    the value and the gradient, formed at once, and its start."""
+    spec = estimation._FAMILIES[family]
+    shape = spec.shape(model)
+    layout = estimation._layout(spec, shape, blocks)
+    fixed = {name: getattr(model, name) for name in spec.blocks if name not in blocks}
     x0 = estimation._pack_blocks(model, layout)
-    return estimation._objective(family, shape, layout, fixed, obs, gradient=True), x0
+    objective = estimation._objective(spec, shape, layout, fixed, obs, gradient=True)
+
+    def value_and_gradient(x):
+        value, score = objective(x)
+        return value, score()
+
+    return value_and_gradient, x0
 
 
-def central_differences(model, obs, blocks, h=1e-5):
+def central_differences(model, obs, blocks, h=1e-5, family="discrete-hmm"):
     """Central differences of negative_loglik in the coordinates of blocks,
     in the order given, from the full coordinate vector."""
     theta = pack(model)
-    family = estimation._FAMILIES["discrete-hmm"]
+    spec = estimation._FAMILIES[family]
     spans = {
         name: range(i, j)
-        for name, _, i, j in estimation._layout(family, theta.shape, HMM_BLOCKS)
+        for name, _, i, j in estimation._layout(spec, theta.shape, spec.blocks)
     }
     out = []
     for name in blocks:
@@ -558,8 +565,81 @@ class TestHmmScore:
         assert np.max(np.abs(gradient)) < 1e-5
 
 
+class TestLgScore:
+    # The adjoint pass gives the exact gradient of the log-likelihood in
+    # pack coordinates: it matches central differences, also where a
+    # pinned Q and Sigma0 are singular, and it vanishes at a converged fit.
+
+    # A seed for each shape whose random model is stable.
+    CASES = [
+        (d_x, d_y, seed, blocks)
+        for d_x, d_y, seed in ((1, 1, 1), (2, 3, 2))
+        for blocks in (LGSSM_BLOCKS, ("A", "Q", "R"), ("R", "mu0"), ("Sigma0", "C"))
+    ]
+
+    @pytest.mark.parametrize(
+        "d_x, d_y, seed, blocks",
+        CASES,
+        ids=[f"{x}x{y}-{'-'.join(b)}" for x, y, _, b in CASES],
+    )
+    def test_matches_central_differences(self, d_x, d_y, seed, blocks):
+        model = random_interior_lgssm(np.random.default_rng(seed), d_x, d_y)
+        # Long enough that the filter freezes its covariances (d > 1), so
+        # the adjoint runs its steady suffix.
+        _, obs = simulate_lgssm(model, 400, SeededGenerator(seed))
+        covs = kalman_filter(model, obs).predicted_covs
+        assert np.array_equal(covs[-2], covs[-1])
+        fg, x0 = scored_objective(model, obs, blocks, "linear-gaussian")
+        value, gradient = fg(x0)
+        assert value == pytest.approx(negative_loglik(pack(model), obs), rel=1e-12)
+        np.testing.assert_allclose(
+            gradient,
+            central_differences(model, obs, blocks, family="linear-gaussian"),
+            rtol=1e-5,
+            atol=1e-8,
+        )
+
+    def test_holds_where_pinned_q_and_sigma0_are_singular(self):
+        # A = 1, Q = 0, Sigma0 = 0: the state stays at mu0 and the
+        # observations are iid N(mu0, R).
+        rng = np.random.default_rng(57)
+        obs = real(1.3 + 0.8 * rng.normal(size=200))
+        model = LinearGaussianModel(
+            A=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[0.9]], mu0=[0.4], Sigma0=[[0.0]]
+        )
+        fg, x0 = scored_objective(model, obs, ("R", "mu0"), "linear-gaussian")
+        _, gradient = fg(x0)
+        h = 1e-5
+        differences = [
+            (fg(x0 + h * e)[0] - fg(x0 - h * e)[0]) / (2 * h) for e in np.eye(len(x0))
+        ]
+        np.testing.assert_allclose(gradient, differences, rtol=1e-5, atol=1e-8)
+        # The closed form: d/d mu0 = sum(y - mu0) / R, and in log sqrt(R),
+        # sum((y - mu0)^2) / R - T.
+        y = obs.values[:, 0]
+        want = [np.sum((y - 0.4) ** 2) / 0.9 - len(y), np.sum(y - 0.4) / 0.9]
+        np.testing.assert_allclose(-gradient, want, rtol=1e-10)
+
+    def test_vanishes_at_a_converged_fit(self):
+        _, obs = simulate_lgssm(SCALAR, 300, SeededGenerator(17))
+        start = LinearGaussianModel(
+            A=[[0.5]], C=[[1.0]], Q=[[0.5]], R=[[1.0]], mu0=[0.0], Sigma0=[[1.0]]
+        )
+        fitted, report = fit_mle(start, obs, tol=1e-12, max_iter=500, free_blocks=("A", "Q", "R"))
+        assert report.converged
+        fg, x0 = scored_objective(fitted, obs, ("A", "Q", "R"), "linear-gaussian")
+        assert np.max(np.abs(fg(x0)[1])) < 1e-5
+
+
 def quasi_newton(fg, x0, step=0.5, tol=1e-10, max_iter=1000):
-    return estimation._quasi_newton(fg, x0, step, tol, max_iter)
+    """_quasi_newton on fg(x) -> (value, gradient), each gradient formed
+    when its value is."""
+
+    def lazy(x):
+        value, gradient = fg(x)
+        return value, lambda: gradient
+
+    return estimation._quasi_newton(lazy, x0, step, tol, max_iter)
 
 
 def rosenbrock(x):
@@ -630,6 +710,44 @@ class TestQuasiNewton:
         assert report.converged
         assert report.argmin[0] == pytest.approx(0.4, abs=1e-5)
 
+    def test_gradient_formed_only_at_kept_points(self):
+        formed = []
+
+        def bowl(x):
+            def gradient():
+                formed.append(x.copy())
+                return 2 * x
+
+            return float(x @ x), gradient
+
+        report = estimation._quasi_newton(bowl, [3.0, -1.0], 0.5, 1e-10, 1000)
+        assert report.converged
+        # The start, then one per accepted step; rejected trials form none.
+        assert len(formed) == report.iterations + 1
+        assert formed[-1].tobytes() == report.argmin.tobytes()
+
+    @pytest.mark.parametrize("missing", [None, np.array([np.nan])], ids=["none", "nan"])
+    def test_a_trial_without_a_finite_gradient_is_rejected(self, missing):
+        # Past x = 0.5 the value is finite and low but the score fails; the
+        # first move of 2.0 lands there, and halving brings the trial back.
+        kept = []
+
+        def walled(x):
+            def gradient():
+                kept.append(x[0])
+                return missing if x[0] > 0.5 else 2 * (x - 0.4)
+
+            return float((x[0] - 0.4) ** 2), gradient
+
+        report = estimation._quasi_newton(walled, [-1.0], 2.0, 1e-10, 1000)
+        assert report.converged
+        assert report.argmin[0] == pytest.approx(0.4, abs=1e-5)
+        assert kept[1] > 0.5 and max(kept[2:]) <= 0.5
+
+    def test_a_start_without_a_gradient_is_rejected(self):
+        with pytest.raises(SimplexInitError):
+            estimation._quasi_newton(lambda x: (1.0, lambda: None), [0.0], 0.5, 1e-10, 10)
+
     def test_nan_gradient_stops_unconverged(self):
         report = quasi_newton(lambda x: (1.0, np.full(1, np.nan)), [0.0])
         assert not report.converged
@@ -683,6 +801,45 @@ class TestFitMleByScore:
         assert report.final_value == pytest.approx(simplex.final_value, abs=1e-6)
         assert report.final_value == -forward_filter(fitted, obs).log_likelihood
 
+    def test_lg_matches_nelder_mead(self):
+        # The benchmark's scalar (A, Q, R) fit.
+        _, obs = simulate_lgssm(SCALAR, 300, SeededGenerator(17))
+        start = LinearGaussianModel(
+            A=[[0.5]], C=[[1.0]], Q=[[0.5]], R=[[1.0]], mu0=[0.0], Sigma0=[[1.0]]
+        )
+        blocks = ("A", "Q", "R")
+        fitted, report = fit_mle(start, obs, tol=1e-6, max_iter=40, free_blocks=blocks)
+        assert report.converged
+        objective, x0 = scored_objective(start, obs, blocks, "linear-gaussian")
+        simplex = nelder_mead(lambda x: objective(x)[0], x0, step=0.25, tol=1e-12, max_iter=20_000)
+        assert simplex.converged
+        assert report.final_value == pytest.approx(simplex.final_value, abs=1e-6)
+        assert report.final_value == -kalman_filter(fitted, obs).log_likelihood
+
+    def test_lg_fit_with_a_frozen_filter(self):
+        # d = 2 over 500 steps: each filter freezes, and the adjoint runs
+        # its steady suffix at every accepted point.
+        truth = LinearGaussianModel(
+            A=[[0.9, 0.1], [-0.1, 0.8]],
+            C=[[1.0, 0.0], [0.5, 1.0]],
+            Q=[[0.2, 0.05], [0.05, 0.1]],
+            R=[[0.5, 0.1], [0.1, 0.4]],
+            mu0=[0.0, 0.0],
+            Sigma0=np.eye(2),
+        )
+        _, obs = simulate_lgssm(truth, 500, SeededGenerator(58))
+        start = LinearGaussianModel(
+            A=0.5 * np.eye(2), C=truth.C, Q=np.eye(2), R=np.eye(2), mu0=truth.mu0,
+            Sigma0=truth.Sigma0,
+        )
+        blocks = ("A", "Q", "R")
+        fitted, report = fit_mle(start, obs, tol=1e-8, max_iter=200, free_blocks=blocks)
+        assert report.converged
+        assert report.final_value < negative_loglik(pack(truth), obs)
+        assert report.final_value == -kalman_filter(fitted, obs).log_likelihood
+        fg, x0 = scored_objective(fitted, obs, blocks, "linear-gaussian")
+        assert np.max(np.abs(fg(x0)[1])) < 1e-2
+
     def test_iterations_and_convergence(self):
         _, obs = simulate_hmm(BENCH, 200, SeededGenerator(7))
         start = DiscreteHMM([0.5, 0.5], [[0.7, 0.3], [0.3, 0.7]], [[0.7, 0.3], [0.3, 0.7]])
@@ -715,6 +872,27 @@ class TestFitMleByScore:
         assert report.final_value <= negative_loglik(pack(start), obs)
         assert report.final_value == -forward_filter(fitted, obs).log_likelihood
 
+    def test_a_failing_adjoint_pass_rejects_the_point(self, monkeypatch):
+        _, obs = simulate_lgssm(SCALAR, 100, SeededGenerator(3))
+        start = LinearGaussianModel(
+            A=[[0.5]], C=[[1.0]], Q=[[0.5]], R=[[1.0]], mu0=[0.0], Sigma0=[[1.0]]
+        )
+        calls = []
+
+        def failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericalError("injected")
+            return estimation_adjoint(*args, **kwargs)
+
+        estimation_adjoint = estimation._adjoint
+        monkeypatch.setattr(estimation, "_adjoint", failing_once)
+        fitted, report = fit_mle(start, obs, tol=1e-6, max_iter=500, free_blocks=("A", "Q", "R"))
+        assert len(calls) > 3
+        assert report.converged
+        assert report.final_value < negative_loglik(pack(start), obs)
+        assert report.final_value == -kalman_filter(fitted, obs).log_likelihood
+
     def test_does_not_import_scipy_optimize(self):
         code = (
             "import sys\n"
@@ -723,6 +901,10 @@ class TestFitMleByScore:
             " [[0.8, 0.2], [0.3, 0.7]])\n"
             "obs = ssmkit.ObservationSeries([0, 1, 1, 0, 1, 1, 1, 0], kind='symbolic')\n"
             "ssmkit.fit_mle(model, obs)\n"
+            "model = ssmkit.LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.19]],"
+            " R=[[0.5]], mu0=[0.0], Sigma0=[[1.0]])\n"
+            "obs = ssmkit.ObservationSeries([[0.3], [-0.2], [0.8], [1.1], [0.4]], kind='real')\n"
+            "ssmkit.fit_mle(model, obs, free_blocks=('A', 'Q', 'R'))\n"
             "print('scipy.optimize' in sys.modules)\n"
         )
         out = subprocess.run(
