@@ -100,10 +100,6 @@ def _summary(payload: dict) -> None:
     print(json.dumps(payload))
 
 
-def _gaussian_row(t: int, mean: np.ndarray, cov: np.ndarray) -> tuple:
-    return (t, *mean, *cov.ravel())
-
-
 def _probability_header(k: int) -> list[str]:
     return ["t"] + [f"p{i}" for i in range(1, k + 1)]
 
@@ -112,6 +108,11 @@ def _gaussian_header(d_x: int) -> list[str]:
     header = ["t"] + [f"m{i}" for i in range(1, d_x + 1)]
     header += [f"P{i}{j}" for i in range(1, d_x + 1) for j in range(1, d_x + 1)]
     return header
+
+
+def _gaussian_table(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """One row per step: the mean, then the covariance in row-major order."""
+    return np.hstack([means, covs.reshape(len(covs), -1)])
 
 
 def _parse_prior(text: str, flag: str) -> np.ndarray:
@@ -150,9 +151,8 @@ def _cmd_posterior(args) -> int:
     smooth = args.command == "smooth"
     if isinstance(model, DiscreteHMM):
         forward = forward_filter(model, obs)
-        probs = backward_smooth(model, obs, forward).smoothed if smooth else forward.filtered
+        table = backward_smooth(model, obs, forward).smoothed if smooth else forward.filtered
         header = _probability_header(model.K)
-        rows = ((t + 1, *probs[t]) for t in range(len(obs)))
     else:
         forward = kalman_filter(model, obs)
         if smooth:
@@ -161,9 +161,9 @@ def _cmd_posterior(args) -> int:
         else:
             means, covs = forward.filtered_means, forward.filtered_covs
         header = _gaussian_header(model.d_x)
-        rows = (_gaussian_row(t + 1, means[t], covs[t]) for t in range(len(obs)))
+        table = _gaussian_table(means, covs)
     if args.out:
-        write_table(args.out, header, list(rows))
+        write_table(args.out, header, table)
     _summary({"command": args.command, "log_likelihood": forward.log_likelihood, "out": args.out})
     return 0
 
@@ -173,20 +173,18 @@ def _cmd_predict(args) -> int:
     obs = read_series(args.data)
     if args.k < 1:
         raise _UsageError("--k must be at least 1")
-    T = len(obs)
     if isinstance(model, DiscreteHMM):
         forward = forward_filter(model, obs)
-        ahead = predict_states(model, forward.filtered[-1], args.k)
+        table = predict_states(model, forward.filtered[-1], args.k)
         header = _probability_header(model.K)
-        rows = [(T + j + 1, *ahead[j]) for j in range(args.k)]
     else:
         forward = kalman_filter(model, obs)
         ahead = kalman_predict(
             model, forward.filtered_means[-1], forward.filtered_covs[-1], args.k
         )
         header = _gaussian_header(model.d_x)
-        rows = [_gaussian_row(T + j + 1, m, p) for j, (m, p) in enumerate(ahead)]
-    write_table(args.out, header, rows)
+        table = _gaussian_table(np.array([m for m, _ in ahead]), np.array([p for _, p in ahead]))
+    write_table(args.out, header, table, first_t=len(obs) + 1)
     _summary(
         {
             "command": "predict",
@@ -208,8 +206,7 @@ def _cmd_loglik(args) -> int:
         forward = kalman_filter(model, obs)
         increments = forward.log_increments
     if args.out:
-        rows = [(t + 1, increments[t]) for t in range(len(obs))]
-        write_table(args.out, ["t", "log_increment"], rows)
+        write_table(args.out, ["t", "log_increment"], increments)
     _summary(
         {
             "command": "loglik",
@@ -289,18 +286,14 @@ def _cmd_pf(args) -> int:
             scheme=args.scheme,
         )
         header = ["t"] + [f"m{i}" for i in range(1, model.d_x + 1)] + ["ess"]
-        rows = [
-            (t + 1, *result.filtered_means[t], result.ess_trace[t])
-            for t in range(len(obs))
-        ]
+        table = np.column_stack([result.filtered_means, result.ess_trace])
     else:
         # One filter run serves both the smoothed rows and the summary.
-        result, smoothed = _filter_and_smooth(
+        result, table = _filter_and_smooth(
             generic, obs, args.particles, args.lag, rng, args.threshold, args.scheme
         )
         header = ["t"] + [f"m{i}" for i in range(1, model.d_x + 1)]
-        rows = [(t + 1, *smoothed[t]) for t in range(len(obs))]
-    write_table(args.out, header, rows)
+    write_table(args.out, header, table)
     _summary(
         {
             "command": "pf",
@@ -327,8 +320,7 @@ def _cmd_forget(args) -> int:
         if prior.shape[0] != K:
             raise _UsageError(f"{flag} must have {K} entries, got {prior.shape[0]}")
     curve = forgetting_curve(model, obs, prior_a, prior_b)
-    rows = [(t + 1, curve.tv[t]) for t in range(curve.tv.shape[0])]
-    write_table(args.out, ["t", "tv"], rows)
+    write_table(args.out, ["t", "tv"], curve.tv)
     _summary(
         {
             "command": "forget",

@@ -2,9 +2,10 @@
 
 Models are JSON objects with a "type" discriminator; series are CSV files
 with header "t,y" (symbolic) or "t,y1,...,yd" (real) and a gap-free t
-column starting at 1.  All writers emit floats with 17 significant digits
-so values round-trip exactly, and write through a temp file renamed into
-place so no partial output survives an error.
+column starting at 1.  Tables are written column by column from an array:
+integers as integers, floats with 17 significant digits so values
+round-trip exactly.  Writers go through a temp file renamed into place so
+no partial output survives an error.
 """
 
 from __future__ import annotations
@@ -153,16 +154,20 @@ def read_series(path: str) -> ObservationSeries:
         raise DataFormatError(
             f'line 1: header must be "t,y" or "t,y1,...,yd", got {",".join(header)!r}'
         )
-    data = [row for row in rows[1:] if row]
-    if not data:
+    # Blank rows are skipped: messages name the file's line, t counts data rows.
+    n_rows = len(rows) - 1 - rows.count([])
+    if not n_rows:
         raise DataFormatError(f"{path} has a header but no data rows")
 
     if kind == "symbolic":
-        values = np.empty(len(data), dtype=np.int64)
+        values = np.empty(n_rows, dtype=np.int64)
     else:
-        values = np.empty((len(data), width - 1))
-    for i, row in enumerate(data):
-        line = i + 2
+        values = np.empty((n_rows, width - 1))
+    i = -1
+    for line, row in enumerate(rows[1:], 2):
+        if not row:
+            continue
+        i += 1
         if len(row) != width:
             raise DataFormatError(
                 f"line {line}: expected {width} columns, got {len(row)}"
@@ -207,30 +212,29 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_table(path: str, header: list[str], rows) -> None:
-    """CSV writer: ints kept as ints, floats at 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(_fmt(cell))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_table(path: str, header: list[str], values, first_t: int = 1) -> None:
+    """Write a CSV table: a t column counting from first_t, then values.
+
+    values is a 2-D array, one row per step (1-D: one column).  An integer
+    array is written as integers, a float array with 17 significant
+    digits.  Columns are formatted whole and rows joined by map and zip.
+    """
+    values = np.asarray(values)
+    # _fmt is looked up on every call, so a replaced formatter takes effect.
+    fmt = str if np.issubdtype(values.dtype, np.integer) else _fmt
+    columns = values.T.tolist() if values.ndim == 2 else [values.tolist()]
+    steps = map(str, range(first_t, first_t + len(values)))
+    lines = map(",".join, zip(steps, *(map(fmt, column) for column in columns)))
+    _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def write_series(path: str, obs: ObservationSeries) -> None:
     """Write a series file in the format read_series accepts."""
     if obs.kind == "symbolic":
         header = ["t", "y"]
-        rows = [(t + 1, int(y)) for t, y in enumerate(obs.values)]
     else:
-        d = obs.values.shape[1]
-        header = ["t"] + [f"y{j}" for j in range(1, d + 1)]
-        rows = [(t + 1, *obs.values[t]) for t in range(obs.values.shape[0])]
-    write_table(path, header, rows)
+        header = ["t"] + [f"y{j}" for j in range(1, obs.values.shape[1] + 1)]
+    write_table(path, header, obs.values)
 
 
 def write_model(path: str, model) -> None:

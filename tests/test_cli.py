@@ -17,6 +17,7 @@ from ssmkit import (
     fit_em,
     fit_mle,
     fixed_lag_smoother,
+    forgetting_curve,
     forward_filter,
     kalman_filter,
     kalman_predict,
@@ -27,10 +28,13 @@ from ssmkit import (
     rts_smoother,
     run_command,
     simulate_hmm,
+    simulate_lgssm,
     write_model,
     write_series,
 )
 from ssmkit import cli, hmm, particle
+import ssmkit.io
+from test_io import per_cell_text
 
 HMM = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
 LG = LinearGaussianModel(
@@ -550,6 +554,161 @@ class TestExitCodes:
         code, _ = run(capsys, ["filter", "--model", hmm_model, "--data",
                                hmm_data, "--out", out])
         assert code == 2
+
+
+HMM3 = DiscreteHMM(
+    [0.5, 0.3, 0.2],
+    [[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.2, 0.2, 0.6]],
+    [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]],
+)
+LG2 = LinearGaussianModel(
+    A=[[0.9, 0.1], [-0.2, 0.7]],
+    C=[[1.0, 0.5], [0.0, 1.0]],
+    Q=[[0.2, 0.05], [0.05, 0.3]],
+    R=[[0.4, 0.1], [0.1, 0.5]],
+    mu0=[0.1, -0.2],
+    Sigma0=[[1.0, 0.3], [0.3, 2.0]],
+)
+PROBS = ["t", "p1", "p2", "p3"]
+MOMENTS = ["t", "m1", "m2", "P11", "P12", "P21", "P22"]
+
+
+def numbered(first_t, table):
+    return [(first_t + i, *row) for i, row in enumerate(table)]
+
+
+def moment_rows(first_t, means, covs):
+    return [(first_t + i, *m, *p.ravel()) for i, (m, p) in enumerate(zip(means, covs))]
+
+
+class TestOutputBytes:
+    """Each table-writing subcommand writes exactly the per-cell text of the
+    library's results; d_x = 2 pins the column order m1, m2, P11, P12, P21, P22."""
+
+    T = 40
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {
+            "hmm": str(tmp_path / "hmm.json"),
+            "lg": str(tmp_path / "lg.json"),
+            "hmm_data": str(tmp_path / "hmm.csv"),
+            "lg_data": str(tmp_path / "lg.csv"),
+        }
+        write_model(paths["hmm"], HMM3)
+        write_model(paths["lg"], LG2)
+        write_series(paths["hmm_data"], simulate_hmm(HMM3, self.T, SeededGenerator(11))[1])
+        write_series(paths["lg_data"], simulate_lgssm(LG2, self.T, SeededGenerator(12))[1])
+        return paths
+
+    @staticmethod
+    def written(capsys, tmp_path, argv):
+        out = str(tmp_path / "out.csv")
+        code, _ = run(capsys, argv + ["--out", out])
+        assert code == 0
+        with open(out, newline="") as fh:
+            return fh.read()
+
+    @staticmethod
+    def inputs(files, kind):
+        # The command's model is the parsed document (parse_model renormalizes
+        # probability rows), so the reference is computed from the same one.
+        argv = ["--model", files[kind], "--data", files[f"{kind}_data"]]
+        return argv, parse_model(files[kind]), read_series(files[f"{kind}_data"])
+
+    @pytest.mark.parametrize("kind", ["hmm", "lg"])
+    def test_simulate(self, capsys, tmp_path, files, kind):
+        text = self.written(capsys, tmp_path, ["simulate", "--model", files[kind],
+                                               "--T", "25", "--seed", "5"])
+        model = parse_model(files[kind])
+        if kind == "hmm":
+            values = simulate_hmm(model, 25, SeededGenerator(5))[1].values
+            expected = per_cell_text(["t", "y"], numbered(1, [(int(y),) for y in values]))
+        else:
+            values = simulate_lgssm(model, 25, SeededGenerator(5))[1].values
+            expected = per_cell_text(["t", "y1", "y2"], numbered(1, values))
+        assert text == expected
+
+    @pytest.mark.parametrize("command", ["filter", "smooth"])
+    @pytest.mark.parametrize("kind", ["hmm", "lg"])
+    def test_posterior(self, capsys, tmp_path, files, command, kind):
+        argv, model, obs = self.inputs(files, kind)
+        text = self.written(capsys, tmp_path, [command, *argv])
+        if kind == "hmm":
+            forward = forward_filter(model, obs)
+            probs = (backward_smooth(model, obs, forward).smoothed if command == "smooth"
+                     else forward.filtered)
+            expected = per_cell_text(PROBS, numbered(1, probs))
+        else:
+            forward = kalman_filter(model, obs)
+            if command == "smooth":
+                smooth = rts_smoother(model, forward)
+                rows = moment_rows(1, smooth.smoothed_means, smooth.smoothed_covs)
+            else:
+                rows = moment_rows(1, forward.filtered_means, forward.filtered_covs)
+            expected = per_cell_text(MOMENTS, rows)
+        assert text == expected
+
+    @pytest.mark.parametrize("kind", ["hmm", "lg"])
+    def test_loglik(self, capsys, tmp_path, files, kind):
+        argv, model, obs = self.inputs(files, kind)
+        text = self.written(capsys, tmp_path, ["loglik", *argv])
+        if kind == "hmm":
+            increments = forward_filter(model, obs).log_normalizers
+        else:
+            increments = kalman_filter(model, obs).log_increments
+        expected = per_cell_text(["t", "log_increment"], numbered(1, increments[:, None]))
+        assert text == expected
+
+    @pytest.mark.parametrize("kind", ["hmm", "lg"])
+    def test_predict(self, capsys, tmp_path, files, kind):
+        argv, model, obs = self.inputs(files, kind)
+        text = self.written(capsys, tmp_path, ["predict", *argv, "--k", "4"])
+        first_t = self.T + 1
+        if kind == "hmm":
+            ahead = predict_states(model, forward_filter(model, obs).filtered[-1], 4)
+            expected = per_cell_text(PROBS, numbered(first_t, ahead))
+        else:
+            forward = kalman_filter(model, obs)
+            ahead = kalman_predict(model, forward.filtered_means[-1],
+                                   forward.filtered_covs[-1], 4)
+            means, covs = [m for m, _ in ahead], [p for _, p in ahead]
+            expected = per_cell_text(MOMENTS, moment_rows(first_t, means, covs))
+        assert text == expected
+
+    def test_forget(self, capsys, tmp_path, files):
+        argv, model, obs = self.inputs(files, "hmm")
+        text = self.written(capsys, tmp_path, ["forget", *argv, "--prior-a", "1,0,0",
+                                               "--prior-b", "0,0,1"])
+        tv = forgetting_curve(model, obs, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]).tv
+        assert text == per_cell_text(["t", "tv"], numbered(1, tv[:, None]))
+
+    @pytest.mark.parametrize("lag", [None, 3])
+    def test_pf(self, capsys, tmp_path, files, lag):
+        argv, model, obs = self.inputs(files, "lg")
+        argv = ["pf", *argv, "--particles", "100", "--seed", "9"]
+        text = self.written(capsys, tmp_path, argv + (["--lag", str(lag)] if lag else []))
+        generic = lgssm_as_generic(model)
+        if lag is None:
+            result = bootstrap_filter(generic, obs, 100, SeededGenerator(9))
+            rows = [(t + 1, *result.filtered_means[t], result.ess_trace[t])
+                    for t in range(self.T)]
+            expected = per_cell_text(["t", "m1", "m2", "ess"], rows)
+        else:
+            smoothed = fixed_lag_smoother(generic, obs, 100, lag, SeededGenerator(9))
+            expected = per_cell_text(["t", "m1", "m2"], numbered(1, smoothed))
+        assert text == expected
+
+    def test_floats_go_through_the_module_formatter(self, capsys, tmp_path, monkeypatch,
+                                                    files):
+        # As the benchmark's self-test does, replace the formatter after
+        # import: every float cell of the command's table changes, no t cell.
+        original = ssmkit.io._fmt
+        monkeypatch.setattr(ssmkit.io, "_fmt", lambda x: "~" + original(x))
+        text = self.written(capsys, tmp_path, ["filter", *self.inputs(files, "lg")[0]])
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(t) for t in range(1, self.T + 1)]
+        assert all(cell.startswith("~") for row in rows for cell in row[1:])
 
 
 class TestParserCache:

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import ssmkit.io
 from ssmkit import (
     DataFormatError,
     DiscreteHMM,
@@ -290,26 +291,129 @@ class TestSeriesFiles:
         with pytest.raises(DataFormatError, match="finite"):
             read_series(str(path))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t,y\n1,0\n\n2,x\n", "line 4: y must be an integer symbol, got 'x'"),
+            ("t,y1\n1,0.5\n\n\n2,abc\n", "line 5: y1 must be a number, got 'abc'"),
+            ("t,y\n\n1,0\n\n3,1\n", "line 5: expected t=2, got t=3"),
+            ("t,y1,y2\n\n\n1,0.5\n", "line 4: expected 3 columns, got 2"),
+        ],
+        ids=["symbol", "number", "t-gap", "columns"],
+    )
+    def test_errors_after_blank_rows_name_the_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            read_series(str(path))
+        assert str(err.value) == message
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,y\n\n1,0\n\n\n2,1\n\n")
+        np.testing.assert_array_equal(read_series(str(path)).values, [0, 1])
+
+
+def per_cell_text(header, rows) -> str:
+    """The per-cell form every table must match: integers as integers,
+    floats with 17 significant digits."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            str(int(x)) if isinstance(x, (int, np.integer)) else f"{float(x):.17g}"
+            for x in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [
+    1 / 3, 0.1, 2.0, -0.0, 5e-324, 2.2250738585072014e-308,
+    1e16, 1e17, np.inf, -np.inf, np.nan, -1 / 7,
+]
+SYMBOLS = np.array([0, 3, 12, 7, 2**62, -1], dtype=np.int64)
+
 
 class TestWriters:
     def test_int_and_float_formatting(self, tmp_path):
         path = str(tmp_path / "t.csv")
-        write_table(path, ["t", "v"], [(1, 1 / 3), (2, 2.0)])
+        write_table(path, ["t", "v"], np.array([1 / 3, 2.0]))
         text = open(path).read()
         assert text == "t,v\n1,0.33333333333333331\n2,2\n"
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = str(tmp_path / "t.csv")
-        write_table(path, ["t", "v"], [(1, 0.5)])
-        write_table(path, ["t", "v"], [(1, 0.75)])  # overwrite in place
+        write_table(path, ["t", "v"], np.array([0.5]))
+        write_table(path, ["t", "v"], np.array([0.75]))  # overwrite in place
         assert glob.glob(str(tmp_path / "*.tmp")) == []
         assert open(path).read() == "t,v\n1,0.75\n"
 
     def test_missing_directory_raises_oserror(self, tmp_path):
         target = str(tmp_path / "no_such_dir" / "t.csv")
         with pytest.raises(OSError):
-            write_table(target, ["t"], [(1,)])
+            write_table(target, ["t"], np.empty((1, 0)))
         assert not os.path.exists(target)
+
+    def test_edge_floats_written_exactly(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_table(path, ["t", "v"], np.array([-0.0, 5e-324, 1e16, 1e17, -np.inf, np.nan]))
+        assert open(path).read() == (
+            "t,v\n1,-0\n2,4.9406564584124654e-324\n3,10000000000000000\n"
+            "4,1e+17\n5,-inf\n6,nan\n"
+        )
+
+    @pytest.mark.parametrize("first_t", ["one", "after"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array(EDGE_FLOATS),
+            np.array(EDGE_FLOATS)[:, None],
+            np.array(EDGE_FLOATS).reshape(4, 3),
+            np.array(EDGE_FLOATS).reshape(3, 4).T[::-1],
+            SYMBOLS,
+            SYMBOLS.reshape(3, 2),
+        ],
+        ids=["floats-1d", "floats-one-column", "floats-3-columns", "floats-strided",
+             "symbols-1d", "symbols-2-columns"],
+    )
+    def test_matches_the_per_cell_form(self, tmp_path, values, first_t):
+        T = values.shape[0]
+        start = 1 if first_t == "one" else T + 1
+        table = values.reshape(T, -1)
+        header = ["t"] + [f"c{j}" for j in range(table.shape[1])]
+        path = str(tmp_path / "t.csv")
+        write_table(path, header, values, first_t=start)
+        expected = per_cell_text(header, [(start + i, *table[i]) for i in range(T)])
+        assert open(path, newline="").read() == expected
+
+    @pytest.mark.parametrize("kind", ["symbolic", "real"])
+    def test_series_match_the_per_cell_form(self, tmp_path, kind):
+        if kind == "symbolic":
+            obs = ObservationSeries([0, 2, 1, 1], kind="symbolic")
+            header = ["t", "y"]
+        else:
+            obs = ObservationSeries(np.array(EDGE_FLOATS[:8]).reshape(4, 2), kind="real")
+            header = ["t", "y1", "y2"]
+        path = str(tmp_path / "s.csv")
+        write_series(path, obs)
+        table = obs.values.reshape(len(obs), -1)
+        expected = per_cell_text(header, [(i + 1, *row) for i, row in enumerate(table)])
+        assert open(path, newline="").read() == expected
+
+    @pytest.mark.parametrize("writer", ["table", "series"])
+    def test_floats_go_through_the_module_formatter(self, tmp_path, monkeypatch, writer):
+        # The formatter is looked up when a table is written, so replacing
+        # it changes every float cell and leaves the t column alone.
+        original = ssmkit.io._fmt
+        monkeypatch.setattr(ssmkit.io, "_fmt", lambda x: "~" + original(x))
+        path = str(tmp_path / "t.csv")
+        if writer == "table":
+            write_table(path, ["t", "a", "b", "c"], np.array(EDGE_FLOATS).reshape(4, 3))
+        else:
+            finite = np.array(EDGE_FLOATS[:8]).reshape(4, 2)
+            write_series(path, ObservationSeries(finite, kind="real"))
+        rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+        assert all(cell.startswith("~") for row in rows for cell in row[1:])
 
     def test_unserializable_model_rejected(self, tmp_path):
         with pytest.raises(ValueError):
