@@ -29,15 +29,11 @@ from .simulate import simulate_hmm, simulate_lgssm
 __all__ = ["run_command", "main"]
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through the usage
     # error path instead so the documented exit code 1 applies.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 # Parsing leaves the parser unchanged, so one parser serves every command
@@ -119,13 +115,12 @@ def _parse_prior(text: str, flag: str) -> np.ndarray:
     try:
         return np.array([float(cell) for cell in text.split(",")])
     except ValueError:
-        raise _UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _cmd_simulate(args) -> int:
-    model = parse_model(args.model)
+def _cmd_simulate(args, model, _) -> int:
     if args.T < 1:
-        raise _UsageError("--T must be at least 1")
+        raise ValueError("--T must be at least 1")
     rng = SeededGenerator(args.seed)
     if isinstance(model, DiscreteHMM):
         _, obs = simulate_hmm(model, args.T, rng)
@@ -144,10 +139,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_posterior(args) -> int:
+def _cmd_posterior(args, model, obs) -> int:
     """filter and smooth: one row of state probabilities or moments per step."""
-    model = parse_model(args.model)
-    obs = read_series(args.data)
     smooth = args.command == "smooth"
     if isinstance(model, DiscreteHMM):
         forward = forward_filter(model, obs)
@@ -168,11 +161,9 @@ def _cmd_posterior(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    model = parse_model(args.model)
-    obs = read_series(args.data)
+def _cmd_predict(args, model, obs) -> int:
     if args.k < 1:
-        raise _UsageError("--k must be at least 1")
+        raise ValueError("--k must be at least 1")
     if isinstance(model, DiscreteHMM):
         forward = forward_filter(model, obs)
         table = predict_states(model, forward.filtered[-1], args.k)
@@ -196,9 +187,7 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_loglik(args) -> int:
-    model = parse_model(args.model)
-    obs = read_series(args.data)
+def _cmd_loglik(args, model, obs) -> int:
     if isinstance(model, DiscreteHMM):
         forward = forward_filter(model, obs)
         increments = forward.log_normalizers
@@ -218,19 +207,17 @@ def _cmd_loglik(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    model = parse_model(args.model)
-    obs = read_series(args.data)
+def _cmd_fit(args, model, obs) -> int:
     method = args.method
     if method is None:
         method = "em" if isinstance(model, DiscreteHMM) else "mle"
     if args.tol <= 0:
-        raise _UsageError("--tol must be positive")
+        raise ValueError("--tol must be positive")
     if args.max_iter < 1:
-        raise _UsageError("--max-iter must be at least 1")
+        raise ValueError("--max-iter must be at least 1")
     if method == "em":
         if not isinstance(model, DiscreteHMM):
-            raise _UsageError(
+            raise ValueError(
                 "EM fitting covers discrete models only; use --method mle"
             )
         fitted, trace, forward = fit_em(
@@ -260,20 +247,18 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_pf(args) -> int:
-    model = parse_model(args.model)
-    obs = read_series(args.data)
+def _cmd_pf(args, model, obs) -> int:
     if not isinstance(model, LinearGaussianModel):
         raise ModelValidationError(
             "pf requires a linear_gaussian model document; generic models are "
             "reachable through the library interface only"
         )
     if args.particles < 1:
-        raise _UsageError("--particles must be at least 1")
+        raise ValueError("--particles must be at least 1")
     if not 0.0 < args.threshold <= 1.0:
-        raise _UsageError("--threshold must lie in (0, 1]")
+        raise ValueError("--threshold must lie in (0, 1]")
     if args.lag is not None and args.lag < 0:
-        raise _UsageError("--lag must be non-negative")
+        raise ValueError("--lag must be non-negative")
     generic = lgssm_as_generic(model)
     rng = SeededGenerator(args.seed)
     if args.lag is None:
@@ -308,9 +293,7 @@ def _cmd_pf(args) -> int:
     return 0
 
 
-def _cmd_forget(args) -> int:
-    model = parse_model(args.model)
-    obs = read_series(args.data)
+def _cmd_forget(args, model, obs) -> int:
     if not isinstance(model, DiscreteHMM):
         raise ModelValidationError("forget requires a discrete_hmm model document")
     prior_a = _parse_prior(args.prior_a, "--prior-a")
@@ -318,7 +301,7 @@ def _cmd_forget(args) -> int:
     K = model.initial.shape[0]
     for flag, prior in (("--prior-a", prior_a), ("--prior-b", prior_b)):
         if prior.shape[0] != K:
-            raise _UsageError(f"{flag} must have {K} entries, got {prior.shape[0]}")
+            raise ValueError(f"{flag} must have {K} entries, got {prior.shape[0]}")
     curve = forgetting_curve(model, obs, prior_a, prior_b)
     write_table(args.out, ["t", "tv"], curve.tv)
     _summary(
@@ -350,20 +333,16 @@ def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        model = parse_model(args.model)
+        obs = read_series(args.data) if "data" in args else None
+        return _DISPATCH[args.command](args, model, obs)
     except SystemExit as exc:  # --help
         code = exc.code
         return int(code) if code is not None else 0
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
-    except (DataFormatError, ModelValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (DataFormatError, ModelValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import difflib
+import itertools
 import json
 import math
 import os
@@ -164,38 +165,45 @@ def read_series(path: str) -> ObservationSeries:
     else:
         values = np.empty((n_rows, width - 1))
     i = -1
-    for line, row in enumerate(rows[1:], 2):
-        if not row:
-            continue
-        i += 1
-        if len(row) != width:
-            raise DataFormatError(
-                f"line {line}: expected {width} columns, got {len(row)}"
-            )
-        try:
-            t = int(row[0])
-        except ValueError:
-            raise DataFormatError(f"line {line}: t must be an integer, got {row[0]!r}") from None
-        if t != i + 1:
-            raise DataFormatError(f"line {line}: expected t={i + 1}, got t={t}")
-        if kind == "symbolic":
+    try:
+        for record, row in enumerate(rows[1:], 1):
+            if not row:
+                continue
+            i += 1
+            if len(row) != width:
+                raise DataFormatError(f"expected {width} columns, got {len(row)}")
             try:
-                values[i] = int(row[1])
+                t = int(row[0])
             except ValueError:
-                raise DataFormatError(
-                    f"line {line}: y must be an integer symbol, got {row[1]!r}"
-                ) from None
-        else:
-            for j, cell in enumerate(row[1:]):
+                raise DataFormatError(f"t must be an integer, got {row[0]!r}") from None
+            if t != i + 1:
+                raise DataFormatError(f"expected t={i + 1}, got t={t}")
+            if kind == "symbolic":
                 try:
-                    v = float(cell)
+                    values[i] = int(row[1])
                 except ValueError:
                     raise DataFormatError(
-                        f"line {line}: y{j + 1} must be a number, got {cell!r}"
+                        f"y must be an integer symbol, got {row[1]!r}"
                     ) from None
-                if not math.isfinite(v):
-                    raise DataFormatError(f"line {line}: y{j + 1} must be finite")
-                values[i, j] = v
+            else:
+                for j, cell in enumerate(row[1:]):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise DataFormatError(
+                            f"y{j + 1} must be a number, got {cell!r}"
+                        ) from None
+                    if not math.isfinite(v):
+                        raise DataFormatError(f"y{j + 1} must be finite")
+                    values[i, j] = v
+    except DataFormatError as err:
+        # A quoted cell may span lines, so only a second read up to the
+        # failing record tells the line it starts on.
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            for _ in itertools.islice(reader, record):
+                pass
+            raise DataFormatError(f"line {reader.line_num + 1}: {err}") from None
     return ObservationSeries(values, kind=kind)
 
 

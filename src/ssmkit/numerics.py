@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
 
 from .errors import DegenerateWeightsError, ModelValidationError
 
@@ -60,34 +59,28 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def psd_sampling_factor(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Lower-triangular-like factor F with mat = F F^T, valid for any PSD matrix.
+    """Square factor F with mat = F F^T, valid for any PSD matrix.
 
-    Tries a plain Cholesky first; on failure falls back to a pivoted
-    factorization with a 1e-12 pivot floor so zero eigenvalues are accepted
-    while indefinite matrices are rejected.
+    A positive definite matrix gets its Cholesky factor.  Otherwise F is
+    V diag(sqrt(w)) from eigh of the lower triangle, with eigenvalues at
+    or below 1e-12 of the largest magnitude set to zero, so F has no
+    column outside the range of mat.  mat is rejected unless
+    max|mat - F F^T| <= 1e-8 * max(max|diag mat|, 1).
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ModelValidationError(f"{name} must be a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pass
-    c, piv, rank, info = dpstrf(a, lower=1, tol=1e-12)
-    if info < 0:
-        raise ModelValidationError(f"{name} factorization failed (LAPACK info={info})")
-    scale = float(np.max(np.abs(np.diag(a)))) if n else 0.0
-    resid = a[np.ix_(piv - 1, piv - 1)] - np.tril(c)[:, :rank] @ np.tril(c)[:, :rank].T
-    if np.max(np.abs(resid)) > 1e-8 * max(scale, 1.0):
+    w, v = np.linalg.eigh(a)
+    w[w <= 1e-12 * np.max(np.abs(w))] = 0.0
+    factor = v * np.sqrt(w)
+    scale = float(np.max(np.abs(np.diag(a))))
+    if np.max(np.abs(a - factor @ factor.T)) > 1e-8 * max(scale, 1.0):
         raise ModelValidationError(f"{name} is not positive semidefinite")
-    lower = np.tril(c)
-    lower[:, rank:] = 0.0
-    perm = np.zeros((n, n))
-    perm[np.arange(n), piv - 1] = 1.0
-    return perm.T @ lower
+    return factor
 
 
 def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

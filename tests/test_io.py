@@ -308,6 +308,25 @@ class TestSeriesFiles:
             read_series(str(path))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('t,y1\n1,"0.5\n"\n2,abc\n', "line 4: y1 must be a number, got 'abc'"),
+            ('t,y1\n1,"0.5\n"\n3,1\n', "line 4: expected t=2, got t=3"),
+            ('t,y1\r\n1,"0.5\r\n"\r\n\r\n2,abc\r\n', "line 5: y1 must be a number, got 'abc'"),
+            ('t,y1,y2\n1,"0.5\n\n",1\n2,1\n', "line 5: expected 3 columns, got 2"),
+        ],
+        ids=["number", "t-gap", "crlf", "columns"],
+    )
+    def test_errors_after_a_quoted_cell_spanning_lines_name_the_physical_line(
+        self, tmp_path, text, message
+    ):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataFormatError) as err:
+            read_series(str(path))
+        assert str(err.value) == message
+
     def test_blank_rows_are_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("t,y\n\n1,0\n\n\n2,1\n\n")

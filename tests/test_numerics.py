@@ -1,15 +1,20 @@
 """Log-domain utilities and PSD factorization."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ssmkit import (
     DegenerateWeightsError,
+    LinearGaussianModel,
     effective_sample_size,
     log_sum_exp,
     normalize_log_weights,
+    validate_model,
 )
 from ssmkit.errors import ModelValidationError
 from ssmkit.numerics import gaussian_logpdf, psd_sampling_factor
@@ -94,8 +99,11 @@ class TestPsdSamplingFactor:
         np.testing.assert_allclose(f @ f.T, a, atol=1e-12)
 
     def test_zero_matrix(self):
-        f = psd_sampling_factor(np.zeros((3, 3)))
-        np.testing.assert_allclose(f, np.zeros((3, 3)))
+        for n in range(7):
+            f = psd_sampling_factor(np.zeros((n, n)))
+            assert f.shape == (n, n)
+            assert not np.any(f)
+            assert not np.any(np.signbit(f))  # +0.0 throughout, no -0.0
 
     def test_rank_deficient(self):
         v = np.array([[1.0], [2.0], [-1.0]])
@@ -106,6 +114,102 @@ class TestPsdSamplingFactor:
     def test_indefinite_rejected(self):
         with pytest.raises(ModelValidationError):
             psd_sampling_factor(np.array([[1.0, 0.0], [0.0, -0.5]]))
+
+    def test_rank_deficient_oracle(self):
+        # B B^T for every rank short of full, at scales 1e-6..1e6.
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            for rank in range(n):
+                for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                    for _ in range(5):
+                        b = rng.normal(size=(n, rank)) * math.sqrt(scale)
+                        a = b @ b.T
+                        f = psd_sampling_factor(a)
+                        assert f.shape == (n, n)
+                        bound = 1e-12 * np.max(np.abs(a), initial=0.0)
+                        assert np.max(np.abs(f @ f.T - a)) <= bound
+
+    def test_every_q_validate_model_accepts_is_factored(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 7):
+            for _ in range(20):
+                v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                w = rng.uniform(0.1, 2.0, size=n)
+                w[rng.integers(n)] = -rng.uniform(0.0, 1e-10)
+                w[rng.integers(n)] = 0.0
+                q = v @ np.diag(w) @ v.T
+                q = 0.5 * (q + q.T)
+                model = LinearGaussianModel(
+                    A=np.eye(n), C=np.eye(n), Q=q, R=np.eye(n),
+                    mu0=np.zeros(n), Sigma0=np.eye(n),
+                )
+                assert validate_model(model) == []
+                f = psd_sampling_factor(q, "Q")
+                assert np.max(np.abs(f @ f.T - q)) <= 1e-8
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_indefinite_beyond_tolerance_rejected(self, n):
+        rng = np.random.default_rng(n)
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = rng.uniform(0.5, 2.0, size=n)
+        w[0] = -1e-6
+        with pytest.raises(ModelValidationError, match="Q is not positive semidefinite"):
+            psd_sampling_factor(v @ np.diag(w) @ v.T, "Q")
+
+    def test_asymmetry_beyond_tolerance_rejected(self):
+        # The lower triangle is singular PSD, so only the upper one differs.
+        base = np.ones((2, 2))
+        for gap, accepted in ((1e-10, True), (1e-7, False), (1e-3, False)):
+            a = base.copy()
+            a[0, 1] += gap
+            if accepted:
+                f = psd_sampling_factor(a)
+                np.testing.assert_allclose(f @ f.T, base, atol=1e-15)
+            else:
+                with pytest.raises(ModelValidationError, match="not positive semidefinite"):
+                    psd_sampling_factor(a)
+
+
+class TestNumpyOnlyRuntime:
+    def test_positive_definite_workflow_loads_no_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from ssmkit import *\n"
+            "hmm = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],"
+            " [[0.8, 0.2], [0.3, 0.7]])\n"
+            "lg = LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.19]], R=[[0.5]],"
+            " mu0=[0.0], Sigma0=[[1.0]])\n"
+            "_, sym = simulate_hmm(hmm, 60, SeededGenerator(1))\n"
+            "_, real = simulate_lgssm(lg, 60, SeededGenerator(2))\n"
+            "rts_smoother(lg, kalman_filter(lg, real))\n"
+            "lg2 = LinearGaussianModel(A=0.9 * np.eye(2), C=np.eye(2), Q=np.eye(2),"
+            " R=[[1.0, 0.3], [0.3, 1.0]], mu0=np.zeros(2), Sigma0=np.eye(2))\n"
+            "_, real2 = simulate_lgssm(lg2, 60, SeededGenerator(5))\n"
+            "rts_smoother(lg2, kalman_filter(lg2, real2))\n"
+            "fit_mle(hmm, sym)\n"
+            "fit_mle(lg, real, free_blocks=('R', 'mu0'))\n"
+            "fit_em(hmm, sym, max_iter=5)\n"
+            "viterbi(hmm, sym)\n"
+            "fixed_lag_smoother(lgssm_as_generic(lg), real, 50, 3, SeededGenerator(3))\n"
+            "forgetting_curve(hmm, sym, [0.9, 0.1], [0.1, 0.9])\n"
+            "d = sys.argv[1]\n"
+            "write_model(d + '/lg.json', lg)\n"
+            "write_series(d + '/y.csv', real)\n"
+            "for argv in (['smooth', '--model', d + '/lg.json', '--data', d + '/y.csv'],"
+            " ['pf', '--model', d + '/lg.json', '--data', d + '/y.csv', '--particles',"
+            " '50', '--seed', '4', '--out', d + '/pf.csv']):\n"
+            "    assert run_command(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestGaussianLogpdf:

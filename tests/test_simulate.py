@@ -90,6 +90,23 @@ class TestSimulateLgssm:
         noise = obs.values[:, 0] - path.states[:, 0]
         assert abs(noise.var() - 0.5) < 0.01  # within 2% of R
 
+    def test_rank_one_q_increments_stay_in_its_range(self):
+        q_dir = np.array([1.0, 2.0, -1.0])
+        q = 0.3 * np.outer(q_dir, q_dir)
+        m = LinearGaussianModel(
+            A=0.9 * np.eye(3), C=np.eye(3), Q=q, R=np.eye(3),
+            mu0=np.zeros(3), Sigma0=np.eye(3),
+        )
+        path, _ = simulate_lgssm(m, 50_000, SeededGenerator(21))
+        x = path.states
+        increments = x[1:] - x[:-1] @ m.A.T
+        unit = q_dir / np.linalg.norm(q_dir)
+        off_range = increments - np.outer(increments @ unit, unit)
+        assert np.max(np.abs(off_range)) <= 1e-12
+        # Over 49,999 draws the largest entry's standard error is
+        # sqrt(2 * 1.2**2 / 49,999) ~ 0.0076, so 0.05 is over 6 of them.
+        np.testing.assert_allclose(np.cov(increments.T), q, atol=0.05)
+
     def test_rejects_indefinite_q(self):
         m = LinearGaussianModel(
             A=np.eye(2), C=np.eye(2), Q=[[1.0, 2.0], [2.0, 1.0]], R=np.eye(2),
