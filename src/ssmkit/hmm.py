@@ -6,25 +6,33 @@ matching the t column of series files.
 
 Both passes are one row recursion, r_t = (r_{t-1} @ F) * e_t scaled to
 sum to one, with F = A forward and F = A^T over reversed time backward.
-One block driver (_row_recursion) forms every row, the first from the
-prior forward and from ones backward, the rest in blocks filled one of
-three ways, chosen by K and the series length alone (_block_fill).  Each
-row starts as its step's column e_t, and the per-step kernel finishes it
-in place (weight by the prediction, sum, divide, predict), the plain
-forward recursion's operations in their order.  Up to _SCAN_MAX_K
-states, each block is a chunked prefix scan of linear work, checked row
-by row against one per-step recursion from the row before it; scanned
-rows agree with the kernel's within 1e-12 relative and keep exact zeros.
-A block that fails its check runs on the kernel.  Above that size, a
-long series runs on lanes: one batched recursion, with the kernel's
-operations in its order, runs every block at once, each block's lane
-from a uniform row some steps before it.  The filter forgets where it
-started, and in floating point that forgetting is exact, so a block
-whose lane equals the true row bit for bit at the step before it takes
-the lane's rows.  Any other block runs on the kernel from the row before
-it, so at K > _SCAN_MAX_K both passes equal the kernel's byte for byte.
+_row_recursion forms every row, the first from the prior forward and
+from ones backward.  Each row starts as its step's column e_t, and the
+per-step kernel finishes it in place (weight by the prediction, sum,
+divide, predict), the plain forward recursion's operations in their
+order.  Up to _SCAN_MAX_K states, each block is a chunked prefix scan of
+linear work, checked row by row against one per-step recursion from the
+row before it; scanned rows agree with the kernel's within 1e-12
+relative and keep exact zeros.  A block that fails its check runs on the
+kernel.  Viterbi runs the max-product recursion on normalized deltas:
+each step's row of best log scores has its maximum subtracted, so the
+rows are bounded.
 
-The driver alone rescues rows from underflow, in both passes.  A row
+One lane driver (_fill_blocks) runs the blocks of all three passes,
+filled one of three ways chosen by K and the series length alone
+(_block_fill).  Above _SCAN_MAX_K states, and at every K for Viterbi, a
+long series runs on lanes: one batched recursion, each step the pass's
+kernel step operation for operation, runs every block at once, each
+block's lane from a row that knows nothing of the start (a uniform row,
+or deltas of zero) some steps before it.  The recursion forgets where it
+started, and in floating point that forgetting is exact, so a block whose
+lane equals the true row bit for bit at the step before it, with no
+impossible step in the block, takes the lane's results.  Any other block
+runs on the pass's kernel from the row before it, so at K > _SCAN_MAX_K
+the forward and backward passes, and Viterbi at every K, equal their
+kernels byte for byte.
+
+_row_recursion alone rescues rows from underflow, in both passes.  A row
 whose product underflows as a whole, where a rare symbol meets a rare
 move, sums to zero; it is formed again from the factors' mantissas and
 exponents (_shifted_step), the prediction from the row before scaled by
@@ -40,18 +48,11 @@ with no positive scale left raises NumericalError.  The products with
 the filtered rows and the pairwise slabs are formed batched, with no
 T x K x K temporary, and smoothed[T-1] equals filtered[T-1] exactly.
 
-Viterbi runs the max-product recursion on normalized deltas: each step's
-row of best log scores has its maximum subtracted, so the rows are
-bounded and a lane started from a row of zeros meets the true rows bit
-for bit, as the filter's lanes do.  Long series run on the same lane
-layout (_lane_layout) at every K, each batched step the per-step
-kernel's step operation for operation; a block takes its lane's deltas
-and backpointers where its row maxima are finite and the lane is
-certified, and runs on the kernel (_viterbi_block) otherwise.  So the
-path equals the per-step normalized recursion's byte for byte, and
-log_joint, the path's log terms summed left to right, equals what the
-plain unnormalized recursion returns for that path.  fit_em filters each
-model once and hands that pass to the next baum_welch_step.
+Viterbi's path equals the per-step normalized recursion's byte for
+byte, and log_joint, the path's log terms summed left to right, equals
+what the plain unnormalized recursion returns for that path.  fit_em
+filters each model once and hands that pass to the next
+baum_welch_step.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ _SCAN_CHUNK = 8
 # Largest relative difference, entry by entry, between a scanned row and
 # one per-step recursion from the row before it that _scan_block accepts.
 _SCAN_RTOL = 1e-12
-# Steps per lane block (_lane_layout), and steps of overlap before each
+# Steps per lane block (_fill_blocks), and steps of overlap before each
 # block but the first.  On the exact_long model (K = 10, stay 0.6, T = 1e4)
 # every forward lane met the true rows within 143 steps; an overlap of 160
 # left some lanes unmet, 256 certified every lane at blocks of 256 and 512.
@@ -173,10 +174,6 @@ class EnumerationResult:
     map_log_joint: float
 
 
-def _check_symbolic(model: DiscreteHMM, obs: ObservationSeries) -> np.ndarray:
-    return _check_symbols(obs, model.M)
-
-
 def _check_symbols(obs: ObservationSeries, m: int) -> np.ndarray:
     if obs.kind != "symbolic":
         raise ModelValidationError(
@@ -220,7 +217,7 @@ def forward_filter(
     ImpossibleObservationError, and no step after it is computed.
     """
     require_valid(model)
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     if initial_override is not None:
         prior = _check_probability_vector(initial_override, model.K, "initial_override")
     else:
@@ -252,62 +249,88 @@ def _block_fill(k: int, n: int, scan: bool = True) -> str:
     return "lanes" if n >= _LANE_MIN_ROWS else "kernel"
 
 
-def _lane_layout(fill: str, n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Lane starts and block bounds of a pass over n rows filled by fill.
+def _fill_blocks(fill, n, first, other, floor, prepare, take, fill_block):
+    """Fill the blocks of a pass over n rows whose row 0 is first: the lane
+    driver of the forward, backward and Viterbi passes.
 
-    On lanes, lane b runs _LANE_OVERLAP + _LANE_BLOCK steps from step
-    starts[b] = 1 + b * _LANE_BLOCK: lane 0 from the true row, every other
-    lane from a row that knows nothing of the start.  Lane 0's block is all
-    its steps and every other lane's its last _LANE_BLOCK steps; there are
-    as many lanes as it takes for the blocks to cover the series.  Block b
-    is rows bounds[b][0]:bounds[b][1].  Any other fill has no lanes and
-    blocks of _SCAN_BLOCK rows.
+    fill is _block_fill's choice.  On "lanes", lane b runs _LANE_OVERLAP +
+    _LANE_BLOCK batched steps from step starts[b] = 1 + b * _LANE_BLOCK:
+    lane 0 from first, every other lane from a row of other, which knows
+    nothing of the start.  Lane 0's block is all its steps and every other
+    lane's its last _LANE_BLOCK steps; there are as many lanes as it takes
+    for the blocks to cover the series.  Steps past the series, in the last
+    lane, repeat its last row and are never taken.  Any other fill has no
+    lanes and blocks of _SCAN_BLOCK rows.
+
+    The pass supplies the rest.  prepare(steps), where steps[s, b] is lane
+    b's step at batched step s, returns what each lane's step starts from,
+    indexed like steps, and the batched step: step(s, rows, gathered[s],
+    values[s]) returns the lanes' rows at batched step s from their rows
+    before it, and writes each row's sum or maximum to values[s].  A block
+    is certified when every value in it is above floor and its lane's row
+    at the step before it equals the true row there bit for bit.  Each row
+    is a function of the row before it, so the lane then ran the kernel's
+    steps from the true row through the block: the recursion has forgotten
+    where the lane started.  A certified block of rows lo:hi goes to
+    take(lo, hi, gathered[i:j, b], values[i:j, b]), lane b's steps i:j;
+    any other runs on fill_block(lo, hi, row) from the true row before it,
+    which returns the true row hi - 1, or None to stop the pass.  Returns
+    the last row, or None where the pass stopped.
     """
     if fill == "lanes":
         starts = np.arange(1, max(n - _LANE_OVERLAP, 2), _LANE_BLOCK)
         los = [1] + [int(start) + _LANE_OVERLAP for start in starts[1:]]
+        span = np.arange(_LANE_OVERLAP + _LANE_BLOCK)
+        steps = np.minimum(np.add.outer(span, starts), n - 1)
+        (gathered, step), values = prepare(steps), np.empty(steps.shape)
+        lanes = np.full((len(starts), len(first)), other)
+        lanes[0] = first
+        # A lane whose block is empty (a series of one step) ends on its start.
+        befores, ends = lanes.copy(), lanes.copy()
+        last = n - 1 - starts[-1]
+        for s, (inputs, value) in enumerate(zip(gathered, values)):
+            if s == _LANE_OVERLAP:
+                befores[1:] = lanes[1:]
+            lanes = step(s, lanes, inputs, value)
+            if s == last:
+                ends[-1] = lanes[-1]
+        ends[:-1] = lanes[:-1]
     else:
-        starts, los = np.arange(0), list(range(1, n, _SCAN_BLOCK))
-    return starts, list(zip(los, los[1:] + [n]))
-
-
-def _lane_steps(starts: np.ndarray, n: int) -> np.ndarray:
-    """Step of lane b at batched step s, at [s, b], for lanes that start at
-    starts in a pass over n rows.  Steps past the series, in the last lane,
-    repeat its last row and are never taken."""
-    return np.minimum(np.add.outer(np.arange(_LANE_OVERLAP + _LANE_BLOCK), starts), n - 1)
-
-
-def _certified(healthy: np.ndarray, lane_before: np.ndarray, true_before: np.ndarray) -> bool:
-    """Whether a block takes its lane's results: every step of the block is
-    healthy, and the lane's row at the step before the block equals the
-    true row there bit for bit.  Each row is a function of the row before
-    it, so the lane then ran the kernel's steps from the true row through
-    the block: the recursion has forgotten where the lane started."""
-    return bool(healthy.all()) and lane_before.tobytes() == true_before.tobytes()
+        los = list(range(1, n, _SCAN_BLOCK))
+    row = first
+    for b, (lo, hi) in enumerate(zip(los, los[1:] + [n])):
+        if fill == "lanes":
+            taken = slice(lo - starts[b], hi - starts[b])
+            if (values[taken, b] > floor).all() and befores[b].tobytes() == row.tobytes():
+                take(lo, hi, gathered[taken, b], values[taken, b])
+                row = ends[b]
+                continue
+        row = fill_block(lo, hi, row)
+        if row is None:
+            return None
+    return row
 
 
 def _row_recursion(
     rows: np.ndarray, matrix: np.ndarray, sums: np.ndarray, first: np.ndarray
 ) -> tuple[int, dict[int, float]]:
-    """Fill rows, row 0 predicted by first: the block driver of both passes.
+    """Fill rows, row 0 predicted by first: the row recursion of both passes.
 
     Each row holds its step's column on entry, so that a pass needs no
     T x K array of columns beside its rows.  Row t becomes its prediction
     (first, or rows[t - 1] @ matrix) times its column scaled to sum to one,
     and sums[t] the sum it was scaled by.  Row 0 takes the kernel's
-    operations here, and _block_fill picks one fill for the blocks after
-    it: scans (_scan_block), lanes (_run_lanes), whose blocks are taken
-    where certified, or the kernel (_step_block), which also runs every
+    operations here, and _fill_blocks fills the blocks after it: by scans
+    (_scan_block), by lanes from uniform rows, each batched step the
+    kernel's step, or by the kernel (_step_block), which also runs every
     block that fails its scan's check or its lane's certification.  A row
     whose sum is not positive is formed again by _shifted_step, and the
     pass goes on from the row after it.  Returns the first step where even
     that product has no positive entry, with no rows filled after it, or
     len(rows) if none has; and the log of each rescued step's sum, by step.
     """
-    n = rows.shape[0]
-    fill = _block_fill(matrix.shape[0], n)
-    starts, bounds = _lane_layout(fill, n)
+    n, k = rows.shape
+    fill = _block_fill(k, n)
     rescued = {}
     col = rows[0].copy()
     rows[0] *= first
@@ -316,21 +339,28 @@ def _row_recursion(
         rescued[0] = _shifted_step(rows[0], np.ldexp(first, _RESCUE_EXP), col)
         if rescued[0] is None:
             return 0, rescued
-    if fill == "lanes":
-        lanes, lane_sums = _run_lanes(rows[0], matrix, rows)
-    for b, (lo, hi) in enumerate(bounds):
-        if fill == "lanes":
-            taken = slice(lo - starts[b], hi - starts[b])
-            # Lane 0 starts from rows[0], any other at the end of its overlap.
-            before = lanes[_LANE_OVERLAP - 1, b] if b else rows[0]
-            if _certified(lane_sums[taken, b] > 0.0, before, rows[lo - 1]):
-                rows[lo:hi] = lanes[taken, b]
-                sums[lo:hi] = lane_sums[taken, b]
-                continue
+
+    def prepare(steps):
+        predicted = np.empty((steps.shape[1], 1, k))
+
+        def step(s, previous, lane, lane_sum):
+            # A batched product and sum round as _step_block's per-row calls.
+            lane *= np.matmul(previous[:, None, :], matrix, out=predicted)[:, 0]
+            lane /= np.add.reduce(lane, axis=1, out=lane_sum)[:, None]
+            return lane
+
+        # take copies the same rows as rows[steps], in about half the time.
+        return rows.take(steps, axis=0), step
+
+    def take(lo, hi, lane_rows, lane_sums):
+        rows[lo:hi] = lane_rows
+        sums[lo:hi] = lane_sums
+
+    def fill_block(lo, hi, row):
         cols = rows[lo:hi].copy()
         # A scanned block that passes its check has only positive sums.
         if fill == "scan" and _scan_block(rows, lo, hi, matrix, cols, sums):
-            continue
+            return rows[hi - 1]
         start = lo
         while start < hi:
             _step_block(rows, start, hi, matrix, cols[start - lo :], sums)
@@ -341,36 +371,14 @@ def _row_recursion(
             predicted = np.ldexp(rows[t - 1], _RESCUE_EXP) @ matrix
             rescued[t] = _shifted_step(rows[t], predicted, cols[t - lo])
             if rescued[t] is None:
-                return t, rescued
+                return None
             start = t + 1
+        return rows[hi - 1]
+
+    if _fill_blocks(fill, n, rows[0], 1.0 / k, 0.0, prepare, take, fill_block) is None:
+        # The step that stopped the pass is the last one rescued.
+        return next(reversed(rescued)), rescued
     return n, rescued
-
-
-def _run_lanes(
-    first: np.ndarray, matrix: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lanes (_lane_layout) of a row recursion over len(cols) rows from
-    the row first, every other lane from a uniform row; cols[t] is step
-    t's column.
-
-    All lanes advance together, and each batched step is the kernel's step,
-    operation for operation: a batched product and sum round as
-    _step_block's per-row calls do.  Returns the rows (step, lane, state)
-    and their sums (step, lane); lane b's row for step t is at
-    t - starts[b].
-    """
-    k = first.shape[0]
-    starts, _ = _lane_layout("lanes", len(cols))
-    lanes = cols[_lane_steps(starts, len(cols))]
-    lane_sums = np.empty(lanes.shape[:2])
-    predicted = np.empty((len(starts), 1, k))
-    previous = np.full((len(starts), k), 1.0 / k)
-    previous[0] = first
-    for lane, lane_sum in zip(lanes, lane_sums):
-        lane *= np.matmul(previous[:, None, :], matrix, out=predicted)[:, 0]
-        lane /= np.add.reduce(lane, axis=1, out=lane_sum)[:, None]
-        previous = lane
-    return lanes, lane_sums
 
 
 def _step_block(
@@ -521,7 +529,7 @@ def backward_smooth(
     NumericalError names the latest step whose smoothed row has no
     positive scale.
     """
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     T, K = y.shape[0], model.K
     if forward.filtered.shape[0] != T:
         raise ValueError(
@@ -585,17 +593,17 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
 
     Max-product recursion in log domain on normalized deltas: each step's
     row of best scores has its maximum subtracted, so the rows stay bounded.
-    Scores equal in floating point go to the lower state index.  The steps
-    after the first run on lanes (_viterbi_lanes) where _block_fill gives
-    the series to them; a block whose lane is not certified, and every
-    block of a shorter series, runs on the kernel (_viterbi_block) from the
-    deltas before it.  So the path equals the per-step normalized
-    recursion's byte for byte.  log_joint is the sum of the path's log
-    terms, added left to right as the plain unnormalized recursion adds
-    them along that path.
+    Scores equal in floating point go to the lower state index.
+    _fill_blocks runs the steps after the first, on lanes from rows of
+    zeros where _block_fill gives the series to them; a block whose lane is
+    not certified, and every block of a shorter series, runs on the kernel
+    (_viterbi_block) from the deltas before it.  So the path equals the
+    per-step normalized recursion's byte for byte.  log_joint is the sum
+    of the path's log terms, added left to right as the plain unnormalized
+    recursion adds them along that path.
     """
     require_valid(model)
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     T, K = y.shape[0], model.K
     with np.errstate(divide="ignore"):
         log_init = np.log(model.initial)
@@ -609,21 +617,40 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
         raise ImpossibleObservationError(1)
     first -= top
     fill = _block_fill(K, T, scan=False)
-    starts, bounds = _lane_layout(fill, T)
-    # The last lane writes backpointers past the series.
-    end = starts[-1] + _LANE_OVERLAP + _LANE_BLOCK if fill == "lanes" else T
-    back = np.empty((max(T, end), K), dtype=np.int64)
-    delta = first
+    # Lanes write backpointers up to _LANE_OVERLAP + _LANE_BLOCK rows past
+    # the series.
+    back = np.empty((T + _LANE_OVERLAP + _LANE_BLOCK, K), dtype=np.int64)
+
+    def prepare(steps):
+        count = steps.shape[1]
+        scores, stop = np.empty((count, K, K)), count * _LANE_BLOCK
+        # scores[b, j, i] is flat[offsets[b, j] + i].
+        flat, offsets = scores.reshape(-1), np.arange(0, count * K * K, K).reshape(count, K)
+
+        def step(s, previous, symbols, maxima):
+            # _viterbi_block's step, operation for operation: the maximum
+            # added is gathered through the argmax, the value the kernel's
+            # max returns.  Lane b writes the backpointers of its step
+            # 1 + b * _LANE_BLOCK + s in place.  Every lane runs the same
+            # number of batched steps, so the lane whose block holds a step
+            # writes its row last.
+            np.add(previous[:, None, :], trans_t, out=scores)
+            pointers = back[1 + s : 1 + s + stop : _LANE_BLOCK]
+            scores.argmax(axis=2, out=pointers)
+            # emit_cols[symbols], in a third of the time fancy indexing takes.
+            rows = emit_cols.take(symbols, axis=0)
+            rows += flat[pointers + offsets]
+            rows -= np.maximum.reduce(rows, axis=1, out=maxima)[:, None]
+            return rows
+
+        return y.take(steps), step
+
+    def fill_block(lo, hi, delta):
+        return _viterbi_block(back, lo, trans_t, emit_cols[y[lo:hi]], delta)
+
     with np.errstate(invalid="ignore"):
-        if fill == "lanes":
-            befores, ends, maxima = _viterbi_lanes(first, trans_t, emit_cols, y, starts, back)
-        for b, (lo, hi) in enumerate(bounds):
-            if fill == "lanes" and _certified(
-                maxima[lo - starts[b] : hi - starts[b], b] > -np.inf, befores[b], delta
-            ):
-                delta = ends[b]
-            else:
-                delta = _viterbi_block(back, lo, trans_t, emit_cols[y[lo:hi]], delta)
+        # A certified block's backpointers are in place already.
+        delta = _fill_blocks(fill, T, first, 0.0, -np.inf, prepare, lambda *_: None, fill_block)
     # Python ints through a memoryview: indexing numpy scalars step by
     # step took about twice as long.
     pointers = memoryview(back.reshape(-1))
@@ -671,54 +698,6 @@ def _viterbi_block(
     return previous
 
 
-def _viterbi_lanes(
-    first: np.ndarray,
-    trans_t: np.ndarray,
-    emit_cols: np.ndarray,
-    y: np.ndarray,
-    starts: np.ndarray,
-    back: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the lanes (_lane_layout) of a Viterbi pass over len(y) steps,
-    lane 0 from the deltas first, every other lane from a row of zeros.
-
-    All lanes advance together, and each batched step is _viterbi_block's
-    step, operation for operation: add, argmax, add the maximum (gathered
-    through the argmax, the value the kernel's max returns) to the emission
-    rows gathered for that step, and subtract each row's maximum.  The backpointers go to back: at every
-    step each lane writes its step's row, and the lane whose block holds
-    that step writes it last.  Returns each lane's deltas at the step
-    before its block and at the last step of its block (lane, state), and
-    the maxima of every row (step, lane); lane b's maximum for step t is
-    at t - starts[b].
-    """
-    count, k = len(starts), first.shape[0]
-    symbols = y[_lane_steps(starts, len(y))]
-    maxima = np.empty(symbols.shape)
-    scores = np.empty((count, k, k))
-    # scores[b, j, i] is flat[offsets[b, j] + i].
-    flat, offsets = scores.reshape(-1), np.arange(0, count * k * k, k).reshape(count, k)
-    previous = np.zeros((count, k))
-    previous[0] = first
-    # A lane whose block is empty (a series of one step) ends on its start.
-    befores, ends = previous.copy(), previous.copy()
-    last = len(y) - 1 - starts[-1]
-    for s, (symbol, top) in enumerate(zip(symbols, maxima)):
-        if s == _LANE_OVERLAP:
-            befores[1:] = previous[1:]
-        np.add(previous[:, None, :], trans_t, out=scores)
-        pointers = back[1 + s : 1 + s + count * _LANE_BLOCK : _LANE_BLOCK]
-        scores.argmax(axis=2, out=pointers)
-        rows = emit_cols[symbol]
-        rows += flat[pointers + offsets]
-        rows -= np.maximum.reduce(rows, axis=1, out=top)[:, None]
-        previous = rows
-        if s == last:
-            ends[-1] = rows[-1]
-    ends[:-1] = previous[:-1]
-    return befores, ends, maxima
-
-
 def _expected_counts(
     model: DiscreteHMM, y: np.ndarray, smooth: SmoothedSequence
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -750,7 +729,7 @@ def baum_welch_step(
     instead of running the forward pass again, and the result is the same.
     A pass over a different number of steps raises ValueError.
     """
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     if forward is None:
         forward = forward_filter(model, obs)
     smooth = backward_smooth(model, obs, forward)
@@ -823,7 +802,7 @@ def exact_posterior_enumeration(
     oracle for the recursive algorithms; guarded to K**T <= 10**6.
     """
     require_valid(model)
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     T = y.shape[0]
     K = model.K
     if K**T > ENUMERATION_GUARD:

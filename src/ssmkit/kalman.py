@@ -111,10 +111,6 @@ class GaussianSmoothedSequence:
     pinv_steps: tuple[int, ...] = ()
 
 
-def _check_real(model: LinearGaussianModel, obs: ObservationSeries) -> np.ndarray:
-    return _check_rows(obs, model.d_y)
-
-
 def _check_rows(obs: ObservationSeries, d_y: int) -> np.ndarray:
     if obs.kind != "real":
         raise ModelValidationError(
@@ -380,7 +376,7 @@ def kalman_filter(
     covariance fails the CONDITION_GUARD check.
     """
     require_valid(model)
-    y = _check_real(model, obs)
+    y = _check_rows(obs, model.d_y)
     T = y.shape[0]
     if model.d_x == model.d_y == 1:
         moments, frozen = _scalar_moments(model, y), T

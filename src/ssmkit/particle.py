@@ -82,7 +82,10 @@ def systematic_resample(weights, u: float, n: int | None = None) -> np.ndarray:
     """Parent indices at stratified positions (i + u)/n on the weight CDF.
 
     n defaults to the number of weights.  Output is sorted nondecreasing;
-    the count of each index i differs from n*w_i by less than 1 for every u.
+    the count of each index i differs from n*w_i by at most 1, and by less
+    than 1 in exact arithmetic.  Where u is within about n * 2**-53 of 1,
+    the last position rounds to 1.0, past the CDF; it then goes to the last
+    index of positive weight, where it lies in exact arithmetic.
     """
     w = _check_weights(weights)
     if not 0.0 <= u < 1.0:
@@ -94,7 +97,11 @@ def systematic_resample(weights, u: float, n: int | None = None) -> np.ndarray:
     positions = (np.arange(n) + u) / n
     cdf = np.cumsum(w)
     cdf[-1] = 1.0  # guard roundoff so the last position always lands
-    return np.searchsorted(cdf, positions, side="right").astype(np.int64)
+    idx = np.searchsorted(cdf, positions, side="right").astype(np.int64)
+    # The output is sorted: if any index lies past the CDF, the last does.
+    if idx[-1] == w.shape[0]:
+        np.minimum(idx, np.flatnonzero(w)[-1], out=idx)
+    return idx
 
 
 def multinomial_resample(weights, rng: SeededGenerator, n: int | None = None) -> np.ndarray:

@@ -825,13 +825,14 @@ def kernel_blocks(monkeypatch):
 def lane_passes(monkeypatch):
     """Record the number of rows of every pass that runs on lanes."""
     passes = []
-    run_lanes = hmm._run_lanes
+    fill_blocks = hmm._fill_blocks
 
-    def recording(first, matrix, cols):
-        passes.append(len(cols))
-        return run_lanes(first, matrix, cols)
+    def recording(fill, n, *args):
+        if fill == "lanes":
+            passes.append(n)
+        return fill_blocks(fill, n, *args)
 
-    monkeypatch.setattr(hmm, "_run_lanes", recording)
+    monkeypatch.setattr(hmm, "_fill_blocks", recording)
     return passes
 
 
@@ -1508,20 +1509,6 @@ def viterbi_kernel_blocks(monkeypatch):
     return starts
 
 
-def viterbi_lane_passes(monkeypatch):
-    """Record the number of steps of every Viterbi pass that runs on
-    lanes."""
-    passes = []
-    run_lanes = hmm._viterbi_lanes
-
-    def recording(first, trans_t, emit_cols, y, *args):
-        passes.append(len(y))
-        return run_lanes(first, trans_t, emit_cols, y, *args)
-
-    monkeypatch.setattr(hmm, "_viterbi_lanes", recording)
-    return passes
-
-
 class TestViterbiLanes:
     def test_permutation_with_uninformative_emissions(self, monkeypatch):
         # The deltas are the initial law's logs moved round a cycle, while
@@ -1533,7 +1520,7 @@ class TestViterbiLanes:
         )
         obs = sym(rng.integers(0, 2, size=t_len))
         expected = kernel_viterbi(model, obs)
-        passes = viterbi_lane_passes(monkeypatch)
+        passes = lane_passes(monkeypatch)
         starts = viterbi_kernel_blocks(monkeypatch)
         assert viterbi_or_error(model, obs) == expected
         assert passes == [t_len]
@@ -1546,7 +1533,7 @@ class TestViterbiLanes:
         t_len = 3000
         _, obs = simulate_hmm(model, t_len, SeededGenerator(k))
         expected = kernel_viterbi(model, obs)
-        passes = viterbi_lane_passes(monkeypatch)
+        passes = lane_passes(monkeypatch)
         assert viterbi_or_error(model, obs) == expected
         assert passes == [t_len]
 
@@ -1557,7 +1544,7 @@ class TestViterbiLanes:
         t_len = 2000
         _, obs = simulate_hmm(model, t_len, SeededGenerator(k))
         expected = kernel_viterbi(model, obs)
-        passes = viterbi_lane_passes(monkeypatch)
+        passes = lane_passes(monkeypatch)
         assert viterbi_or_error(model, obs) == expected
         assert passes == [t_len]
 
@@ -1597,7 +1584,7 @@ class TestViterbiLanes:
         assert reference.value.time_index == position + 1
         expected = kernel_viterbi(model, obs)
         assert expected == (ImpossibleObservationError, str(reference.value))
-        passes = viterbi_lane_passes(monkeypatch)
+        passes = lane_passes(monkeypatch)
         starts = viterbi_kernel_blocks(monkeypatch)
         assert viterbi_or_error(model, obs) == expected
         # Only the block of the impossible step ran on the kernel.
@@ -1642,6 +1629,23 @@ class TestViterbiLaneStepIsTheKernelStep:
             batched -= np.maximum.reduce(batched, axis=1)[:, None]
             assert pointers.tobytes() == single_back.tobytes(), k
             assert batched.tobytes() == single.tobytes(), k
+
+
+class TestLaneGeometry:
+    # The lane schedule lives in _LANE_OVERLAP, _LANE_BLOCK and the one lane
+    # driver: at other overlaps and block sizes, lanes still equal the
+    # kernel in all three passes.
+    @pytest.mark.parametrize("overlap, block", [(64, 256), (256, 128), (96, 192), (32, 512)])
+    @pytest.mark.parametrize("k", [3, 10, 25])
+    def test_lanes_equal_the_kernel(self, monkeypatch, overlap, block, k):
+        monkeypatch.setattr(hmm, "_LANE_OVERLAP", overlap)
+        monkeypatch.setattr(hmm, "_LANE_BLOCK", block)
+        rng = np.random.default_rng([k, overlap, block])
+        model = slowly_mixing_hmm(rng, k, 4, 0.6)
+        for t_len in (overlap + block + 2, 1500):
+            _, obs = simulate_hmm(model, t_len, SeededGenerator(k * t_len))
+            assert_lanes_equal_kernel(model, obs)
+            assert_viterbi_lanes_equal_kernel(model, obs)
 
 
 class TestViterbiMemory:

@@ -34,7 +34,7 @@ from ssmkit import (
     viterbi,
 )
 from ssmkit import hmm
-from ssmkit.hmm import _check_probability_vector, _check_symbolic
+from ssmkit.hmm import _check_probability_vector, _check_symbols
 from ssmkit.models import require_valid
 
 
@@ -42,7 +42,7 @@ def reference_forward_filter(model, obs, initial_override=None):
     """One propagate/reweight/normalize step at a time, stopping at the
     first impossible observation."""
     require_valid(model)
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     if initial_override is not None:
         prior = _check_probability_vector(initial_override, model.K, "initial_override")
     else:
@@ -66,7 +66,7 @@ def reference_forward_filter(model, obs, initial_override=None):
 
 def reference_backward_smooth(model, obs, filtered, log_norms):
     """Every smoothed row and pairwise slab formed inside the backward loop."""
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     T = y.shape[0]
     K = model.K
     emit_cols = model.emission.T
@@ -85,7 +85,7 @@ def reference_backward_smooth(model, obs, filtered, log_norms):
 
 def reference_baum_welch_step(model, obs):
     """Returns (model, log_likelihood, held transition rows, held emission rows)."""
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     filtered, log_norms, log_likelihood = reference_forward_filter(model, obs)
     smoothed, pairwise = reference_backward_smooth(model, obs, filtered, log_norms)
     K, M = model.K, model.M
@@ -137,7 +137,7 @@ def reference_viterbi(model, obs):
     """The max-product step with a fresh score matrix, a gather of the
     maxima through the argmax, and the impossibility check at every step."""
     require_valid(model)
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     T = y.shape[0]
     K = model.K
     with np.errstate(divide="ignore"):
@@ -168,7 +168,7 @@ def reference_viterbi_normalized(model, obs):
     row's maximum subtracted, with the impossibility check at every step.
     log_joint adds the path's log terms one at a time on Python floats."""
     require_valid(model)
-    y = _check_symbolic(model, obs)
+    y = _check_symbols(obs, model.M)
     T = y.shape[0]
     K = model.K
     with np.errstate(divide="ignore"):

@@ -25,7 +25,7 @@ from ssmkit import (
     simulate_lgssm,
 )
 from ssmkit import estimation, fit_mle, kalman
-from ssmkit.kalman import CONDITION_GUARD, _check_real
+from ssmkit.kalman import CONDITION_GUARD, _check_rows
 from ssmkit.models import require_valid
 from ssmkit.numerics import symmetrize
 
@@ -35,7 +35,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 def reference_kalman_filter(model, obs):
     """The one-pass predict/update loop, computing every step in full."""
     require_valid(model)
-    y = _check_real(model, obs)
+    y = _check_rows(obs, model.d_y)
     T = y.shape[0]
     d_x, d_y = model.d_x, model.d_y
     A, C, Q, R = model.A, model.C, model.Q, model.R

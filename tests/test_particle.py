@@ -76,6 +76,23 @@ class TestSystematicResample:
                 assert np.all(np.abs(counts - n * w) < 1.0)
                 assert np.all(np.diff(idx) >= 0)
 
+    @pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0 - 1e-13])
+    @pytest.mark.parametrize("n", [3, 10_000])
+    @pytest.mark.parametrize("kind", ["equal", "random", "last zero"])
+    def test_u_next_to_one_stays_in_range(self, u, n, kind):
+        # The last position (n - 1 + u) / n can round to 1.0, past the CDF.
+        rng = np.random.default_rng(n)
+        w = np.full(n, 1.0 / n) if kind == "equal" else rng.exponential(size=n)
+        if kind == "last zero":
+            w[-1] = 0.0
+        w /= w.sum()
+        idx = systematic_resample(w, u)
+        assert idx.max() < n
+        assert np.all(np.diff(idx) >= 0)
+        assert np.all(w[idx] > 0.0)
+        # At most 1 apart, up to the rounding of n * w.
+        assert np.all(np.abs(np.bincount(idx, minlength=n) - n * w) <= 1.0 + 1e-9)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             systematic_resample([0.5, 0.5], 1.0)
