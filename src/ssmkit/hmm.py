@@ -25,12 +25,18 @@ long series runs on lanes: one batched recursion, each step the pass's
 kernel step operation for operation, runs every block at once, each
 block's lane from a row that knows nothing of the start (a uniform row,
 or deltas of zero) some steps before it.  The recursion forgets where it
-started, and in floating point that forgetting is exact, so a block whose
-lane equals the true row bit for bit at the step before it, with no
-impossible step in the block, takes the lane's results.  Any other block
-runs on the pass's kernel from the row before it, so at K > _SCAN_MAX_K
-the forward and backward passes, and Viterbi at every K, equal their
-kernels byte for byte.
+started, and in floating point that forgetting is exact: a lane that
+equals the true row bit for bit at a step has run the kernel's steps from
+it.  A block takes its lane's results from its first checkpoint (one every
+_LANE_CHECK steps) where the lane equals the true row, with no impossible
+step after it; a batched repair round, from the row the predecessor lane
+ended on, gives the rows before it where that row is the true one; the
+pass's kernel runs the rest from the true row.  So at K > _SCAN_MAX_K the
+forward and backward passes, and Viterbi at every K, equal their kernels
+byte for byte.  Sum-product rows only contract geometrically, and their
+lanes start _LANE_OVERLAP = 256 steps before their blocks; max-product
+deltas meet once survivor paths merge, which is finite and fast, and
+Viterbi's lanes start _VITERBI_OVERLAP = 64 steps before.
 
 _row_recursion alone rescues rows from underflow, in both passes.  A row
 whose product underflows as a whole, where a rare symbol meets a rare
@@ -107,17 +113,29 @@ _SCAN_CHUNK = 8
 # one per-step recursion from the row before it that _scan_block accepts.
 _SCAN_RTOL = 1e-12
 # Steps per lane block (_fill_blocks), and steps of overlap before each
-# block but the first.  On the exact_long model (K = 10, stay 0.6, T = 1e4)
-# every forward lane met the true rows within 143 steps; an overlap of 160
-# left some lanes unmet, 256 certified every lane at blocks of 256 and 512.
-# Its Dobrushin coefficient is 0.870, and 0.870**264 < 2**-53.
+# block but the first.  Sum-product rows only contract geometrically (Le
+# Gland & Mevel 2000): on the exact_long model (K = 10, stay 0.6, T = 1e4)
+# forward lanes met the true rows after 112 steps (median) and 145 at most.
+# Its Dobrushin coefficient is 0.870, and 0.870**264 < 2**-53.  An overlap
+# of 128 saved 2 ms of its 12 ms forward pass but slowed the forward pass at
+# K = 12, stay 0.95 (36 -> 61 ms) and at K = 40, stay 0.9 (38 -> 74 ms).
 _LANE_BLOCK = 256
 _LANE_OVERLAP = 256
+# Max-product lanes meet once their survivor paths merge, which is finite
+# and fast (Fettweis & Meyr 1991): on the exact_long model Viterbi lanes met
+# after 29 steps (median) and 83 at most, so they start 64 steps before
+# their block, and a lane that meets later is picked up at a checkpoint.
+_VITERBI_OVERLAP = 64
+# Steps between a lane's checkpoints within its block: a block is certified
+# from the first checkpoint where its lane meets the true row, and a block
+# run on the kernel runs in chunks of this many steps.
+_LANE_CHECK = 32
 # Fewest rows a pass needs to run on lanes rather than on the kernel.
-# Lanes take _LANE_OVERLAP + _LANE_BLOCK batched steps whatever the length;
+# Lanes take overlap + _LANE_BLOCK batched steps whatever the length;
 # at K = 10 (one BLAS thread) they were slower than the kernel at 700 rows
-# and level with it at 800-900.  Viterbi's lanes at 1024 steps were level
-# with its kernel at 1023 (K = 10, about 10 ms each).
+# and level with it at 800-900.  Viterbi's shorter lanes were level with
+# its kernel at 512 steps and faster from 700 (K = 10: 7.1 against 12.9 ms
+# at 1023 steps).
 _LANE_MIN_ROWS = 1024
 # Rows are at most one, so the rescue's prediction from the row before times
 # 2**1000 cannot overflow, and keeps a row entry >= 2**-1000 times any move.
@@ -223,7 +241,7 @@ def forward_filter(
     else:
         prior = model.initial
     # Each row starts as its step's emission column.
-    filtered = model.emission.T[y]
+    filtered = model.emission.T.take(y, axis=0)
     norms = np.empty(y.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         end, rescued = _row_recursion(filtered, model.transition, norms, prior)
@@ -249,65 +267,125 @@ def _block_fill(k: int, n: int, scan: bool = True) -> str:
     return "lanes" if n >= _LANE_MIN_ROWS else "kernel"
 
 
-def _fill_blocks(fill, n, first, other, floor, prepare, take, fill_block):
+def _fill_blocks(fill, n, overlap, first, other, floor, prepare, take, fill_block):
     """Fill the blocks of a pass over n rows whose row 0 is first: the lane
     driver of the forward, backward and Viterbi passes.
 
-    fill is _block_fill's choice.  On "lanes", lane b runs _LANE_OVERLAP +
-    _LANE_BLOCK batched steps from step starts[b] = 1 + b * _LANE_BLOCK:
-    lane 0 from first, every other lane from a row of other, which knows
-    nothing of the start.  Lane 0's block is all its steps and every other
-    lane's its last _LANE_BLOCK steps; there are as many lanes as it takes
-    for the blocks to cover the series.  Steps past the series, in the last
-    lane, repeat its last row and are never taken.  Any other fill has no
-    lanes and blocks of _SCAN_BLOCK rows.
+    fill is _block_fill's choice.  Any fill but "lanes" runs blocks of
+    _SCAN_BLOCK rows on the pass's fill_block(lo, hi, row), from the true
+    row before each, which returns the true row hi - 1, or None to stop
+    the pass.  Returns the last row, or None where the pass stopped.
 
-    The pass supplies the rest.  prepare(steps), where steps[s, b] is lane
-    b's step at batched step s, returns what each lane's step starts from,
-    indexed like steps, and the batched step: step(s, rows, gathered[s],
-    values[s]) returns the lanes' rows at batched step s from their rows
-    before it, and writes each row's sum or maximum to values[s].  A block
-    is certified when every value in it is above floor and its lane's row
-    at the step before it equals the true row there bit for bit.  Each row
-    is a function of the row before it, so the lane then ran the kernel's
-    steps from the true row through the block: the recursion has forgotten
-    where the lane started.  A certified block of rows lo:hi goes to
-    take(lo, hi, gathered[i:j, b], values[i:j, b]), lane b's steps i:j;
-    any other runs on fill_block(lo, hi, row) from the true row before it,
-    which returns the true row hi - 1, or None to stop the pass.  Returns
-    the last row, or None where the pass stopped.
+    On "lanes", lane b runs overlap + _LANE_BLOCK batched steps from step
+    starts[b] = 1 + b * _LANE_BLOCK: lane 0 from first, every other lane
+    from a row of other, which knows nothing of the start.  Lane 0's block
+    is all its steps and every other lane's its last _LANE_BLOCK steps;
+    there are as many lanes as it takes for the blocks to cover the series.
+    Steps past the series, in the last lane, repeat its last row and are
+    never taken.  prepare(steps, in_place), where steps[s, b] is lane b's
+    step at batched step s, returns out, indexed like steps, and the
+    batched step: step(s, rows, out[s], values[s]) returns the lanes' rows
+    at batched step s from their rows before it, and writes what the pass
+    keeps of each step to out[s] and each row's sum or maximum to
+    values[s].  in_place is True for these lanes, laid out as above, and
+    False for repair lanes.
+
+    Each row is a function of the row before it, and the recursion forgets
+    where it started: a lane whose row equals the true row bit for bit at
+    a step has run the kernel's steps from it.  Each lane keeps its row
+    every _LANE_CHECK steps of its block, at its checkpoints.  A block is
+    certified from its first checkpoint where the lane's row equals the
+    true row and every value from there on is above floor: lane b's steps
+    i:j go to take(lo, hi, out[i:j, b], values[i:j, b]) for the block's
+    rows lo:hi from there on.  Before that checkpoint, the rows run on
+    fill_block from the true row, to the next checkpoint that could
+    certify, unless a repair lane gives them.  One batched round, before
+    the blocks are walked in order, reruns every lane whose row before its
+    block differs from its predecessor's row there, from that row, up to
+    its first checkpoint equal to its lane's or its block's end.  Where the
+    true row before the block equals the predecessor's, the repair lane ran
+    the kernel's steps, and its rows are taken when its values are above
+    floor.
     """
-    if fill == "lanes":
-        starts = np.arange(1, max(n - _LANE_OVERLAP, 2), _LANE_BLOCK)
-        los = [1] + [int(start) + _LANE_OVERLAP for start in starts[1:]]
-        span = np.arange(_LANE_OVERLAP + _LANE_BLOCK)
-        steps = np.minimum(np.add.outer(span, starts), n - 1)
-        (gathered, step), values = prepare(steps), np.empty(steps.shape)
-        lanes = np.full((len(starts), len(first)), other)
-        lanes[0] = first
-        # A lane whose block is empty (a series of one step) ends on its start.
-        befores, ends = lanes.copy(), lanes.copy()
-        last = n - 1 - starts[-1]
-        for s, (inputs, value) in enumerate(zip(gathered, values)):
-            if s == _LANE_OVERLAP:
-                befores[1:] = lanes[1:]
-            lanes = step(s, lanes, inputs, value)
-            if s == last:
-                ends[-1] = lanes[-1]
-        ends[:-1] = lanes[:-1]
-    else:
-        los = list(range(1, n, _SCAN_BLOCK))
+    if fill != "lanes":
+        row = first
+        for lo in range(1, n, _SCAN_BLOCK):
+            row = fill_block(lo, min(lo + _SCAN_BLOCK, n), row)
+            if row is None:
+                return None
+        return row
+
+    def run(lows, rows, count, in_place, marks, done=lambda m, rows: False):
+        # Lanes from rows at steps lows for count batched steps, and their
+        # rows after m steps for each m in marks, until done(m, rows).
+        steps = np.minimum(np.add.outer(np.arange(count), lows), n - 1)
+        (out, step), values = prepare(steps, in_place), np.empty(steps.shape)
+        kept = {0: rows}
+        for s, (written, value) in enumerate(zip(out, values), 1):
+            rows = step(s - 1, rows, written, value)
+            if s in marks:
+                kept[s] = rows
+                if done(s, rows):
+                    break
+        return out, values, kept
+
+    span = overlap + _LANE_BLOCK
+    starts = np.arange(1, max(n - overlap, 2), _LANE_BLOCK)
+    # Lane b's block is its batched steps from heads[b], the rows los[b]:his[b].
+    heads = np.full(len(starts), overlap)
+    heads[0] = 0
+    los = starts + heads
+    his = np.append(los[1:], n)
+    lanes = np.full((len(starts), len(first)), other)
+    lanes[0] = first
+    marks = {*range(0, span, _LANE_CHECK), *range(overlap, span, _LANE_CHECK)}
+    marks |= {span, n - starts[-1]}
+    out, values, checks = run(starts, lanes, span, True, marks)
+    # A lane whose block is empty (a series of one step) ends on its start.
+    ends = [checks[hi - start][b] for b, (hi, start) in enumerate(zip(his, starts))]
+    missed = [
+        b for b in range(1, len(starts)) if checks[overlap][b].tobytes() != ends[b - 1].tobytes()
+    ]
+    if missed:
+        stops = his[missed] - los[missed]
+
+        def met(m, rows):
+            for r, b in enumerate(missed):
+                if m < stops[r] and m % _LANE_CHECK == 0:
+                    if rows[r].tobytes() == checks[overlap + m][b].tobytes():
+                        stops[r] = m
+            return (stops <= m).all()
+
+        # Each repair lane's end is kept at its own last step: the last
+        # block is shorter than the batch.
+        marks = {*range(_LANE_CHECK, _LANE_BLOCK, _LANE_CHECK), *stops.tolist()}
+        mended_out, mended_values, mended = run(
+            los[missed], np.array([ends[b - 1] for b in missed]), stops.max(), False, marks, met
+        )
+    repairs = {b: r for r, b in enumerate(missed)}
     row = first
-    for b, (lo, hi) in enumerate(zip(los, los[1:] + [n])):
-        if fill == "lanes":
-            taken = slice(lo - starts[b], hi - starts[b])
-            if (values[taken, b] > floor).all() and befores[b].tobytes() == row.tobytes():
-                take(lo, hi, gathered[taken, b], values[taken, b])
+    for b, (lo, hi, head) in enumerate(zip(los, his, heads)):
+        i, end = lo, head + hi - lo
+        if b in repairs and ends[b - 1].tobytes() == row.tobytes():
+            r = repairs[b]
+            stop = int(stops[r])
+            if (mended_values[:stop, r] > floor).all():
+                take(lo, lo + stop, mended_out[:stop, r], mended_values[:stop, r])
+                row, i = mended[stop][r], lo + stop
+        # The lane's first checkpoint after its last value at or below floor.
+        lost = np.flatnonzero(~(values[head:end, b] > floor))
+        usable = lo + (-(-(int(lost[-1]) + 1) // _LANE_CHECK) * _LANE_CHECK if lost.size else 0)
+        while i < hi:
+            m = head + i - lo
+            if i >= usable and checks[m][b].tobytes() == row.tobytes():
+                take(i, hi, out[m:end, b], values[m:end, b])
                 row = ends[b]
-                continue
-        row = fill_block(lo, hi, row)
-        if row is None:
-            return None
+                break
+            j = min(max(i + _LANE_CHECK, usable), hi)
+            row = fill_block(i, j, row)
+            if row is None:
+                return None
+            i = j
     return row
 
 
@@ -323,11 +401,12 @@ def _row_recursion(
     operations here, and _fill_blocks fills the blocks after it: by scans
     (_scan_block), by lanes from uniform rows, each batched step the
     kernel's step, or by the kernel (_step_block), which also runs every
-    block that fails its scan's check or its lane's certification.  A row
-    whose sum is not positive is formed again by _shifted_step, and the
-    pass goes on from the row after it.  Returns the first step where even
-    that product has no positive entry, with no rows filled after it, or
-    len(rows) if none has; and the log of each rescued step's sum, by step.
+    block that fails its scan's check and the rows of a lane block that
+    neither its lane nor its repair lane gives.  A row whose sum is not
+    positive is formed again by _shifted_step, and the pass goes on from
+    the row after it.  Returns the first step where even that product has
+    no positive entry, with no rows filled after it, or len(rows) if none
+    has; and the log of each rescued step's sum, by step.
     """
     n, k = rows.shape
     fill = _block_fill(k, n)
@@ -340,7 +419,7 @@ def _row_recursion(
         if rescued[0] is None:
             return 0, rescued
 
-    def prepare(steps):
+    def prepare(steps, in_place):
         predicted = np.empty((steps.shape[1], 1, k))
 
         def step(s, previous, lane, lane_sum):
@@ -375,7 +454,8 @@ def _row_recursion(
             start = t + 1
         return rows[hi - 1]
 
-    if _fill_blocks(fill, n, rows[0], 1.0 / k, 0.0, prepare, take, fill_block) is None:
+    last = _fill_blocks(fill, n, _LANE_OVERLAP, rows[0], 1.0 / k, 0.0, prepare, take, fill_block)
+    if last is None:
         # The step that stopped the pass is the last one rescued.
         return next(reversed(rescued)), rescued
     return n, rescued
@@ -543,7 +623,7 @@ def backward_smooth(
     # (filtered > 0): an excluded state's large entry could swamp one the
     # posterior needs, and excluded entries reach no smoothed or pairwise
     # value.  Row t of rescaled below is the backward row of step t + 1.
-    reversed_rows = model.emission.T[y[:0:-1]]
+    reversed_rows = model.emission.T.take(y[:0:-1], axis=0)
     reversed_rows[filtered[:0:-1] == 0.0] = 0.0
     rescaled = reversed_rows[::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -595,9 +675,10 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
     row of best scores has its maximum subtracted, so the rows stay bounded.
     Scores equal in floating point go to the lower state index.
     _fill_blocks runs the steps after the first, on lanes from rows of
-    zeros where _block_fill gives the series to them; a block whose lane is
-    not certified, and every block of a shorter series, runs on the kernel
-    (_viterbi_block) from the deltas before it.  So the path equals the
+    zeros _VITERBI_OVERLAP steps before their blocks where _block_fill
+    gives the series to them; the rows that no certified lane or repair
+    lane gives, and every block of a shorter series, run on the kernel
+    (_viterbi_block) from the deltas before them.  So the path equals the
     per-step normalized recursion's byte for byte.  log_joint is the sum
     of the path's log terms, added left to right as the plain unnormalized
     recursion adds them along that path.
@@ -617,40 +698,57 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
         raise ImpossibleObservationError(1)
     first -= top
     fill = _block_fill(K, T, scan=False)
-    # Lanes write backpointers up to _LANE_OVERLAP + _LANE_BLOCK rows past
-    # the series.
-    back = np.empty((T + _LANE_OVERLAP + _LANE_BLOCK, K), dtype=np.int64)
+    # Lanes write backpointers up to _VITERBI_OVERLAP + _LANE_BLOCK rows
+    # past the series.
+    back = np.empty((T + _VITERBI_OVERLAP + _LANE_BLOCK, K), dtype=np.int64)
 
-    def prepare(steps):
+    def prepare(steps, in_place):
         count = steps.shape[1]
-        scores, stop = np.empty((count, K, K)), count * _LANE_BLOCK
+        symbols, scores = y.take(steps), np.empty((count, K, K))
         # scores[b, j, i] is flat[offsets[b, j] + i].
         flat, offsets = scores.reshape(-1), np.arange(0, count * K * K, K).reshape(count, K)
+        if in_place:
+            # Lane b writes the backpointers of its step 1 + b * _LANE_BLOCK
+            # + s in place.  Every lane runs the same number of batched
+            # steps, so the lane whose block holds a step writes its row
+            # last.
+            row, item = back.strides
+            pointers = np.lib.stride_tricks.as_strided(
+                back[1:], (len(steps), count, K), (row, _LANE_BLOCK * row, item)
+            )
+        else:
+            # A repair lane's rows are kept only where its start was the true
+            # row, which the walk decides, so its pointers wait in a buffer of
+            # their own.
+            pointers = np.empty((len(steps), count, K), dtype=np.int64)
 
-        def step(s, previous, symbols, maxima):
+        def step(s, previous, written, maxima):
             # _viterbi_block's step, operation for operation: the maximum
             # added is gathered through the argmax, the value the kernel's
-            # max returns.  Lane b writes the backpointers of its step
-            # 1 + b * _LANE_BLOCK + s in place.  Every lane runs the same
-            # number of batched steps, so the lane whose block holds a step
-            # writes its row last.
+            # max returns.
             np.add(previous[:, None, :], trans_t, out=scores)
-            pointers = back[1 + s : 1 + s + stop : _LANE_BLOCK]
-            scores.argmax(axis=2, out=pointers)
-            # emit_cols[symbols], in a third of the time fancy indexing takes.
-            rows = emit_cols.take(symbols, axis=0)
-            rows += flat[pointers + offsets]
+            scores.argmax(axis=2, out=written)
+            # emit_cols[symbols[s]], in a third of the time fancy indexing takes.
+            rows = emit_cols.take(symbols[s], axis=0)
+            rows += flat[written + offsets]
             rows -= np.maximum.reduce(rows, axis=1, out=maxima)[:, None]
             return rows
 
-        return y.take(steps), step
+        return pointers, step
+
+    def take(lo, hi, pointers, _):
+        # A certified lane's pointers are in place already; a repair lane's
+        # are copied.
+        if not np.may_share_memory(pointers, back):
+            back[lo:hi] = pointers
 
     def fill_block(lo, hi, delta):
-        return _viterbi_block(back, lo, trans_t, emit_cols[y[lo:hi]], delta)
+        return _viterbi_block(back, lo, trans_t, emit_cols.take(y[lo:hi], axis=0), delta)
 
     with np.errstate(invalid="ignore"):
-        # A certified block's backpointers are in place already.
-        delta = _fill_blocks(fill, T, first, 0.0, -np.inf, prepare, lambda *_: None, fill_block)
+        delta = _fill_blocks(
+            fill, T, _VITERBI_OVERLAP, first, 0.0, -np.inf, prepare, take, fill_block
+        )
     # Python ints through a memoryview: indexing numpy scalars step by
     # step took about twice as long.
     pointers = memoryview(back.reshape(-1))

@@ -1269,10 +1269,22 @@ def assert_lanes_equal_kernel(model, obs, initial_override=None):
         assert passes_or_error(model, obs, initial_override) == expected
 
 
-def lane_blocks(n):
+def lane_blocks(n, overlap=None):
     """First rows of the blocks of a lane pass over n rows whose lanes
-    start from a uniform row."""
-    return list(range(1 + hmm._LANE_OVERLAP + hmm._LANE_BLOCK, n, hmm._LANE_BLOCK))
+    start from a uniform row (from deltas of zero in Viterbi, whose lanes
+    start _VITERBI_OVERLAP steps before their blocks)."""
+    overlap = hmm._LANE_OVERLAP if overlap is None else overlap
+    return list(range(1 + overlap + hmm._LANE_BLOCK, n, hmm._LANE_BLOCK))
+
+
+def chunk_starts(blocks, n):
+    """First rows of the kernel's chunks that run every row of the lane
+    blocks starting at blocks, in a pass over n rows."""
+    return [
+        lo
+        for start in blocks
+        for lo in range(start, min(start + hmm._LANE_BLOCK, n), hmm._LANE_CHECK)
+    ]
 
 
 def slowly_mixing_hmm(rng, k, m, stay):
@@ -1282,12 +1294,17 @@ def slowly_mixing_hmm(rng, k, m, stay):
 
 
 def lane_lengths():
-    block, overlap = hmm._LANE_BLOCK, hmm._LANE_OVERLAP
-    span = block + overlap
-    edges = {span - 1, span, span + 1, 2 * block + 1, 511, 512, 513, 514}
-    # Series whose last row is the first of the second lane's block, the
-    # last of it, and the first of the third's.
-    edges |= {span + 2, span + block + 1, span + block + 2}
+    block = hmm._LANE_BLOCK
+    edges = {2 * block + 1, 511, 512, 513, 514}
+    # The layouts of the sum-product passes and of Viterbi.
+    for overlap in (hmm._LANE_OVERLAP, hmm._VITERBI_OVERLAP):
+        span = block + overlap
+        edges |= {span - 1, span, span + 1}
+        # Series whose last row is the first of the second lane's block,
+        # the last of it, and the first of the third's.
+        edges |= {span + 2, span + block + 1, span + block + 2}
+        # Series whose last block ends at or just past its first checkpoint.
+        edges |= {span + 1 + hmm._LANE_CHECK, span + 2 + hmm._LANE_CHECK}
     edges |= {hmm._LANE_MIN_ROWS - 1, hmm._LANE_MIN_ROWS, hmm._LANE_MIN_ROWS + 1}
     return sorted(edges | {1, 2, 3})
 
@@ -1297,6 +1314,9 @@ class TestLanes:
         # The forward rows are the initial law moved round a cycle, while a
         # lane from the uniform row stays uniform: no forward lane meets.
         # The backward rows are uniform, so every backward lane meets.
+        # The second lane's repair lane starts from the first lane's end,
+        # the true row, and gives its block; the kernel runs every row of
+        # every later block, one chunk at a time.
         k, t_len = 10, 2000
         rng = np.random.default_rng(11)
         model = DiscreteHMM(
@@ -1308,7 +1328,7 @@ class TestLanes:
         starts = kernel_blocks(monkeypatch)
         assert passes_or_error(model, obs) == expected
         assert passes == [t_len, t_len - 1]
-        assert starts == lane_blocks(t_len)
+        assert starts == chunk_starts(lane_blocks(t_len)[1:], t_len)
 
     @pytest.mark.parametrize("override", [False, True])
     def test_slowly_mixing_model(self, monkeypatch, override):
@@ -1362,8 +1382,9 @@ class TestLanes:
         passes = lane_passes(monkeypatch)
         starts = kernel_blocks(monkeypatch)
         assert passes_or_error(model, obs) == expected
-        # Only the block of the impossible step ran on the kernel, and no
-        # block after it was filled.
+        # Only the block of the impossible step ran on the kernel, in one
+        # call from its first row: no checkpoint before the step can certify
+        # the lane.  No block after it was filled.
         assert passes == ([] if position == 0 else [2000])
         assert starts == kernel_block
 
@@ -1513,6 +1534,9 @@ class TestViterbiLanes:
     def test_permutation_with_uninformative_emissions(self, monkeypatch):
         # The deltas are the initial law's logs moved round a cycle, while
         # a lane from zeros stays zeros: no lane but the first meets.
+        # The second lane's repair lane starts from the first lane's end,
+        # the true deltas, and gives its block; the kernel runs every row
+        # of every later block, one chunk at a time.
         k, t_len = 10, 2000
         rng = np.random.default_rng(12)
         model = DiscreteHMM(
@@ -1524,7 +1548,7 @@ class TestViterbiLanes:
         starts = viterbi_kernel_blocks(monkeypatch)
         assert viterbi_or_error(model, obs) == expected
         assert passes == [t_len]
-        assert starts == lane_blocks(t_len)
+        assert starts == chunk_starts(lane_blocks(t_len, hmm._VITERBI_OVERLAP)[1:], t_len)
 
     @pytest.mark.parametrize("k, stay", [(25, 0.9), (40, 0.95)])
     def test_slowly_mixing_model(self, monkeypatch, k, stay):
@@ -1563,8 +1587,11 @@ class TestViterbiLanes:
         [
             (0, []),
             (1 + hmm._LANE_BLOCK + 10, [1]),
-            (1 + hmm._LANE_OVERLAP + hmm._LANE_BLOCK + 10, lane_blocks(2000)[:1]),
-            (1999, lane_blocks(2000)[-1:]),
+            (
+                1 + hmm._VITERBI_OVERLAP + hmm._LANE_BLOCK + 10,
+                lane_blocks(2000, hmm._VITERBI_OVERLAP)[:1],
+            ),
+            (1999, lane_blocks(2000, hmm._VITERBI_OVERLAP)[-1:]),
         ],
         ids=["first step", "second lane's overlap", "second lane's block", "last step"],
     )
@@ -1587,9 +1614,62 @@ class TestViterbiLanes:
         passes = lane_passes(monkeypatch)
         starts = viterbi_kernel_blocks(monkeypatch)
         assert viterbi_or_error(model, obs) == expected
-        # Only the block of the impossible step ran on the kernel.
+        # Only the block of the impossible step ran on the kernel, in one
+        # call from its first row.
         assert passes == ([] if position == 0 else [2000])
         assert starts == kernel_block
+
+
+class TestLaneRepair:
+    # A lane that misses the true row before its block is taken from a
+    # later checkpoint, and the rows before it come from its repair lane,
+    # where that lane started from the true row, or from the kernel.
+    def test_last_short_block_whose_repair_lane_never_meets(self, monkeypatch):
+        # The last block is 207 steps long and its repair lane never meets
+        # its lane, while the batch runs longer: the block's last deltas are
+        # the repair lane's at its own last step, not at the batch's.
+        t_len = 10_000
+        rng = np.random.default_rng(2)
+        model = slowly_mixing_hmm(rng, 12, 3, 0.95)
+        _, obs = simulate_hmm(model, t_len, SeededGenerator(2))
+        expected = kernel_viterbi(model, obs)
+        starts = viterbi_kernel_blocks(monkeypatch)
+        assert viterbi_or_error(model, obs) == expected
+        # The lanes gave the last block.
+        assert max(starts) < lane_blocks(t_len, hmm._VITERBI_OVERLAP)[-1]
+
+    @pytest.mark.parametrize("viterbi_pass", [False, True], ids=["forward", "viterbi"])
+    def test_impossible_observation_in_a_repaired_block(self, monkeypatch, viterbi_pass):
+        # The permutation model of TestLanes, whose second block comes from
+        # its repair lane, with a symbol no state emits 40 steps into that
+        # block: the repair lane's rows are not taken, and the block runs
+        # on the kernel from its first row, which raises at the step.
+        k, t_len = 10, 2000
+        rng = np.random.default_rng(13)
+        emission = np.zeros((k, 3))
+        emission[:, :2] = 0.5
+        model = DiscreteHMM(rng.dirichlet(np.ones(k)), np.roll(np.eye(k), 1, axis=1), emission)
+        overlap = hmm._VITERBI_OVERLAP if viterbi_pass else hmm._LANE_OVERLAP
+        lo = lane_blocks(t_len, overlap)[0]
+        y = rng.integers(0, 2, size=t_len)
+        y[lo + 40] = 2
+        obs = sym(y)
+        run = viterbi_or_error if viterbi_pass else passes_or_error
+        with per_step_kernel():
+            expected = run(model, obs)
+        assert expected == (ImpossibleObservationError, str(ImpossibleObservationError(lo + 41)))
+        record = viterbi_kernel_blocks if viterbi_pass else kernel_blocks
+        starts = record(monkeypatch)
+        assert run(model, obs) == expected
+        assert starts == [lo]
+
+    @pytest.mark.parametrize("k, stay", [(12, 0.95), (16, 0.99), (25, 0.9), (40, 0.9)])
+    def test_default_dispatch_equals_the_kernel(self, k, stay):
+        rng = np.random.default_rng([k, 3])
+        model = slowly_mixing_hmm(rng, k, 5, stay)
+        _, obs = simulate_hmm(model, 3000, SeededGenerator(k))
+        assert passes_or_error(model, obs) == kernel_passes(model, obs)
+        assert viterbi_or_error(model, obs) == kernel_viterbi(model, obs)
 
 
 class TestViterbiLaneStepIsTheKernelStep:
@@ -1632,17 +1712,26 @@ class TestViterbiLaneStepIsTheKernelStep:
 
 
 class TestLaneGeometry:
-    # The lane schedule lives in _LANE_OVERLAP, _LANE_BLOCK and the one lane
-    # driver: at other overlaps and block sizes, lanes still equal the
-    # kernel in all three passes.
-    @pytest.mark.parametrize("overlap, block", [(64, 256), (256, 128), (96, 192), (32, 512)])
+    # The lane schedule lives in _LANE_OVERLAP, _VITERBI_OVERLAP,
+    # _LANE_BLOCK, _LANE_CHECK and the one lane driver: at other overlaps,
+    # block sizes and checkpoint spacings, lanes still equal the kernel in
+    # all three passes.
+    @pytest.mark.parametrize(
+        "overlap, viterbi_overlap, block",
+        [(64, 32, 256), (256, 64, 128), (96, 200, 192), (32, 96, 512)],
+    )
+    # A checkpoint at every step, every _LANE_CHECK steps, and only before
+    # each block.
+    @pytest.mark.parametrize("check", [1, hmm._LANE_CHECK, None], ids=["1", "check", "block"])
     @pytest.mark.parametrize("k", [3, 10, 25])
-    def test_lanes_equal_the_kernel(self, monkeypatch, overlap, block, k):
+    def test_lanes_equal_the_kernel(self, monkeypatch, overlap, viterbi_overlap, block, check, k):
         monkeypatch.setattr(hmm, "_LANE_OVERLAP", overlap)
+        monkeypatch.setattr(hmm, "_VITERBI_OVERLAP", viterbi_overlap)
         monkeypatch.setattr(hmm, "_LANE_BLOCK", block)
+        monkeypatch.setattr(hmm, "_LANE_CHECK", block if check is None else check)
         rng = np.random.default_rng([k, overlap, block])
         model = slowly_mixing_hmm(rng, k, 4, 0.6)
-        for t_len in (overlap + block + 2, 1500):
+        for t_len in (overlap + block + 2, viterbi_overlap + block + 2, 1500):
             _, obs = simulate_hmm(model, t_len, SeededGenerator(k * t_len))
             assert_lanes_equal_kernel(model, obs)
             assert_viterbi_lanes_equal_kernel(model, obs)
