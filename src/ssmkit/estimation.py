@@ -349,20 +349,18 @@ def negative_loglik(theta: ParameterVector, obs: ObservationSeries) -> float:
     if obs.kind != family.kind:
         raise ValueError(f"{theta.family} parameters require {family.kind} observations")
     layout = _layout(family, theta.shape, family.blocks)
-    return _objective(family, theta.shape, layout, {}, obs)(theta.values)
+    return _objective(family, theta.shape, layout, {}, obs)(theta.values)[0]
 
 
-def _objective(
-    family: _Family, shape, layout, fixed: dict, obs: ObservationSeries, gradient: bool = False
-):
-    """The negative log-likelihood of the coordinates of the blocks in
-    layout, fixed holding the other fields; with gradient, the pair of it
-    and a function that forms its gradient from the family's score, so that
-    a caller pays for the score only at the points it keeps.  The series is
-    checked first, once, so that its faults raise.  A point scores +inf
-    where a constructor or require_valid rejects its model or the filter
-    raises NumericalError; the gradient function returns None where the
-    score raises NumericalError or a covariance has no Cholesky factor."""
+def _objective(family: _Family, shape, layout, fixed: dict, obs: ObservationSeries):
+    """The pair of the negative log-likelihood of the coordinates of the
+    blocks in layout, fixed holding the other fields, and a function that
+    forms its gradient from the family's score, so that a caller pays for
+    the score only at the points it keeps.  The series is checked first,
+    once, so that its faults raise.  A point scores +inf where a
+    constructor or require_valid rejects its model or the filter raises
+    NumericalError; the gradient function returns None where the score
+    raises NumericalError or a covariance has no Cholesky factor."""
     family.check(obs, shape[1])
 
     def negative_loglik(x: np.ndarray):
@@ -370,9 +368,7 @@ def _objective(
             model = _unpack_blocks(x, family, shape, layout, fixed)
             forward = family.filter(model, obs)
         except (ModelValidationError, NumericalError):
-            return (np.inf, lambda: None) if gradient else np.inf
-        if not gradient:
-            return -forward.log_likelihood
+            return np.inf, lambda: None
 
         def score():
             try:
@@ -590,7 +586,7 @@ def fit_mle(
     if x0.size == 0:
         raise ValueError("no free blocks to optimize")
     fixed = {field: getattr(model0, field) for field in all_blocks if field not in blocks}
-    objective = _objective(family, shape, layout, fixed, obs, gradient=True)
+    objective = _objective(family, shape, layout, fixed, obs)
     report = _quasi_newton(objective, x0, step, tol, max_iter)
     fitted = _unpack_blocks(report.argmin, family, shape, layout, fixed)
     return fitted, report

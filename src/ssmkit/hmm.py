@@ -38,21 +38,21 @@ lanes start _LANE_OVERLAP = 256 steps before their blocks; max-product
 deltas meet once survivor paths merge, which is finite and fast, and
 Viterbi's lanes start _VITERBI_OVERLAP = 64 steps before.
 
-_row_recursion alone rescues rows from underflow, in both passes.  A row
-whose product underflows as a whole, where a rare symbol meets a rare
-move, sums to zero; it is formed again from the factors' mantissas and
-exponents (_shifted_step), the prediction from the row before scaled by
-2**_RESCUE_EXP, which also give the log of its true sum.  A pass stops
-only where that product has no positive entry, which in the forward pass
-is an impossible observation, raised at its step.  The backward rows are
-scaled by their own sums and each smoothed row by its sum, so the
-backward pass needs no normalizers and does not overflow where
-consecutive rare moves make them tiny.  It runs once, on the emission
-columns masked to the states the forward pass allows, so that no
-excluded state can swamp an entry a smoothed row needs.  A smoothed row
-with no positive scale left raises NumericalError.  The products with
-the filtered rows and the pairwise slabs are formed batched, with no
-T x K x K temporary, and smoothed[T-1] equals filtered[T-1] exactly.
+_extended_product owns every underflow: it forms the terms left[i] *
+F[i, j] * right[j] from their factors' mantissas and exponents, so that
+no term is lost only for being small, and the log of their true sum.
+Only rows whose product sums to zero take it: a row of either pass,
+where a rare symbol meets a rare move, is the terms' column sums, and a
+smoothed row their row sums, its pairwise slab the terms.  Where no term
+is positive, the forward pass raises an impossible observation at its
+step and a smoothed row NumericalError.  The backward rows are scaled by
+their own sums and each smoothed row by its sum, so the backward pass
+needs no normalizers and does not overflow where consecutive rare moves
+make them tiny.  It runs once, on the emission columns masked to the
+states the forward pass allows, so that no excluded state can swamp an
+entry a smoothed row needs.  The products with the filtered rows and the
+pairwise slabs are formed batched, with no T x K x K temporary, and
+smoothed[T-1] equals filtered[T-1] exactly.
 
 Viterbi's path equals the per-step normalized recursion's byte for
 byte, and log_joint, the path's log terms summed left to right, equals
@@ -137,9 +137,6 @@ _LANE_CHECK = 32
 # its kernel at 512 steps and faster from 700 (K = 10: 7.1 against 12.9 ms
 # at 1023 steps).
 _LANE_MIN_ROWS = 1024
-# Rows are at most one, so the rescue's prediction from the row before times
-# 2**1000 cannot overflow, and keeps a row entry >= 2**-1000 times any move.
-_RESCUE_EXP = 1000
 
 
 @dataclass(frozen=True)
@@ -248,7 +245,7 @@ def forward_filter(
         log_norms = np.log(norms)
     if end < y.shape[0]:
         raise ImpossibleObservationError(end + 1)
-    # A rescued step's sum underflowed; _shifted_step gave its log.
+    # A rescued step's sum underflowed; _extended_product gave its log.
     for t, log_norm in rescued.items():
         log_norms[t] = log_norm
     return CategoricalPosteriorSequence(
@@ -403,10 +400,10 @@ def _row_recursion(
     kernel's step, or by the kernel (_step_block), which also runs every
     block that fails its scan's check and the rows of a lane block that
     neither its lane nor its repair lane gives.  A row whose sum is not
-    positive is formed again by _shifted_step, and the pass goes on from
-    the row after it.  Returns the first step where even that product has
-    no positive entry, with no rows filled after it, or len(rows) if none
-    has; and the log of each rescued step's sum, by step.
+    positive is formed again by _extended_product, and the pass goes on
+    from the row after it.  Returns the first step where even that product
+    has no positive term, with no rows filled after it, or len(rows) if
+    none has; and the log of each rescued step's sum, by step.
     """
     n, k = rows.shape
     fill = _block_fill(k, n)
@@ -415,9 +412,11 @@ def _row_recursion(
     rows[0] *= first
     rows[0] /= np.add.reduce(rows[0], out=sums[0, ...])
     if not sums[0] > 0.0:
-        rescued[0] = _shifted_step(rows[0], np.ldexp(first, _RESCUE_EXP), col)
-        if rescued[0] is None:
+        # Row 0's prediction is first itself: one term per state.
+        product = _extended_product(np.ones(1), first[None], col)
+        if product is None:
             return 0, rescued
+        rows[0], rescued[0] = product[0][0], product[1]
 
     def prepare(steps, in_place):
         predicted = np.empty((steps.shape[1], 1, k))
@@ -447,10 +446,11 @@ def _row_recursion(
             if not lost.size:
                 break
             t = start + int(lost[0])
-            predicted = np.ldexp(rows[t - 1], _RESCUE_EXP) @ matrix
-            rescued[t] = _shifted_step(rows[t], predicted, cols[t - lo])
-            if rescued[t] is None:
+            product = _extended_product(rows[t - 1], matrix, cols[t - lo])
+            rescued[t] = None if product is None else product[1]
+            if product is None:
                 return None
+            np.add.reduce(product[0], axis=0, out=rows[t])
             start = t + 1
         return rows[hi - 1]
 
@@ -568,30 +568,23 @@ def _scan_block(
     return bool((error <= step).all())
 
 
-def _shifted_step(row: np.ndarray, predicted: np.ndarray, col: np.ndarray) -> float | None:
-    """Set row to predicted * col scaled to sum to one, where the product
-    underflows as it stands, and return the log of the product's sum.
-
-    predicted is the prediction times 2**_RESCUE_EXP, formed from the row
-    before so scaled: exactly so where no term of it was subnormal.  Each
-    factor is split into mantissa and exponent, and the product of the
-    mantissas is scaled by 2 to the power of its exponent less the largest
-    one, so that no entry of the product is lost only for being small; the
-    log of the sum is that of the scaled row's sum plus (shift -
-    _RESCUE_EXP) ln 2.  Returns None when the product has no positive entry.
-    """
-    predicted, predicted_exp = np.frexp(predicted)
-    emitted, emitted_exp = np.frexp(col)
-    mantissas = predicted * emitted
-    exps = predicted_exp + emitted_exp
+def _extended_product(left, matrix, right) -> tuple[np.ndarray, float] | None:
+    """The terms left[i] * matrix[i, j] * right[j] scaled to sum to one,
+    and the log of their true sum, where the product underflows as it
+    stands: each term's product of mantissas is scaled by 2 to its exponent
+    less the largest of a positive term's, so that a term is lost only
+    below 2**-1074 times the largest.  None when no term is positive."""
+    (lm, le), (mm, me), (rm, re) = np.frexp(left), np.frexp(matrix), np.frexp(right)
+    mantissas = lm[:, None] * mm * rm
+    exps = le[:, None] + me + re
     positive = mantissas > 0.0
     if not positive.any():
         return None
     shift = int(exps[positive].max())
-    np.ldexp(mantissas, exps - shift, out=row)
-    total = np.add.reduce(row)
-    row /= total
-    return float(np.log(total) + (shift - _RESCUE_EXP) * np.log(2.0))
+    terms = np.ldexp(mantissas, exps - shift)
+    total = np.add.reduce(terms, axis=None)
+    terms /= total
+    return terms, float(np.log(total) + shift * np.log(2.0))
 
 
 def backward_smooth(
@@ -605,15 +598,15 @@ def backward_smooth(
     one; row T equals the filtered row exactly.  The backward variables,
     every row of them, run through _row_recursion with F = A^T over
     reversed time, each row scaled by its own sum, so the normalizers are
-    not needed.  Where the rows still lose all their mass to underflow,
-    NumericalError names the latest step whose smoothed row has no
-    positive scale.
+    not needed.  A smoothed row with no positive scale, and its pairwise
+    slab, come from _extended_product; where even that has no positive
+    term, NumericalError names the latest such step.
     """
     y = _check_symbols(obs, model.M)
     T, K = y.shape[0], model.K
-    if forward.filtered.shape[0] != T:
+    if forward.filtered.shape != (T, K):
         raise ValueError(
-            f"forward pass covers {forward.filtered.shape[0]} steps, data has {T}"
+            f"forward pass has shape {forward.filtered.shape}, data and model need {(T, K)}"
         )
     transition = model.transition
     filtered = forward.filtered
@@ -637,17 +630,22 @@ def backward_smooth(
         np.matmul(rescaled, transition.T, out=smoothed[:-1])
         smoothed[:-1] *= filtered[:-1]
         scale = smoothed[:-1] @ np.ones(K)
-    lost = np.flatnonzero(~(scale > 0.0))
-    if lost.size:
-        raise NumericalError(
-            f"backward recursion underflowed: smoothed row at t={int(lost[-1]) + 1} "
-            "has no positive mass"
-        )
-    smoothed[:-1] /= scale[:, None]
-    smoothed[T - 1] = filtered[T - 1]
     # Scaled last, so that a tiny scale cannot overflow a factor to inf.
     pairwise = np.multiply(filtered[:-1, :, None], transition)
     pairwise *= rescaled[:, None, :]
+    # A row with no positive scale is its terms' row sums, latest first.
+    for t in np.flatnonzero(~(scale > 0.0))[::-1].tolist():
+        product = _extended_product(filtered[t], transition, rescaled[t])
+        if product is None:
+            raise NumericalError(
+                f"backward recursion underflowed: smoothed row at t={t + 1} "
+                "has no positive mass"
+            )
+        pairwise[t] = product[0]
+        np.add.reduce(pairwise[t], axis=1, out=smoothed[t])
+        scale[t] = 1.0
+    smoothed[:-1] /= scale[:, None]
+    smoothed[T - 1] = filtered[T - 1]
     pairwise /= scale[:, None, None]
     return SmoothedSequence(smoothed=smoothed, pairwise=pairwise)
 
@@ -825,7 +823,7 @@ def baum_welch_step(
 
     forward, when given, must be forward_filter(model, obs); it is used
     instead of running the forward pass again, and the result is the same.
-    A pass over a different number of steps raises ValueError.
+    A pass whose shape is not (T steps, K states) raises ValueError.
     """
     y = _check_symbols(obs, model.M)
     if forward is None:

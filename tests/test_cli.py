@@ -14,6 +14,7 @@ from ssmkit import (
     SeededGenerator,
     backward_smooth,
     bootstrap_filter,
+    exact_posterior_enumeration,
     fit_em,
     fit_mle,
     fixed_lag_smoother,
@@ -211,6 +212,47 @@ class TestLoglik:
         )
         result = kalman_filter(LG, read_series(lg_data))
         np.testing.assert_array_equal(body[:, 1], result.log_increments)
+
+
+class TestSmallestFloatMove:
+    # Models whose only path takes the move of probability 5e-324, the
+    # smallest float, from a state of prior 0.4 or of prior 1e-304, on the
+    # series 0, 1; the smoothed rows are point masses on that path.
+    MODELS = {
+        "subnormal move": (
+            DiscreteHMM(
+                [0.4, 0.6, 0.0],
+                [[1.0, 0.0, 5e-324], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            ),
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        ),
+        "rescue's reach": (
+            DiscreteHMM(
+                [1.0 - 1e-304, 1e-304, 0.0],
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 5e-324], [0.0, 0.0, 1.0]],
+                [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            ),
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_smooth_and_loglik_match_enumeration(self, capsys, tmp_path, name):
+        model, point_masses = self.MODELS[name]
+        model_path, data, out = (str(tmp_path / f) for f in ("m.json", "y.csv", "s.csv"))
+        write_model(model_path, model)
+        write_series(data, ObservationSeries([0, 1], kind="symbolic"))
+        enum = exact_posterior_enumeration(model, read_series(data))
+        np.testing.assert_array_equal(enum.smoothed, point_masses)
+        argv = ["--model", model_path, "--data", data]
+        code, summary = run(capsys, ["smooth", *argv, "--out", out])
+        assert code == 0
+        np.testing.assert_array_equal(read_csv(out)[1][:, 1:], point_masses)
+        assert summary["log_likelihood"] == pytest.approx(enum.log_likelihood, rel=1e-12)
+        code, summary = run(capsys, ["loglik", *argv])
+        assert code == 0
+        assert summary["log_likelihood"] == pytest.approx(enum.log_likelihood, rel=1e-12)
 
 
 class TestPredict:

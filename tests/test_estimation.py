@@ -498,7 +498,7 @@ def scored_objective(model, obs, blocks, family="discrete-hmm"):
     layout = estimation._layout(spec, shape, blocks)
     fixed = {name: getattr(model, name) for name in spec.blocks if name not in blocks}
     x0 = estimation._pack_blocks(model, layout)
-    objective = estimation._objective(spec, shape, layout, fixed, obs, gradient=True)
+    objective = estimation._objective(spec, shape, layout, fixed, obs)
 
     def value_and_gradient(x):
         value, score = objective(x)

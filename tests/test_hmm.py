@@ -525,6 +525,17 @@ class TestBaumWelchForwardArgument:
         with pytest.raises(ValueError):
             baum_welch_step(BENCH, BENCH_OBS, forward=forward_filter(BENCH, sym([0, 1])))
 
+    def test_forward_pass_of_another_number_of_states(self):
+        # A pass of the two-state BENCH given with a three-state model.
+        model = random_hmm(np.random.default_rng(3), 3, 2)
+        forward = forward_filter(BENCH, BENCH_OBS)
+        for run in (
+            lambda: baum_welch_step(model, BENCH_OBS, forward=forward),
+            lambda: backward_smooth(model, BENCH_OBS, forward),
+        ):
+            with pytest.raises(ValueError, match=r"shape \(3, 2\).*\(3, 3\)"):
+                run()
+
 
 class TestBackwardSmoothMemory:
     def test_no_t_by_k_by_k_temporary(self):
@@ -1095,12 +1106,14 @@ class TestForwardRowThatUnderflows:
     # positive probability.  In "rare move and rare symbol" the second step
     # needs the move 0 -> 1 and symbol 0 from state 1, each of probability
     # 1e-170; in "rare prior and rare symbol" the first step needs state 1,
-    # of prior 1e-200, and its symbol 0, of probability 1e-200.  The driver
-    # forms the row again from mantissas and exponents, and the log
-    # normalizer is that of the product's true sum.  In "subnormal move"
-    # the second step needs the move 0 -> 2 of probability 5e-324, the
-    # smallest float: the prediction 0.4 * 5e-324 itself rounds to zero
-    # unless the row before it is scaled up first.
+    # of prior 1e-200, and its symbol 0, of probability 1e-200.  In
+    # "subnormal move" the second step needs the move 0 -> 2 of probability
+    # 5e-324, the smallest float: the prediction 0.4 * 5e-324 itself rounds
+    # to zero, and so does the smoothed row before the move.  In "rescue's
+    # reach" that move starts from state 1, of prior 1e-304, so the only
+    # path has probability 1e-304 * 5e-324.  The driver forms each such
+    # row again from the mantissas and exponents of its factors, and the
+    # log normalizer is that of the product's true sum.
     MODELS = {
         "rare move and rare symbol": (
             DiscreteHMM(
@@ -1120,6 +1133,14 @@ class TestForwardRowThatUnderflows:
             ),
             sym([0, 1]),
         ),
+        "rescue's reach": (
+            DiscreteHMM(
+                [1.0 - 1e-304, 1e-304, 0.0],
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 5e-324], [0.0, 0.0, 1.0]],
+                [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            ),
+            sym([0, 1]),
+        ),
     }
     # Steps before the pattern, repeating its first symbol, and the symbol
     # after it, which every state emits with probability 1 or not at all.
@@ -1127,7 +1148,10 @@ class TestForwardRowThatUnderflows:
         "rare move and rare symbol": (1100, 2),
         "rare prior and rare symbol": (0, 1),
         "subnormal move": (1100, 1),
+        "rescue's reach": (1100, 1),
     }
+    # The defects the extended-range product mended, and their paths.
+    SUBNORMAL = {"subnormal move": [0, 2], "rescue's reach": [1, 2]}
 
     @staticmethod
     def forward(model, obs):
@@ -1135,89 +1159,103 @@ class TestForwardRowThatUnderflows:
             warnings.simplefilter("error")
             return forward_filter(model, obs)
 
+    @staticmethod
+    def smooth(model, obs, fwd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return backward_smooth(model, obs, fwd)
+
+    @classmethod
+    def long_series(cls, name):
+        """The pattern of name after its LONG steps, and the length of the
+        run after it that brings the series to 1202 steps."""
+        _, pattern = cls.MODELS[name]
+        offset, last = cls.LONG[name]
+        after = 1200 - offset
+        y = np.concatenate([np.full(offset, pattern.values[0]), pattern.values, np.full(after, last)])
+        return sym(y), offset, after
+
+    @classmethod
+    def assert_matches(cls, name, fwd, smooth, offset=0, after=0):
+        """Check both passes over name's pattern after offset repeats of
+        its first symbol and before after steps of its LONG symbol against
+        enumeration of the pattern, with zeros for padded states.  The rows
+        stay put before the pattern and move by the transition alone after
+        it."""
+        small, pattern = cls.MODELS[name]
+        enum = exact_posterior_enumeration(small, pattern)
+
+        def around(rows):
+            ahead = predict_states(small, rows[-1], after) if after else rows[:0]
+            return np.concatenate([np.repeat(rows[:1], offset, axis=0), rows, ahead])
+
+        filtered, smoothed = around(enum.filtered), around(enum.smoothed)
+        pairwise = np.concatenate(
+            [
+                np.repeat(np.diag(enum.smoothed[0])[None], offset, axis=0),
+                enum.pairwise,
+                smoothed[offset + len(pattern.values) - 1 : -1, :, None] * small.transition,
+            ]
+        )
+        for actual, expected in (
+            (fwd.filtered, filtered),
+            (smooth.smoothed, smoothed),
+            (smooth.pairwise, pairwise),
+        ):
+            pad = [(0, 0)] + [(0, actual.shape[-1] - small.K)] * (actual.ndim - 1)
+            np.testing.assert_allclose(actual, np.pad(expected, pad), rtol=0, atol=1e-12)
+        assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+
     @pytest.mark.parametrize("name", MODELS)
     def test_matches_enumeration(self, name):
         model, obs = self.MODELS[name]
-        enum = exact_posterior_enumeration(model, obs)
         fwd = self.forward(model, obs)
-        np.testing.assert_allclose(fwd.filtered, enum.filtered, rtol=0, atol=1e-12)
-        assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+        self.assert_matches(name, fwd, self.smooth(model, obs, fwd))
 
     @pytest.mark.parametrize("name", MODELS)
     def test_padded_on_the_kernel(self, monkeypatch, name):
         small, obs = self.MODELS[name]
         model = padded(small, hmm._SCAN_MAX_K + 1)
-        enum = exact_posterior_enumeration(small, obs)
         starts = kernel_blocks(monkeypatch)
         fwd = self.forward(model, obs)
+        smooth = self.smooth(model, obs, fwd)
         assert starts == [1]
-        filtered = np.zeros_like(fwd.filtered)
-        filtered[:, : small.K] = enum.filtered
-        np.testing.assert_allclose(fwd.filtered, filtered, rtol=0, atol=1e-12)
-        assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+        self.assert_matches(name, fwd, smooth)
 
     @pytest.mark.parametrize("name", MODELS)
     def test_past_step_1024_on_lanes(self, monkeypatch, name):
-        small, pattern = self.MODELS[name]
-        model = padded(small, hmm._SCAN_MAX_K + 1)
-        offset, last = self.LONG[name]
-        after = 1200 - offset
-        y = np.concatenate([np.full(offset, pattern.values[0]), pattern.values, np.full(after, last)])
-        obs, t_len = sym(y), len(y)
+        model = padded(self.MODELS[name][0], hmm._SCAN_MAX_K + 1)
+        obs, offset, after = self.long_series(name)
+        t_len = len(obs.values)
         assert t_len >= hmm._LANE_MIN_ROWS
-        expected = kernel_forward(model, obs)
+        expected = kernel_passes(model, obs)
         passes = lane_passes(monkeypatch)
         fwd = self.forward(model, obs)
-        assert passes == [t_len]
-        assert fwd.filtered.tobytes() == expected.filtered.tobytes()
-        assert fwd.log_normalizers.tobytes() == expected.log_normalizers.tobytes()
-        # The row stays put before the pattern and moves by the transition
-        # alone after it.
-        enum = exact_posterior_enumeration(small, pattern)
-        filtered = np.zeros((t_len, model.K))
-        filtered[:offset, : small.K] = enum.filtered[0]
-        filtered[offset : offset + len(pattern.values), : small.K] = enum.filtered
-        filtered[t_len - after :, : small.K] = predict_states(small, enum.filtered[-1], after)
-        np.testing.assert_allclose(fwd.filtered, filtered, rtol=0, atol=1e-12)
-        assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+        smooth = self.smooth(model, obs, fwd)
+        assert passes == [t_len, t_len - 1]
+        arrays = (fwd.filtered, fwd.log_normalizers, smooth.smoothed, smooth.pairwise)
+        assert tuple(a.tobytes() for a in arrays) == expected
+        self.assert_matches(name, fwd, smooth, offset, after)
 
-    def test_subnormal_move_past_step_1024_on_scans(self, monkeypatch):
+    @pytest.mark.parametrize("name", SUBNORMAL)
+    def test_past_step_1024_on_scans(self, monkeypatch, name):
         # The block of the pattern fails its scan's check and runs on the
         # kernel, which goes on from the row after the rescued one; the
         # blocks around it scan.
-        small, pattern = self.MODELS["subnormal move"]
-        offset, last = self.LONG["subnormal move"]
-        y = np.concatenate([np.zeros(offset, int), pattern.values, np.full(200, last)])
+        small = self.MODELS[name][0]
+        obs, offset, after = self.long_series(name)
         starts = kernel_blocks(monkeypatch)
-        fwd = self.forward(small, sym(y))
+        fwd = self.forward(small, obs)
         assert starts == [1 + offset // hmm._SCAN_BLOCK * hmm._SCAN_BLOCK, offset + 2]
-        enum = exact_posterior_enumeration(small, pattern)
-        filtered = np.zeros((len(y), small.K))
-        filtered[: offset + 1] = enum.filtered[0]
-        filtered[offset + 1 :] = enum.filtered[1]
-        np.testing.assert_allclose(fwd.filtered, filtered, rtol=0, atol=1e-12)
-        assert fwd.log_likelihood == pytest.approx(enum.log_likelihood, rel=1e-12)
+        self.assert_matches(name, fwd, self.smooth(small, obs, fwd), offset, after)
 
-    def test_subnormal_move_decodes_to_enumeration(self):
-        small, pattern = self.MODELS["subnormal move"]
+    @pytest.mark.parametrize("name", SUBNORMAL)
+    def test_decodes_to_enumeration(self, name):
+        small, pattern = self.MODELS[name]
         enum = exact_posterior_enumeration(small, pattern)
         path, log_joint = viterbi(small, pattern)
-        assert path.states.tolist() == [0, 2]
+        assert path.states.tolist() == self.SUBNORMAL[name]
         assert log_joint == enum.map_log_joint == enum.log_likelihood
-
-    @pytest.mark.parametrize("k", [3, hmm._SCAN_MAX_K + 1])
-    @pytest.mark.parametrize("offset", [0, 1100])
-    def test_smoothing_the_subnormal_move_raises(self, k, offset):
-        # A known defect: the forward pass holds the only path, but the
-        # smoothed row before the move, filtered * (backward row @ A.T),
-        # rounds 0.4 * 5e-324 to zero, so no smoothed rows come back.
-        small, pattern = self.MODELS["subnormal move"]
-        model = small if k == small.K else padded(small, k)
-        after = np.ones(200 if offset else 0, int)
-        y = np.concatenate([np.zeros(offset, int), pattern.values, after])
-        fwd = self.forward(model, sym(y))
-        with pytest.raises(NumericalError, match=f"t={offset + 1} "):
-            backward_smooth(model, sym(y), fwd)
 
 
 class TestForwardFilterMemory:
@@ -1397,13 +1435,13 @@ class TestLanes:
         # enumeration, between point masses.  As in
         # TestRareMovesAboveScanSize, the masked columns keep the backward
         # rows from losing the mass at 1e-170, and no row needs
-        # _shifted_step.
+        # _extended_product.
         offset, span = 1100, len(RARE_MOVES_OBS.values)
         y = np.concatenate([np.zeros(offset, int), RARE_MOVES_OBS.values, [1, 2] * 100])
         obs, model, t_len = sym(y), rare_moves(rare, k), len(y)
         expected = kernel_passes(model, obs)
         passes = lane_passes(monkeypatch)
-        rescues = shifted_steps(monkeypatch)
+        rescues = extended_products(monkeypatch)
         assert passes_or_error(model, obs) == expected
         assert passes == [t_len, t_len - 1]
         assert rescues == []
@@ -1425,7 +1463,7 @@ class TestLanes:
     def test_rare_emission_then_rare_move_past_step_1000(self, monkeypatch, name):
         # The pattern after 1100 repeats of its first symbol and before 200
         # of its last, with states no path enters up to K = 9: the driver
-        # forms a backward row again with _shifted_step and goes on within
+        # forms a backward row again with _extended_product and goes on within
         # the same pass, so each pass runs its lanes once.
         small, pattern = TestRareEmissionThenRareMove.MODELS[name]
         model = padded(small, hmm._SCAN_MAX_K + 1)
@@ -1434,22 +1472,22 @@ class TestLanes:
         obs, t_len = sym(y), len(y)
         expected = kernel_passes(model, obs)
         passes = lane_passes(monkeypatch)
-        rescues = shifted_steps(monkeypatch)
+        rescues = extended_products(monkeypatch)
         assert passes_or_error(model, obs) == expected
         assert len(rescues) == 1 and rescues[0] is not None
         assert passes == [t_len, t_len - 1]
 
 
-def shifted_steps(monkeypatch):
-    """Record what every call of _shifted_step returns."""
+def extended_products(monkeypatch):
+    """Record what every call of _extended_product returns."""
     results = []
-    shifted = hmm._shifted_step
+    product = hmm._extended_product
 
     def recording(*args):
-        results.append(shifted(*args))
+        results.append(product(*args))
         return results[-1]
 
-    monkeypatch.setattr(hmm, "_shifted_step", recording)
+    monkeypatch.setattr(hmm, "_extended_product", recording)
     return results
 
 
