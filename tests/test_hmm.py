@@ -1167,8 +1167,8 @@ class TestForwardRowThatUnderflows:
 
     @classmethod
     def long_series(cls, name):
-        """The pattern of name after its LONG steps, and the length of the
-        run after it that brings the series to 1202 steps."""
+        """The series of name's pattern after its LONG steps and before a
+        run that brings it to 1202 steps, and the lengths of both runs."""
         _, pattern = cls.MODELS[name]
         offset, last = cls.LONG[name]
         after = 1200 - offset
