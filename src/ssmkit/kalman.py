@@ -12,27 +12,36 @@ filter's moment recursion, _backward for the smoother's.
 A scalar model (d_x = d_y = 1) runs both recursions on Python floats, since
 a numpy call on 1x1 arrays costs far more than its arithmetic.  They keep
 the kernels' operation order; a 1x1 matmul product is 0 + a*b and a 1x1
-solve is a division, so the outputs equal the kernels' byte for byte.  A
-block with an exactly zero innovation variance or a value that is not
-finite runs again on the kernel from the moments it began with, so its
-errors and warnings are the kernel's.
+solve is a division, so the outputs equal the kernels' byte for byte.  The
+variance recursion stops at its exact floating-point fixed point: from the
+first step whose predicted variance repeats the step before it bit for bit,
+the filter copies that step's variances and gain and runs the mean update
+alone, and the smoother does the same over the suffix where the filtered
+and predicted variances repeat, copying its smoothed variance down once
+that repeats.  A deterministic map at an exact fixed point stays there, so
+the copies are the bytes the full recursion would give; a variance that
+cycles in its last bits or never settles runs the full recursion.  A block
+with an exactly zero innovation variance or a value that is not finite
+runs again on the kernel from the moments it began with, so its errors and
+warnings are the kernel's.
 
-Any other model runs the steady-state path.  Every model is time-invariant,
-so the covariance recursion never reads the data and contracts to its
-Riccati fixed point.  The filter runs the kernel until the predicted
-covariance settles (max|P_t - P_{t-1}| <= 1e-15 max|P_{t-1}|,
-_FREEZE_RTOL) and freezes it there: later steps copy that step's
-covariances, the guard and Cholesky factor of the frozen innovation
-covariance are taken once, and only the mean recursion runs, as one affine
-recursion with the frozen gain.  The smoother does the same over the
-frozen steps: one backward gain, and a smoothed covariance that runs
-backward from T - 1 until it settles by the same rule.  These outputs
-differ from the kernels' in the last bits (tested within 1e-12 of each
-array's maximum), and the cost of a series depends on how fast its model's
-covariance settles.  Where it never settles or the series ends first, the
-kernel is all that runs; the smoother runs its kernel where the frozen
-predicted covariance has no Cholesky factor (the pseudo-inverse case) and
-on sequences that are not float64.
+Any other model runs the steady-state path, except that a smoother with
+d_x = 1 takes the scalar one.  Every model is time-invariant, so the
+covariance recursion never reads the data and contracts to its Riccati
+fixed point.  The filter runs the kernel until the predicted covariance
+settles (max|P_t - P_{t-1}| <= 1e-15 max|P_{t-1}|, _FREEZE_RTOL) and
+freezes it there: later steps copy that step's covariances, the guard and
+Cholesky factor of the frozen innovation covariance are taken once, and
+only the mean recursion runs, as one affine recursion with the frozen
+gain.  The smoother does the same over the frozen steps: one backward
+gain, and a smoothed covariance that runs backward from T - 1 until it
+settles by the same rule.  These outputs differ from the kernels' in the
+last bits (tested within 1e-12 of each array's maximum), and the cost of a
+series depends on how fast its model's covariance settles.  Where it never
+settles or the series ends first, the kernel is all that runs; the
+smoother runs its kernel where the frozen predicted covariance has no
+Cholesky factor (the pseudo-inverse case) and on sequences that are not
+float64.
 
 Only the moment recursions run step by step.  What no later step reads
 (the CONDITION_GUARD eigenvalue check on every innovation covariance, its
@@ -315,28 +324,48 @@ def _steady_moments(
     return arrays, frozen
 
 
+def _exact_repeat(new: float, old: float) -> bool:
+    """Whether new, already == old, is the same finite float bit for bit:
+    -0.0 == +0.0 holds between two different floats."""
+    return math.isfinite(new) and math.copysign(1.0, new) == math.copysign(1.0, old)
+
+
 def _scalar_moments(model: LinearGaussianModel, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """_moment_steps for d_x = d_y = 1 on Python floats, operation for
-    operation, in blocks of _BLOCK steps.
+    operation, in blocks of _BLOCK steps, with the variance recursion
+    stopped at its exact fixed point.
 
     A 1x1 product comes back from matmul as 0 + a*b, so each product adds
-    0.0 (which turns -0.0 into +0.0), and a 1x1 solve is b / s.  A block
-    with an exactly zero innovation variance or a value that is not finite
-    runs again on _moment_steps from the moments it began with, which
-    reports it with the kernel's errors and warnings.
+    0.0 (which turns -0.0 into +0.0), and a 1x1 solve is b / s.  The
+    variance recursion never reads the data, so once a step's predicted
+    variance repeats the step before it bit for bit (_exact_repeat), every
+    later step's predicted, filtered and innovation variances and gain are
+    that step's: they are filled by slice, and only the mean update runs
+    (_scalar_means).  A deterministic map at an exact fixed point stays
+    there, so these are the bytes the full recursion gives; a variance
+    that cycles in its last bits or never settles runs the full recursion
+    to the end.  A block with an exactly zero innovation variance or a
+    value that is not finite runs again on _moment_steps from the moments
+    it began with, which reports it with the kernel's errors and warnings.
     """
     T = y.shape[0]
     a, c, q, r = (float(m[0, 0]) for m in (model.A, model.C, model.Q, model.R))
     arrays = _moment_arrays(model, T)
+    (
+        filtered_means, filtered_covs, predicted_means, predicted_covs,
+        innovations, innovation_covs,
+    ) = arrays
     fm, fc, pm, pc, inn, ic = (memoryview(x.reshape(T)) for x in arrays)
     values = memoryview(np.ascontiguousarray(y[:, 0]))
     m = float(model.mu0[0])
     p = float(model.Sigma0[0, 0])
     p = 0.5 * (p + p)
+    # The first step whose variances repeat the step before it, T if none.
+    frozen = T
     for lo in range(0, T, _BLOCK):
         hi = min(lo + _BLOCK, T)
         m0, p0 = m, p
-        for t, yt in enumerate(values[lo:hi], lo):
+        for t, yt in enumerate(values[lo:hi] if frozen == T else (), lo):
             pm[t] = m
             pc[t] = p
             e = yt - (c * m + 0.0)
@@ -355,16 +384,39 @@ def _scalar_moments(model: LinearGaussianModel, y: np.ndarray) -> tuple[np.ndarr
             fm[t] = mf
             fc[t] = pf
             m = a * mf + 0.0
-            p = (a * pf + 0.0) * a + 0.0 + q
+            last, p = p, (a * pf + 0.0) * a + 0.0 + q
             p = 0.5 * (p + p)
-        else:
-            # No zero innovation variance: keep the block if it is finite.
-            finite = math.isfinite(m) and math.isfinite(p)
-            if finite and all(np.isfinite(x[lo:hi]).all() for x in arrays):
-                continue
+            if p == last and _exact_repeat(p, last):
+                frozen = t + 1
+                break
+        if frozen < hi:
+            # s, g and pf are still those of step frozen - 1, which p repeats.
+            first = max(lo, frozen)
+            m = _scalar_means(a, c, g, values, pm, first, hi, m)
+            predicted_covs[first:hi] = p
+            filtered_covs[first:hi] = pf
+            innovation_covs[first:hi] = s
+            means = predicted_means[first:hi]
+            innovations[first:hi] = y[first:hi] - (c * means + 0.0)
+            filtered_means[first:hi] = means + (g * innovations[first:hi] + 0.0)
+        # No zero innovation variance: keep the block if it is finite.
+        finite = s != 0.0 and math.isfinite(m) and math.isfinite(p)
+        if finite and all(np.isfinite(x[lo:hi]).all() for x in arrays):
+            continue
         mean, cov = _moment_steps(model, y, arrays, lo, hi, np.array([m0]), np.array([[p0]]))
         m, p = float(mean[0]), float(cov[0, 0])
+        frozen = T
     return arrays
+
+
+def _scalar_means(a, c, g, values, pm, lo, hi, m) -> float:
+    """The mean update of _scalar_moments with a frozen gain g, in its
+    operation order, over steps lo..hi-1 from predicted mean m: writes each
+    step's predicted mean to pm and returns step hi's."""
+    for t, yt in enumerate(values[lo:hi], lo):
+        pm[t] = m
+        m = a * (m + (g * (yt - (c * m + 0.0)) + 0.0)) + 0.0
+    return m
 
 
 def kalman_filter(
@@ -475,7 +527,10 @@ def _backward(forward, gains, smoothed_means, smoothed_covs, lo, hi) -> None:
 def _scalar_backward(forward, gains, smoothed_means, smoothed_covs, lo, hi) -> bool:
     """_backward for d_x = 1 on Python floats, operation for operation, as
     _scalar_moments does the filter.  Returns False when a value is not
-    finite; _backward then runs the block again."""
+    finite; _backward then runs the block again.  The steps of a repeated
+    suffix come from _scalar_steady_backward, which runs the same
+    operations with one gain and stops the variance at its exact fixed
+    point."""
     gains = np.asarray(gains)[:, 0, 0].tolist()
     filt_m = forward.filtered_means[lo:hi, 0].tolist()
     filt_c = forward.filtered_covs[lo:hi, 0, 0].tolist()
@@ -500,19 +555,12 @@ def _scalar_backward(forward, gains, smoothed_means, smoothed_covs, lo, hi) -> b
     return True
 
 
-def _steady_backward(model, forward, smoothed_means, smoothed_covs) -> int:
-    """The RTS recursion over the steps whose gain is constant; returns the
-    first step it did not smooth.
-
-    Those are the steps from the start of the suffix where the filtered
-    and predicted covariances repeat their last values bit for bit, as a
-    frozen filter leaves them, up to T - 2.  The gain is solved once; the
-    smoothed covariance runs backward from T - 1 until it settles by the
-    freeze rule and is copied from there on down; the means follow
-    m_t = J m_{t+1} + (filtered m_t - J predicted m_{t+1}).  Where there is
-    no such suffix, or its predicted covariance has no Cholesky factor
-    (the pseudo-inverse case), nothing is smoothed and T - 1 comes back.
-    """
+def _steady_suffix(model, forward) -> tuple[int, np.ndarray] | None:
+    """The first step of the suffix where the filtered and predicted
+    covariances repeat their last values bit for bit, as a frozen filter
+    leaves them, and the one backward gain of its steps up to T - 2; None
+    where the suffix smooths no step or its predicted covariance has no
+    Cholesky factor (the pseudo-inverse case)."""
     filtered_covs, predicted_covs = forward.filtered_covs, forward.predicted_covs
     T = len(filtered_covs)
     axes = (1, 2)
@@ -522,13 +570,76 @@ def _steady_backward(model, forward, smoothed_means, smoothed_covs) -> int:
     changed = np.flatnonzero(~repeated)
     start = int(changed[-1]) + 1 if changed.size else 0
     if start >= T - 1:
-        return T - 1
+        return None
     gains, singular = _backward_gains(
         model.A, filtered_covs[start : start + 1], predicted_covs[start + 1 : start + 2]
     )
     if singular:
+        return None
+    return start, gains[0]
+
+
+def _scalar_steady_backward(model, forward, smoothed_means, smoothed_covs) -> int:
+    """_scalar_backward over the _steady_suffix of a d_x = 1 sequence, with
+    its one gain; returns the earliest step it smoothed, or T - 1 where it
+    smoothed none.
+
+    The smoothed variance runs backward from T - 1 until it repeats the
+    step after it bit for bit, an exact fixed point of the suffix's
+    variance map, and is copied from there on down, so its bytes are those
+    of the full recursion; the means run in full.  Where a value is not
+    finite T - 1 comes back, and the blocks smooth those steps again as
+    they did before this path.
+    """
+    T = len(forward.filtered_covs)
+    suffix = _steady_suffix(model, forward)
+    if suffix is None:
         return T - 1
-    gain = gains[0]
+    start, gain = suffix
+    g = float(gain[0, 0])
+    cov_filt = float(forward.filtered_covs[-1, 0, 0])
+    cov_pred = float(forward.predicted_covs[-1, 0, 0])
+    # The blocks write every step below T - 1 again where this gives up.
+    means, covs = smoothed_means[start:-1, 0], smoothed_covs[start:-1, 0, 0]
+    out = memoryview(covs)
+    p = float(smoothed_covs[T - 1, 0, 0])
+    for i in range(len(covs) - 1, -1, -1):
+        last, p = p, cov_filt + ((g * (p - cov_pred) + 0.0) * g + 0.0)
+        p = 0.5 * (p + p)
+        out[i] = p
+        if p == last and _exact_repeat(p, last):
+            covs[:i] = p
+            break
+    filt_m = memoryview(forward.filtered_means[start:-1, 0])
+    pred_m = memoryview(forward.predicted_means[start + 1 :, 0])
+    out = memoryview(means)
+    m = float(smoothed_means[T - 1, 0])
+    for i in range(len(means) - 1, -1, -1):
+        m = filt_m[i] + (g * (m - pred_m[i]) + 0.0)
+        out[i] = m
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        return T - 1
+    return start
+
+
+def _steady_backward(model, forward, smoothed_means, smoothed_covs) -> int:
+    """The RTS recursion over the steps whose gain is constant; returns the
+    first step it did not smooth.
+
+    Those are the steps of the _steady_suffix, up to T - 2.  The gain is
+    solved once; the smoothed covariance runs backward from T - 1 until it
+    settles by the freeze rule and is copied from there on down; the means
+    follow m_t = J m_{t+1} + (filtered m_t - J predicted m_{t+1}).  Where
+    there is no such suffix, or its predicted covariance has no Cholesky
+    factor (the pseudo-inverse case), nothing is smoothed and T - 1 comes
+    back.
+    """
+    T = len(forward.filtered_covs)
+    suffix = _steady_suffix(model, forward)
+    if suffix is None:
+        return T - 1
+    start, gain = suffix
+    filtered_covs, predicted_covs = forward.filtered_covs, forward.predicted_covs
     cov_filt, cov_pred = filtered_covs[-1], predicted_covs[-1]
     cov = smoothed_covs[T - 1]
     for t in range(T - 2, start - 1, -1):
@@ -552,10 +663,19 @@ def rts_smoother(
     The backward gain solves against the predicted covariance at t+1; when
     that matrix is singular (possible with Q = 0) a pseudo-inverse with a
     1e-12 relative cutoff, and an absolute one at the smallest normal
-    float, is used and the step is recorded in pinv_steps.
+    float, is used and the step is recorded in pinv_steps.  A forward pass
+    whose means are not (T, d_x) or whose covariances are not (T, d_x, d_x)
+    raises ValueError.
     """
     require_valid(model)
-    T = forward.filtered_means.shape[0]
+    T, d_x = forward.filtered_means.shape[0], model.d_x
+    for name, shape in (
+        ("filtered_means", (T, d_x)), ("filtered_covs", (T, d_x, d_x)),
+        ("predicted_means", (T, d_x)), ("predicted_covs", (T, d_x, d_x)),
+    ):
+        got = getattr(forward, name).shape
+        if got != shape:
+            raise ValueError(f"forward pass's {name} has shape {got}, the model needs {shape}")
     smoothed_means = np.empty_like(forward.filtered_means)
     smoothed_covs = np.empty_like(forward.filtered_covs)
     smoothed_means[T - 1] = forward.filtered_means[T - 1]
@@ -564,12 +684,11 @@ def rts_smoother(
     # of another dtype reads each smoothed step back rounded, as only the
     # numpy kernel does.
     float64 = smoothed_means.dtype == smoothed_covs.dtype == float
-    scalar = float64 and model.d_x == 1
-    start = (
-        _steady_backward(model, forward, smoothed_means, smoothed_covs)
-        if float64 and model.d_x > 1
-        else T - 1
-    )
+    scalar = float64 and d_x == 1
+    start = T - 1
+    if float64:
+        steady = _scalar_steady_backward if scalar else _steady_backward
+        start = steady(model, forward, smoothed_means, smoothed_covs)
     pinv_steps: list[int] = []
     for hi in range(start, 0, -_BLOCK):
         lo = max(hi - _BLOCK, 0)

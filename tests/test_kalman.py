@@ -1,5 +1,6 @@
 """Closed-form Gaussian recursions against quadrature and joint-Gaussian oracles."""
 
+import dataclasses
 import math
 import warnings
 
@@ -347,6 +348,35 @@ class TestSmoother:
         assert np.all(
             smooth.smoothed_covs[:, 0, 0] <= result.filtered_covs[:, 0, 0] + 1e-12
         )
+
+    PLANAR = LinearGaussianModel(
+        A=0.9 * np.eye(2), C=[[1.0, 0.0]], Q=0.2 * np.eye(2), R=[[0.5]],
+        mu0=[0.0, 0.0], Sigma0=np.eye(2),
+    )
+
+    @pytest.mark.parametrize(
+        "pass_model, model, shapes",
+        [
+            (PLANAR, scalar_model(0.9, 0.19, 1.0, 0.5, 0.0, 1.0), r"\(20, 2\).*\(20, 1\)"),
+            (scalar_model(0.9, 0.19, 1.0, 0.5, 0.0, 1.0), PLANAR, r"\(20, 1\).*\(20, 2\)"),
+        ],
+        ids=["planar-pass-scalar-model", "scalar-pass-planar-model"],
+    )
+    def test_forward_pass_of_another_state_dimension(self, pass_model, model, shapes):
+        result = kalman_filter(pass_model, series(np.linspace(-1.0, 1.0, 20)))
+        with pytest.raises(ValueError, match="filtered_means has shape " + shapes):
+            rts_smoother(model, result)
+
+    @pytest.mark.parametrize("name", ["filtered_covs", "predicted_means", "predicted_covs"])
+    def test_forward_array_one_step_short(self, name):
+        model = scalar_model(0.9, 0.19, 1.0, 0.5, 0.0, 1.0)
+        result = kalman_filter(model, series(np.linspace(-1.0, 1.0, 20)))
+        short = getattr(result, name)[:-1]
+        want = (20,) + short.shape[1:]
+        shapes = rf"{name} has shape \(19, 1(, 1)?\).*\(20, 1(, 1)?\)"
+        assert want != short.shape
+        with pytest.raises(ValueError, match=shapes):
+            rts_smoother(model, dataclasses.replace(result, **{name: short}))
 
 
 class TestPredict:

@@ -1,11 +1,12 @@
 """The filter and smoother, with their batched checks, likelihood terms and
 gains, against the plain per-step recursions, compared byte for byte.  The
-scalar models (d_x = d_y = 1), which run the recursion on Python floats, are
-compared the same way.  Larger models run the steady-state path, which
-freezes the covariance recursion once it settles; the byte comparisons run
-them on the library's per-step kernel (the per_step_loop fixture), and
-TestSteadyStatePath compares the steady-state path with that kernel within
-a stated tolerance."""
+scalar models (d_x = d_y = 1), which run the recursion on Python floats and
+stop the variance recursion at its exact fixed point, are compared the same
+way.  Larger models run the steady-state path, which freezes the covariance
+recursion once it settles; the byte comparisons run them on the library's
+per-step kernel (the per_step_loop fixture), and TestSteadyStatePath
+compares the steady-state path with that kernel within a stated
+tolerance."""
 
 import warnings
 from types import SimpleNamespace
@@ -796,6 +797,219 @@ class TestScalarPath:
         ref, _ = assert_same_bytes(model, zeros(6))
         assert not np.signbit(ref.predicted_means[1:]).any()
         assert (ref.predicted_means[1:] == 0.0).all()
+
+
+def freeze_step(ref):
+    """The first step whose predicted variance repeats the step before it
+    bit for bit, or None where none does."""
+    b = ref.predicted_covs[:, 0, 0].view(np.int64)
+    repeats = np.flatnonzero(b[1:] == b[:-1])
+    return int(repeats[0]) + 1 if repeats.size else None
+
+
+def frozen_spans(f, T, block):
+    """The (lo, hi) spans the scalar filter runs with frozen variances when
+    they freeze at step f: the rest of f's block, then each later block."""
+    if f is None or f >= T:
+        return []
+    return [(max(lo, f), min(lo + block, T)) for lo in range(f - f % block, T, block)]
+
+
+@pytest.fixture
+def frozen_means(monkeypatch):
+    """The (lo, hi) of every _scalar_means call: the spans the scalar filter
+    ran with its variances frozen, the mean update alone."""
+    calls = []
+    scalar_means = kalman._scalar_means
+
+    def spy(a, c, g, values, pm, lo, hi, m):
+        calls.append((lo, hi))
+        return scalar_means(a, c, g, values, pm, lo, hi, m)
+
+    monkeypatch.setattr(kalman, "_scalar_means", spy)
+    return calls
+
+
+# Scalar models by where their variances freeze for each block size: step
+# 2, 6 and 29 for A = 1e-9, 0.02 and 0.9; steps 1024 and 1045 for a random
+# walk whose variance settles slowly.
+FREEZE_CASES = {
+    (3, "first-block"): (scalar(A=1e-9), 2),
+    (3, "later-block"): (SCALAR, 29),
+    (3, "block-boundary"): (scalar(A=0.02), 6),
+    (1024, "first-block"): (SCALAR, 29),
+    (1024, "later-block"): (scalar(A=1.0, Q=2.62e-4, R=1.0), 1045),
+    (1024, "block-boundary"): (scalar(A=1.0, Q=2.615e-4, R=1.0), 1024),
+}
+
+# The variance of this model ends in a cycle of period 2 in its last bit,
+# so it never freezes.
+TWO_CYCLE = scalar(
+    A=0.5369782826068812, C=-0.5375954858017445, Q=5.87219477461632e-05,
+    R=0.0002020922025176783, Sigma0=0.008067042737072708,
+)
+
+
+@pytest.mark.usefixtures("block")
+class TestScalarFixedPoint:
+    """The scalar filter stops its variance recursion where a predicted
+    variance repeats the step before it bit for bit, and the smoother stops
+    its own on the repeated suffix; the outputs keep the full recursion's
+    bytes."""
+
+    @pytest.mark.parametrize("where", ["first-block", "later-block", "block-boundary"])
+    def test_freeze_against_the_blocks(self, block, frozen_means, where):
+        model, f = FREEZE_CASES[block, where]
+        T = f + 2 * block + 5
+        ref, _ = assert_same_bytes(model, simulated(model, T, 31))
+        assert freeze_step(ref) == f
+        assert {"first-block": f < block, "later-block": f > block and f % block,
+                "block-boundary": f % block == 0}[where]
+        # The frozen spans ran the mean update alone, so the fixed point was
+        # found and the full recursion did not run past it.
+        assert frozen_means == frozen_spans(f, T, block)
+
+    @pytest.mark.parametrize("model, f", [(SCALAR, 29), (scalar(A=0.02), 6)], ids=["f29", "f6"])
+    @pytest.mark.parametrize("past", [-1, 0, 1, 2])
+    def test_series_ending_around_the_freeze(self, block, frozen_means, model, f, past):
+        obs = simulated(model, f + past, 32)
+        ref, _ = assert_same_bytes(model, obs)
+        assert freeze_step(ref) == (f if past > 0 else None)
+        assert frozen_means == frozen_spans(f, f + past, block)
+
+    def test_two_cycle_never_freezes(self, frozen_means):
+        ref, _ = assert_same_bytes(TWO_CYCLE, simulated(TWO_CYCLE, 400, 33))
+        assert first_repeat(ref.predicted_covs)[1] == 2
+        assert freeze_step(ref) is None and frozen_means == []
+
+    def test_negative_zero_initial_variance(self, block, frozen_means):
+        # The variance is -0.0 at step 0 and +0.0 from step 1 on: equal
+        # floats, but step 1 does not repeat step 0 bit for bit.
+        model = scalar(Q=0.0, Sigma0=-0.0)
+        ref, _ = assert_same_bytes(model, simulated(model, 40, 34))
+        assert np.signbit(ref.predicted_covs[0, 0, 0])
+        assert (ref.predicted_covs[1:] == 0.0).all()
+        assert freeze_step(ref) == 2
+        assert frozen_means == frozen_spans(2, 40, block)
+
+    def test_nan_observation_after_the_freeze(self, block, frozen_means, monkeypatch):
+        # ObservationSeries rejects NaN, so it comes in a plain namespace;
+        # its blocks run again on the kernel, values and warnings both.
+        values = simulated(SCALAR, 400, 35).values.copy()
+        values[300, 0] = np.nan
+        obs = SimpleNamespace(values=values, kind="real")
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                forward = kalman_filter(SCALAR, obs)
+                smooth = rts_smoother(SCALAR, forward)
+            return forward, smooth, [(w.category, str(w.message)) for w in caught]
+
+        got, got_smooth, got_warnings = run()
+        assert frozen_means[0] == frozen_spans(29, 400, block)[0]
+        assert np.isnan(got.filtered_means[300:]).all()
+        assert not np.isnan(got.filtered_means[:300]).any()
+        assert np.isnan(got_smooth.smoothed_means).all()
+        monkeypatch.setattr(kalman, "_scalar_moments", loop_moments)
+        monkeypatch.setattr(kalman, "_scalar_backward", lambda *block: False)
+        want, want_smooth, want_warnings = run()
+        for name in COMPARED_ARRAYS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got_smooth.smoothed_means.tobytes() == want_smooth.smoothed_means.tobytes()
+        assert got_smooth.smoothed_covs.tobytes() == want_smooth.smoothed_covs.tobytes()
+        assert got_warnings == want_warnings
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_random_scalar_models_over_long_series(chunk):
+    # T is log-uniform on [100, 3000]: most models freeze within their
+    # series and some long before its end.
+    rng = np.random.default_rng([26, chunk])
+    for _ in range(50):
+        model = random_scalar_model(rng)
+        T = int(np.exp(rng.uniform(np.log(100), np.log(3000))))
+        assert_same_bytes(model, simulated(model, T, int(rng.integers(1 << 30))))
+
+
+@pytest.fixture
+def scalar_suffixes(monkeypatch):
+    """The first step _scalar_steady_backward smoothed in each smoother run
+    (T - 1 where it smoothed none)."""
+    seen = []
+    steady = kalman._scalar_steady_backward
+
+    def spy(*args):
+        seen.append(steady(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(kalman, "_scalar_steady_backward", spy)
+    return seen
+
+
+def repeated_suffix(model, T, start, cov_filt, cov_pred):
+    """A reference filter run of T steps whose filtered and predicted
+    variances are cov_filt and cov_pred from step start on."""
+    ref = reference_kalman_filter(model, simulated(model, T, 36))
+    filtered_covs, predicted_covs = ref.filtered_covs.copy(), ref.predicted_covs.copy()
+    filtered_covs[start:] = cov_filt
+    predicted_covs[start:] = cov_pred
+    return GaussianPosteriorSequence(
+        ref.filtered_means, filtered_covs, ref.predicted_means, predicted_covs,
+        log_increments=np.zeros(T), log_likelihood=0.0,
+    )
+
+
+@pytest.mark.usefixtures("block")
+class TestScalarSmootherSuffix:
+    """The float suffix of the scalar smoother against the reference
+    smoother, on hand-built float64 sequences."""
+
+    def assert_same_smoothing(self, model, forward):
+        want = reference_rts_smoother(model, forward)
+        got = rts_smoother(model, forward)
+        assert got.smoothed_means.tobytes() == want.smoothed_means.tobytes()
+        assert got.smoothed_covs.tobytes() == want.smoothed_covs.tobytes()
+        assert got.pinv_steps == want.pinv_steps
+        return got
+
+    def test_smoothed_variance_reaches_a_fixed_point(self, scalar_suffixes):
+        forward = repeated_suffix(SCALAR, 300, 40, 0.3, 0.5)
+        got = self.assert_same_smoothing(SCALAR, forward)
+        assert scalar_suffixes == [40]
+        covs = got.smoothed_covs[40:-1, 0, 0]
+        assert first_repeat(covs[::-1, None])[1] == 1
+        assert (covs[:200] == covs[0]).all()
+
+    def test_smoothed_variance_never_repeats(self, scalar_suffixes):
+        # The gain is just below 1, so the smoothed variance is still moving
+        # at step 0.  It cannot cycle instead: each operation of its map is
+        # monotone and the gain enters squared, so the map is nondecreasing.
+        model = scalar(A=1.0)
+        forward = repeated_suffix(model, 300, 0, 1.0, 1.0001)
+        got = self.assert_same_smoothing(model, forward)
+        assert scalar_suffixes == [0]
+        assert first_repeat(got.smoothed_covs) is None
+
+    def test_zero_predicted_variance_keeps_the_pseudo_inverse(self, scalar_suffixes):
+        forward = repeated_suffix(SCALAR, 100, 20, 0.3, 0.0)
+        got = self.assert_same_smoothing(SCALAR, forward)
+        assert scalar_suffixes == [99]
+        assert got.pinv_steps == tuple(range(21, 101))
+
+    def test_vector_observation_model(self, freezes, scalar_suffixes):
+        # d_x = 1 and d_y = 2: the filter freezes by the 1e-15 rule, and the
+        # smoother takes the float suffix from the step the filter copies.
+        model = LinearGaussianModel(
+            A=[[0.9]], C=[[1.0], [0.5]], Q=[[0.19]], R=0.5 * np.eye(2),
+            mu0=[0.0], Sigma0=[[1.0]],
+        )
+        forward = kalman_filter(model, simulated(model, 500, 37))
+        [frozen] = freezes["filter"]
+        assert frozen < 100
+        self.assert_same_smoothing(model, forward)
+        assert scalar_suffixes == [frozen - 1]
+        assert freezes["smoother"] == []
 
 
 @pytest.mark.usefixtures("block")
