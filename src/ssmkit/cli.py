@@ -22,7 +22,8 @@ from .hmm import backward_smooth, fit_em, forward_filter, predict_states
 from .io import parse_model, read_series, write_model, write_series, write_table
 from .kalman import kalman_filter, kalman_predict, rts_smoother
 from .models import DiscreteHMM, LinearGaussianModel
-from .particle import _filter_and_smooth, bootstrap_filter, lgssm_as_generic
+from . import particle
+from .particle import bootstrap_filter, lgssm_as_generic
 from .rng import SeededGenerator
 from .simulate import simulate_hmm, simulate_lgssm
 
@@ -211,7 +212,7 @@ def _cmd_fit(args, model, obs) -> int:
     method = args.method
     if method is None:
         method = "em" if isinstance(model, DiscreteHMM) else "mle"
-    if args.tol <= 0:
+    if not args.tol > 0:
         raise ValueError("--tol must be positive")
     if args.max_iter < 1:
         raise ValueError("--max-iter must be at least 1")
@@ -274,8 +275,8 @@ def _cmd_pf(args, model, obs) -> int:
         table = np.column_stack([result.filtered_means, result.ess_trace])
     else:
         # One filter run serves both the smoothed rows and the summary.
-        result, table = _filter_and_smooth(
-            generic, obs, args.particles, args.lag, rng, args.threshold, args.scheme
+        result, table = particle._run_filter(
+            generic, obs, args.particles, rng, args.threshold, args.scheme, args.lag
         )
         header = ["t"] + [f"m{i}" for i in range(1, model.d_x + 1)]
     write_table(args.out, header, table)

@@ -384,9 +384,9 @@ def _objective(family: _Family, shape, layout, fixed: dict, obs: ObservationSeri
 
 
 def _checked_start(x0, step: float, tol: float, max_iter: int) -> np.ndarray:
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -869,7 +869,7 @@ def fit_em(
     _with_forward, for the command line, appends the fitted model's forward
     pass to the returned tuple, so that it need not be run again.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

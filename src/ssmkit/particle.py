@@ -9,8 +9,10 @@ internal execution schedule.  Time indices in errors are 1-based.
 
 Costs per step are linear in N.  The linear-Gaussian observation density
 multiplies by the inverse Cholesky factor of R, computed once when the
-model is built; multinomial resampling searches its draws in sorted order;
-the fixed-lag smoother traces ancestry in O(T*N) whatever the lag.
+model is built; multinomial resampling searches its draws in sorted order.
+The fixed-lag smoother carries each particle's last lag positions and
+resamples them with it: O(lag*N*d_x) memory, and each resampling copies
+them, so its cost per resampling grows with the lag.
 """
 
 from __future__ import annotations
@@ -138,14 +140,18 @@ def _run_filter(
     rng: SeededGenerator,
     resample_threshold: float,
     scheme: str,
-    keep_ancestry: bool,
-):
+    lag: int | None,
+) -> tuple[ParticleFilterResult, np.ndarray | None]:
+    """One filter run giving bootstrap_filter's result and, unless lag is
+    None, fixed_lag_smoother's rows for the same arguments."""
     if N < 1:
         raise ValueError("N must be at least 1")
     if not 0.0 < resample_threshold <= 1.0:
         raise ValueError("resample_threshold must lie in (0, 1]")
     if scheme not in ("systematic", "multinomial"):
         raise ValueError(f"unknown resampling scheme {scheme!r}")
+    if lag is not None and lag < 0:
+        raise ValueError("lag must be non-negative")
     if obs.kind != "real":
         raise ModelValidationError(
             "particle filtering requires real-valued observations"
@@ -163,11 +169,13 @@ def _run_filter(
     ess_trace = np.empty(T)
     resample_events: list[int] = []
     log_likelihood = 0.0
-    # ancestors[t][j] = pre-resampling index at time t of the particle that
-    # enters step t+1 as index j (identity when no resampling happened).
-    ancestors = np.empty((T, N), dtype=np.int64) if keep_ancestry else None
-    history = np.empty((T, N, model.d_x)) if keep_ancestry else None
-    weight_history = np.empty((T, N)) if keep_ancestry else None
+    smoothed = None
+    if lag is not None:
+        # ring[s % span][j] is the position at time s of the ancestor of
+        # particle j, for the last span steps s; resampling reindexes it.
+        span = min(lag, T - 1) + 1
+        ring = np.empty((span, N, model.d_x))
+        smoothed = np.empty((T, model.d_x))
 
     for t in range(T):
         if t > 0:
@@ -191,9 +199,13 @@ def _run_filter(
         filtered_means[t] = weights @ particles
         ess = effective_sample_size(weights)
         ess_trace[t] = ess
-        if keep_ancestry:
-            history[t] = particles
-            weight_history[t] = weights
+        if lag is not None:
+            ring[t % span] = particles
+            # Row t - lag is due now; at the last step every remaining row
+            # is, and all are formed before that step's resampling.
+            last = t if t == T - 1 else t - lag
+            for s in range(max(t - lag, 0), last + 1):
+                smoothed[s] = weights @ ring[s % span]
 
         if resample_threshold >= 1.0 or ess < resample_threshold * N:
             if scheme == "systematic":
@@ -203,10 +215,8 @@ def _run_filter(
             particles = particles[idx]
             log_w = np.full(N, -np.log(N))
             resample_events.append(t + 1)
-            if keep_ancestry:
-                ancestors[t] = idx
-        elif keep_ancestry:
-            ancestors[t] = np.arange(N)
+            if lag is not None:
+                ring = ring.take(idx, axis=1)
 
     final = ParticleSet(particles=particles, log_weights=log_w.copy(), time_index=T)
     result = ParticleFilterResult(
@@ -216,7 +226,7 @@ def _run_filter(
         resample_events=resample_events,
         final_set=final,
     )
-    return result, ancestors, history, weight_history
+    return result, smoothed
 
 
 def bootstrap_filter(
@@ -235,9 +245,7 @@ def bootstrap_filter(
     when ESS/N < resample_threshold.  A threshold of 1 forces resampling
     at every step.  Deterministic given the generator's seed.
     """
-    result, _, _, _ = _run_filter(
-        model, obs, N, rng, resample_threshold, scheme, keep_ancestry=False
-    )
+    result, _ = _run_filter(model, obs, N, rng, resample_threshold, scheme, None)
     return result
 
 
@@ -253,84 +261,16 @@ def fixed_lag_smoother(
     """Smoothed mean estimates via ancestral trajectories truncated at lag.
 
     Row t estimates E[X_t | Y_1..Y_{min(t+lag, T)}]: the filter runs
-    forward, and each stored position at time t is reweighted by the
-    particle weights at time t+lag traced back through the resampling
-    ancestry.  lag = 0 reproduces bootstrap_filter's filtered means
-    exactly for the same seed.  Tracing the ancestry costs O(T*N) index
-    lookups whatever the lag, with O(lag*N) extra memory.
+    forward carrying each particle's positions over the last lag steps,
+    resampled along with it, and row t is formed once step min(t+lag, T)
+    is weighted, from those weights and the carried positions at t.
+    lag = 0 reproduces bootstrap_filter's filtered means exactly for the
+    same seed.  The carried positions take O(min(lag, T)*N*d_x) memory,
+    and each resampling copies them, so a step costs O(lag*N*d_x) on top
+    of the filter's O(N*d_x) when the filter resamples.
     """
-    _, smoothed = _filter_and_smooth(
-        model, obs, N, lag, rng, resample_threshold, scheme
-    )
+    _, smoothed = _run_filter(model, obs, N, rng, resample_threshold, scheme, lag)
     return smoothed
-
-
-def _filter_and_smooth(
-    model: GenericStateSpaceModel,
-    obs: ObservationSeries,
-    N: int,
-    lag: int,
-    rng: SeededGenerator,
-    resample_threshold: float,
-    scheme: str,
-) -> tuple[ParticleFilterResult, np.ndarray]:
-    """One filter run giving both bootstrap_filter's result and
-    fixed_lag_smoother's rows for the same arguments."""
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    result, ancestors, history, weight_history = _run_filter(
-        model, obs, N, rng, resample_threshold, scheme, keep_ancestry=True
-    )
-    T = history.shape[0]
-    smoothed = np.empty((T, model.d_x))
-    for t, horizon, lineage in _lineages(ancestors, lag):
-        smoothed[t] = weight_history[horizon] @ history[t][lineage]
-    return result, smoothed
-
-
-def _lineages(ancestors: np.ndarray, lag: int):
-    """Yield (t, horizon, lineage) for every row t, horizon = min(t+lag, T-1),
-    where particle j at horizon descends from particle lineage[j] at t.
-
-    Index j at time s descends from ancestors[s-1][j] at s-1.  Composing
-    these maps one window at a time costs O(T*lag*N); instead (van Herk /
-    Gil-Werman) boundaries sit at multiples of lag, so every window
-    (t, t+lag] holds exactly one boundary b.  Maps from each horizon
-    forward to b and from b backward to each t are built once per block,
-    and the lineage is their composition.  Rows whose horizon is clipped
-    at T-1 take one backward walk from T-1.  Composing integer maps is
-    exact, so the lineages equal the window-by-window walk.
-    """
-    T, N = ancestors.shape
-    identity = np.arange(N)
-    if lag == 0:
-        for t in range(T):
-            yield t, t, identity
-        return
-    last = T - 1 - lag  # last row whose horizon t+lag is not clipped
-    for start in range(0, last + 1, lag):
-        b = start + lag
-        stop = min(b, last + 1)
-        # to_start[t - start] maps particles at b to their ancestors at t.
-        to_start = [identity] * (stop - start)
-        back = identity
-        for s in range(b - 1, start - 1, -1):
-            back = ancestors[s][back]
-            if s < stop:
-                to_start[s - start] = back
-        # forward maps particles at t+lag to their ancestors at b.
-        forward = identity
-        for t in range(start, stop):
-            horizon = t + lag
-            if horizon > b:
-                forward = forward[ancestors[horizon - 1]]
-            yield t, horizon, to_start[t - start][forward]
-    first = max(last + 1, 0)
-    back = identity
-    for t in range(T - 1, first - 1, -1):
-        yield t, T - 1, back
-        if t > first:
-            back = ancestors[t - 1][back]
 
 
 def lgssm_as_generic(model: LinearGaussianModel) -> GenericStateSpaceModel:

@@ -395,9 +395,11 @@ class TestFit:
         assert code == 1
 
     def test_bad_tol(self, capsys, tmp_path, hmm_model, hmm_data):
-        code, _ = run(capsys, ["fit", "--model", hmm_model, "--data", hmm_data,
-                               "--tol", "0", "--out", str(tmp_path / "x.json")])
-        assert code == 1
+        for tol in ("0", "nan"):
+            code, _ = run(capsys, ["fit", "--model", hmm_model, "--data", hmm_data,
+                                   "--tol", tol, "--max-iter", "20",
+                                   "--out", str(tmp_path / "x.json")])
+            assert code == 1
 
 
 class TestPf:

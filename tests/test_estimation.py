@@ -411,6 +411,8 @@ class TestNelderMead:
         with pytest.raises(ValueError):
             nelder_mead(quad, [1.0], tol=0.0)
         with pytest.raises(ValueError):
+            nelder_mead(quad, [1.0], step=float("nan"))
+        with pytest.raises(ValueError):
             nelder_mead(quad, [1.0], max_iter=0)
         with pytest.raises(ValueError):
             nelder_mead(quad, np.zeros((2, 2)))
@@ -474,6 +476,11 @@ class TestFitMle:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit_mle(BENCH, real([0.5, 0.2]))
+
+    @pytest.mark.parametrize("arg", ["tol", "step"])
+    def test_nan_tol_and_step_rejected(self, arg):
+        with pytest.raises(ValueError, match=arg):
+            fit_mle(BENCH, sym([0, 1]), **{arg: float("nan")})
 
     def test_loglik_is_relabeling_invariant(self):
         rng = np.random.default_rng(56)
@@ -784,6 +791,8 @@ class TestQuasiNewton:
             quasi_newton(rosenbrock, [1.0, 1.0], step=0.0)
         with pytest.raises(ValueError):
             quasi_newton(rosenbrock, [1.0, 1.0], tol=0.0)
+        with pytest.raises(ValueError):
+            quasi_newton(rosenbrock, [1.0, 1.0], tol=float("nan"))
         with pytest.raises(ValueError):
             quasi_newton(rosenbrock, [1.0, 1.0], max_iter=0)
 

@@ -505,6 +505,8 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em(BENCH, BENCH_OBS, tol=0.0)
         with pytest.raises(ValueError):
+            fit_em(BENCH, BENCH_OBS, tol=float("nan"))
+        with pytest.raises(ValueError):
             fit_em(BENCH, BENCH_OBS, max_iter=0)
 
 

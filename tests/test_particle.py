@@ -1,5 +1,7 @@
 """Monte Carlo filtering against exact recursions and resampling invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from ssmkit import (
     lgssm_as_generic,
     multinomial_resample,
     pf_loglik,
+    simulate_lgssm,
     systematic_resample,
 )
 
@@ -305,6 +308,26 @@ class TestFixedLagSmoother:
             filt.filtered_means[:, 0], fwd.filtered[:, 1], atol=0.02
         )
         assert abs(filt.log_likelihood_estimate - fwd.log_likelihood) < 0.02
+
+
+class TestFixedLagMemory:
+    def test_no_t_by_n_history(self):
+        # A T x N x d_x particle history would take T * N * 8 = 8 MB here.
+        model = TestFixedLagSmoother.SCALAR
+        t_len, n, lag = 2000, 500, 5
+        _, obs = simulate_lgssm(model, t_len, SeededGenerator(31))
+        generic = lgssm_as_generic(model)
+        tracemalloc.start()
+        try:
+            rows = fixed_lag_smoother(generic, obs, n, lag, SeededGenerator(32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The carried positions take one ring of (lag + 1) * N * d_x values;
+        # the filter's own means, ESS trace and resampling times, and the
+        # per-step temporaries, fit in a few more.
+        ring = (lag + 1) * n * model.d_x * 8
+        assert peak < rows.nbytes + 8 * ring
 
 
 @pytest.mark.parametrize(

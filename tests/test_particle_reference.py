@@ -18,7 +18,7 @@ from ssmkit import (
     systematic_resample,
 )
 from ssmkit.numerics import effective_sample_size, log_sum_exp
-from ssmkit.particle import _check_weights, _lineages
+from ssmkit.particle import _check_weights
 
 
 def reference_generic(model):
@@ -186,13 +186,16 @@ class TestFilterMatchesReference:
 class TestSmootherMatchesReference:
     T = 23  # not a multiple of any lag tested below except 1 and T
 
+    # Threshold 1 resamples at the last step too, after its rows are formed.
+    @pytest.mark.parametrize("threshold", [0.5, 1.0])
     @pytest.mark.parametrize("lag", [0, 1, 2, 5, 7, T - 1, T, T + 5])
     @pytest.mark.parametrize("scheme", ["systematic", "multinomial"])
-    def test_rows(self, lag, scheme):
+    def test_rows(self, lag, scheme, threshold):
         obs = simulated(SCALAR, self.T, 4)
         rows = fixed_lag_smoother(lgssm_as_generic(SCALAR), obs, N, lag,
-                                  SeededGenerator(12), scheme=scheme)
-        ref = reference_filter(reference_generic(SCALAR), obs, N, 12, 0.5, scheme)
+                                  SeededGenerator(12), resample_threshold=threshold,
+                                  scheme=scheme)
+        ref = reference_filter(reference_generic(SCALAR), obs, N, 12, threshold, scheme)
         assert same_bytes(rows, reference_smoother(ref, lag))
 
     @pytest.mark.parametrize("threshold", THRESHOLDS)
@@ -204,21 +207,6 @@ class TestSmootherMatchesReference:
         ref = reference_filter(reference_generic(model), obs, N, 13, threshold,
                                "systematic")
         assert same_bytes(rows, reference_smoother(ref, 4))
-
-
-class TestLineages:
-    @pytest.mark.parametrize("T", [1, 2, 9, 10, 11, 40])
-    @pytest.mark.parametrize("lag", [0, 1, 2, 3, 5, 10, 39, 40, 45])
-    def test_random_ancestries(self, T, lag):
-        gen = np.random.default_rng(T * 100 + lag)
-        n = 17
-        ancestors = gen.integers(0, n, size=(T, n))
-        ancestors[::3] = np.arange(n)  # steps without resampling
-        rows = sorted(_lineages(ancestors, lag), key=lambda row: row[0])
-        assert [t for t, _, _ in rows] == list(range(T))
-        for t, horizon, lineage in rows:
-            assert horizon == min(t + lag, T - 1)
-            assert same_bytes(lineage, reference_lineage(ancestors, t, lag))
 
 
 class TestMultinomialMatchesReference:
