@@ -8,6 +8,7 @@ import pytest
 from ssmkit import (
     GenericStateSpaceModel,
     LinearGaussianModel,
+    ObservationSeries,
     SeededGenerator,
     bootstrap_filter,
     fixed_lag_smoother,
@@ -18,6 +19,7 @@ from ssmkit import (
     systematic_resample,
 )
 from ssmkit.numerics import effective_sample_size, log_sum_exp
+from ssmkit import particle
 from ssmkit.particle import _check_weights
 
 
@@ -207,6 +209,48 @@ class TestSmootherMatchesReference:
         ref = reference_filter(reference_generic(model), obs, N, 13, threshold,
                                "systematic")
         assert same_bytes(rows, reference_smoother(ref, 4))
+
+
+class TestLineages:
+    """The ring against a separate ancestry walk on prescribed random
+    ancestries: the resampling draw is replaced by the given indices, and
+    every particle position is a fresh normal, so a row only matches when
+    each particle's carried position is its ancestor's."""
+
+    @pytest.mark.parametrize("T", [1, 2, 9, 10, 11, 40])
+    @pytest.mark.parametrize("lag", [0, 1, 2, 3, 5, 10, 39, 40, 45])
+    def test_random_ancestries(self, T, lag, monkeypatch):
+        gen = np.random.default_rng(T * 100 + lag)
+        n, d_x = 17, 3
+        ancestors = gen.integers(0, n, size=(T, n))
+        ancestors[::3] = np.arange(n)  # steps that keep every particle
+        history, weight_history = [], []
+
+        def draw(states):
+            return gen.standard_normal((states, d_x))
+
+        def observation_logdensity(states, y, t):
+            history.append(states.copy())
+            return -0.5 * np.sum(states * states, axis=1)
+
+        def prescribed(weights, u):
+            weight_history.append(weights.copy())
+            return ancestors[len(weight_history) - 1]
+
+        model = GenericStateSpaceModel(
+            d_x=d_x,
+            init_sampler=lambda count, rng: draw(count),
+            transition_sampler=lambda states, t, rng: draw(states.shape[0]),
+            observation_logdensity=observation_logdensity,
+        )
+        monkeypatch.setattr(particle, "systematic_resample", prescribed)
+        rows = fixed_lag_smoother(model, ObservationSeries(np.zeros((T, 1)), "real"), n,
+                                  lag, SeededGenerator(0), resample_threshold=1.0)
+        assert len(history) == len(weight_history) == T
+        for t in range(T):
+            horizon = min(t + lag, T - 1)
+            lineage = reference_lineage(ancestors, t, lag)
+            assert same_bytes(rows[t], weight_history[horizon] @ history[t][lineage])
 
 
 class TestMultinomialMatchesReference:
