@@ -26,12 +26,12 @@ def log_sum_exp(values) -> float:
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("log_sum_exp of an empty sequence is undefined")
-    m = np.max(v)
+    m = np.maximum.reduce(v, axis=None)
     if not np.isfinite(m):
         if m == -np.inf:
             return -np.inf
         raise ValueError("log_sum_exp requires entries in [-inf, inf)")
-    return float(m + np.log(np.sum(np.exp(v - m))))
+    return float(m + np.log(np.add.reduce(np.exp(v - m), axis=None)))
 
 
 def normalize_log_weights(log_weights) -> np.ndarray:
@@ -50,7 +50,7 @@ def normalize_log_weights(log_weights) -> np.ndarray:
 def effective_sample_size(weights: np.ndarray) -> float:
     """1 / sum(w_i^2) for normalized weights; equals N when uniform."""
     w = np.asarray(weights, dtype=float)
-    return float(1.0 / np.sum(w * w))
+    return float(1.0 / np.add.reduce(w * w, axis=None))
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:

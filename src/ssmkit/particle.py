@@ -80,14 +80,31 @@ def _check_weights(weights) -> np.ndarray:
     return w
 
 
+def _last_positive(w: np.ndarray) -> int:
+    last = w.shape[0] - 1
+    return last if w[last] > 0.0 else int(np.flatnonzero(w)[-1])
+
+
+def _weight_cdf(w: np.ndarray) -> np.ndarray:
+    """Cumulative weights, 1.0 from the last positive weight onward.
+
+    The weights sum to 1 only within 1e-9, so a draw can fall past their
+    sum; it then goes to the last positive weight, never to a zero one.
+    """
+    cdf = np.cumsum(w)
+    cdf[_last_positive(w):] = 1.0
+    return cdf
+
+
 def systematic_resample(weights, u: float, n: int | None = None) -> np.ndarray:
     """Parent indices at stratified positions (i + u)/n on the weight CDF.
 
     n defaults to the number of weights.  Output is sorted nondecreasing;
     the count of each index i differs from n*w_i by at most 1, and by less
-    than 1 in exact arithmetic.  Where u is within about n * 2**-53 of 1,
-    the last position rounds to 1.0, past the CDF; it then goes to the last
-    index of positive weight, where it lies in exact arithmetic.
+    than 1 in exact arithmetic.  No index of zero weight is returned: where
+    u is within about n * 2**-53 of 1, the last position rounds to 1.0,
+    past the CDF, and it too goes to the last index of positive weight,
+    where it lies in exact arithmetic.
     """
     w = _check_weights(weights)
     if not 0.0 <= u < 1.0:
@@ -97,12 +114,10 @@ def systematic_resample(weights, u: float, n: int | None = None) -> np.ndarray:
     elif n < 1:
         raise ValueError("n must be at least 1")
     positions = (np.arange(n) + u) / n
-    cdf = np.cumsum(w)
-    cdf[-1] = 1.0  # guard roundoff so the last position always lands
-    idx = np.searchsorted(cdf, positions, side="right").astype(np.int64)
+    idx = np.searchsorted(_weight_cdf(w), positions, side="right").astype(np.int64)
     # The output is sorted: if any index lies past the CDF, the last does.
     if idx[-1] == w.shape[0]:
-        np.minimum(idx, np.flatnonzero(w)[-1], out=idx)
+        np.minimum(idx, _last_positive(w), out=idx)
     return idx
 
 
@@ -114,8 +129,7 @@ def multinomial_resample(weights, rng: SeededGenerator, n: int | None = None) ->
         n = w.shape[0]
     elif n < 1:
         raise ValueError("n must be at least 1")
-    cdf = np.cumsum(w)
-    cdf[-1] = 1.0
+    cdf = _weight_cdf(w)
     u = rng.uniforms(n)
     # On sorted draws each search starts where the previous one ended; a
     # draw lands on the same index in any order, so the result is unchanged.
@@ -195,7 +209,7 @@ def _run_filter(
         log_likelihood += total
         log_w = combined - total
         weights = np.exp(log_w)
-        weights = weights / weights.sum()
+        weights /= np.add.reduce(weights)
         filtered_means[t] = weights @ particles
         ess = effective_sample_size(weights)
         ess_trace[t] = ess
@@ -301,7 +315,7 @@ def lgssm_as_generic(model: LinearGaussianModel) -> GenericStateSpaceModel:
     def observation_logdensity(states: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:
         resid = y[None, :] - states @ model.C.T
         z = resid @ inv_chol_r_t
-        return log_norm - 0.5 * np.sum(z * z, axis=1)
+        return log_norm - 0.5 * np.add.reduce(z * z, axis=1)
 
     return GenericStateSpaceModel(
         d_x=d_x,

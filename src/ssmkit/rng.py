@@ -27,11 +27,12 @@ _U64_MASK = (1 << 64) - 1
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """The SplitMix64 finalizer, applied to z in place; returns z."""
-    z ^= z >> _S30
+    tmp = np.right_shift(z, _S30)
+    z ^= tmp
     z *= _MIX1
-    z ^= z >> _S27
+    z ^= np.right_shift(z, _S27, out=tmp)
     z *= _MIX2
-    z ^= z >> _S31
+    z ^= np.right_shift(z, _S31, out=tmp)
     return z
 
 
@@ -65,11 +66,11 @@ class SeededGenerator:
         """uint64 outputs for indices start, ..., start+count-1."""
         if count < 0:
             raise ValueError("count must be non-negative")
+        # Array arithmetic on uint64 wraps modulo 2**64 without a warning.
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            idx *= _GOLDEN
-            idx += self._seed
-            return _mix64(idx)
+        idx *= _GOLDEN
+        idx += self._seed
+        return _mix64(idx)
 
     def uniform_at(self, start: int, count: int) -> np.ndarray:
         """Uniforms on [0, 1), one raw output per value."""

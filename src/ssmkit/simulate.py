@@ -9,6 +9,8 @@ noise in time order.  Every normal consumes two raw generator outputs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .models import (
@@ -24,12 +26,6 @@ from .rng import SeededGenerator
 __all__ = ["simulate_hmm", "simulate_lgssm"]
 
 
-def _categorical(u: float, cumulative: np.ndarray) -> int:
-    # Index of the first cumulative entry exceeding u; clipped so roundoff
-    # in the final entry cannot produce an out-of-range index.
-    return min(int(np.searchsorted(cumulative, u, side="right")), cumulative.shape[0] - 1)
-
-
 def simulate_hmm(
     model: DiscreteHMM, T: int, rng: SeededGenerator
 ) -> tuple[StatePath, ObservationSeries]:
@@ -37,15 +33,21 @@ def simulate_hmm(
     require_valid(model)
     if T < 1:
         raise ValueError("T must be at least 1")
-    cum_init = np.cumsum(model.initial)
-    cum_trans = np.cumsum(model.transition, axis=1)
     cum_emit = np.cumsum(model.emission, axis=1)
 
-    u_states = rng.uniforms(T)
-    states = np.empty(T, dtype=np.int64)
-    states[0] = _categorical(u_states[0], cum_init)
-    for t in range(1, T):
-        states[t] = _categorical(u_states[t], cum_trans[states[t - 1]])
+    # Each state is the index of the first cumulative entry exceeding its
+    # uniform, clipped so roundoff in the final entry cannot produce an
+    # out-of-range index.  The chain runs on Python floats, which hold the
+    # same values, since a numpy call per step costs more than its search.
+    last = model.K - 1
+    cum_trans = np.cumsum(model.transition, axis=1).tolist()
+    u_states = rng.uniforms(T).tolist()
+    state = min(bisect_right(np.cumsum(model.initial).tolist(), u_states[0]), last)
+    chain = [state]
+    for u in u_states[1:]:
+        state = min(bisect_right(cum_trans[state], u), last)
+        chain.append(state)
+    states = np.array(chain, dtype=np.int64)
 
     u_obs = rng.uniforms(T)
     rows = cum_emit[states]

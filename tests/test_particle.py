@@ -96,6 +96,19 @@ class TestSystematicResample:
         # At most 1 apart, up to the rounding of n * w.
         assert np.all(np.abs(np.bincount(idx, minlength=n) - n * w) <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "weights, n, expected",
+        [
+            ([0.5, 0.5 - 1e-10, 0.0], None, [0, 1, 1]),
+            ([0.5, 0.0, 0.5 - 5e-10, 0.0, 0.0], 1, [2]),
+        ],
+    )
+    def test_shortfall_never_lands_on_zero_weight(self, weights, n, expected):
+        # The weights sum to within 1e-9 of 1; the last position lies past
+        # their cumulative sum, and goes to the last positive weight.
+        idx = systematic_resample(weights, 0.9999999999, n=n)
+        assert idx.tolist() == expected
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             systematic_resample([0.5, 0.5], 1.0)
@@ -116,6 +129,14 @@ class TestMultinomialResample:
         a = multinomial_resample([0.2, 0.3, 0.5], SeededGenerator(17))
         b = multinomial_resample([0.2, 0.3, 0.5], SeededGenerator(17))
         np.testing.assert_array_equal(a, b)
+
+    def test_shortfall_never_lands_on_zero_weight(self):
+        class Stub:
+            def uniforms(self, count):
+                return np.full(count, 1.0 - 2e-10)
+
+        idx = multinomial_resample([0.5, 0.5 - 5e-10, 0.0], Stub(), n=2)
+        assert idx.tolist() == [1, 1]
 
     def test_long_run_frequencies(self):
         idx = multinomial_resample([0.2, 0.8], SeededGenerator(101), n=100_000)
@@ -211,6 +232,54 @@ class TestBootstrapFilter:
         with pytest.raises(ParticleCollapseError) as exc:
             bootstrap_filter(model, real(np.zeros(3)), 10, SeededGenerator(0))
         assert exc.value.time_index == 1
+
+    @staticmethod
+    def faulty_model(bad, where):
+        """Log-densities of 0, except entry `where` at step 3, which is bad;
+        with `where` None every entry at step 3 is bad."""
+
+        def observation_logdensity(states, y, t):
+            out = np.zeros(states.shape[0])
+            if t == 3:
+                out[slice(None) if where is None else where] = bad
+            return out
+
+        return GenericStateSpaceModel(
+            d_x=1,
+            init_sampler=lambda n, rng: rng.normals(n)[:, None],
+            transition_sampler=lambda s, t, rng: s + rng.normals(s.shape[0])[:, None],
+            observation_logdensity=observation_logdensity,
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [0, 4, 9])
+    @pytest.mark.parametrize("threshold", [0.5, 1.0])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda m, obs, th: bootstrap_filter(m, obs, 10, SeededGenerator(6),
+                                                resample_threshold=th),
+            lambda m, obs, th: fixed_lag_smoother(m, obs, 10, 2, SeededGenerator(6),
+                                                  resample_threshold=th),
+        ],
+        ids=["bootstrap_filter", "fixed_lag_smoother"],
+    )
+    def test_non_finite_log_density_rejected(self, run, bad, where, threshold):
+        with pytest.raises(ValueError):
+            run(self.faulty_model(bad, where), real(np.zeros(5)), threshold)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda m, obs: bootstrap_filter(m, obs, 10, SeededGenerator(6)),
+            lambda m, obs: fixed_lag_smoother(m, obs, 10, 2, SeededGenerator(6)),
+        ],
+        ids=["bootstrap_filter", "fixed_lag_smoother"],
+    )
+    def test_all_minus_inf_step_collapses(self, run):
+        with pytest.raises(ParticleCollapseError) as exc:
+            run(self.faulty_model(-np.inf, None), real(np.zeros(5)))
+        assert exc.value.time_index == 3
 
     def test_tracks_kalman_filter(self):
         exact = LinearGaussianModel(

@@ -45,11 +45,12 @@ def reference_generic(model):
 
 
 def reference_multinomial(weights, rng, n=None):
-    """Categorical draws by searching the CDF in draw order."""
+    """Categorical draws by searching the CDF in draw order; the CDF is 1.0
+    from the last positive weight onward."""
     w = _check_weights(weights)
     n = w.shape[0] if n is None else n
     cdf = np.cumsum(w)
-    cdf[-1] = 1.0
+    cdf[np.flatnonzero(w)[-1]:] = 1.0
     return np.searchsorted(cdf, rng.uniforms(n), side="right").astype(np.int64)
 
 

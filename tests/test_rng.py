@@ -3,6 +3,7 @@ conversions, and stream derivation.  Frozen values below were computed with
 an independent pure-Python implementation of the same algorithm."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,28 @@ class TestRawOutputs:
     def test_non_integer_seed_rejected(self):
         with pytest.raises(ValueError):
             SeededGenerator(1.5)
+
+
+class TestNoOverflowWarning:
+    """The index arithmetic wraps modulo 2**64 by design; uint64 array
+    operations wrap without a warning, so none may reach the caller."""
+
+    @pytest.mark.parametrize("seed", [0, MASK])
+    @pytest.mark.parametrize("start", [0, 2**63 - 402, 2**63 - 1, 2**63, 2**63 + 7])
+    @pytest.mark.parametrize("count", [0, 1, 401])
+    def test_no_warning(self, seed, start, count):
+        gen = SeededGenerator(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = gen.raw_at(start, count)
+            uniforms = gen.uniform_at(start, count)
+            normals = gen.normal_at(start, count)
+        assert raw.shape == uniforms.shape == (count,)
+        assert normals.shape == (count,)
+        picks = sorted({0, count // 2, count - 1}) if count else []
+        assert [int(raw[i]) for i in picks] == [
+            reference_raw(seed, start + i) for i in picks
+        ]
 
 
 class TestUniforms:

@@ -13,6 +13,39 @@ from ssmkit import (
 )
 
 
+def reference_simulate_hmm(model, T, rng):
+    """simulate_hmm with one sorted search per step of the state chain."""
+    cum_init = np.cumsum(model.initial)
+    cum_trans = np.cumsum(model.transition, axis=1)
+    cum_emit = np.cumsum(model.emission, axis=1)
+    u_states = rng.uniforms(T)
+    states = np.empty(T, dtype=np.int64)
+    states[0] = min(int(np.searchsorted(cum_init, u_states[0], side="right")),
+                    model.K - 1)
+    for t in range(1, T):
+        row = cum_trans[states[t - 1]]
+        states[t] = min(int(np.searchsorted(row, u_states[t], side="right")),
+                        model.K - 1)
+    u_obs = rng.uniforms(T)
+    rows = cum_emit[states]
+    symbols = np.minimum(np.sum(u_obs[:, None] >= rows, axis=1), model.M - 1)
+    return states, symbols.astype(np.int64)
+
+
+def random_hmm(K, M, gen):
+    """A random HMM whose rows have interior and trailing zeros."""
+
+    def rows(k, m):
+        p = gen.exponential(size=(k, m))
+        if m > 1:
+            p[gen.random((k, m)) < 0.3] = 0.0
+            p[: k // 2, -1] = 0.0  # trailing zeros on half the rows
+        p[np.arange(k), gen.integers(0, m, size=k)] += 0.5  # no empty row
+        return p / p.sum(axis=1, keepdims=True)
+
+    return DiscreteHMM(rows(1, K)[0], rows(K, K), rows(K, M))
+
+
 def two_state_hmm():
     return DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
 
@@ -44,6 +77,44 @@ class TestSimulateHmm:
         m = DiscreteHMM(r, [r, r], [[0.8, 0.2], [0.3, 0.7]])
         path, _ = simulate_hmm(m, 100_000, SeededGenerator(5))
         assert abs(np.mean(path.states == 1) - r[1]) < 0.01
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 10, 40])
+    @pytest.mark.parametrize("T", [1, 2, 3000])
+    def test_matches_per_step_reference(self, K, T):
+        gen = np.random.default_rng(1000 * K + T)
+        for seed in range(4):
+            model = random_hmm(K, 4, gen)
+            path, obs = simulate_hmm(model, T, SeededGenerator(seed))
+            states, symbols = reference_simulate_hmm(model, T, SeededGenerator(seed))
+            assert path.states.dtype == states.dtype
+            assert path.states.tobytes() == states.tobytes()
+            assert obs.values.dtype == symbols.dtype
+            assert obs.values.tobytes() == symbols.tobytes()
+
+    def test_uniforms_on_cumulative_entries_match_reference(self):
+        # Draws equal to a cumulative entry, or just below one, are where a
+        # search that breaks ties another way would give another index.
+        gen = np.random.default_rng(77)
+        model = random_hmm(6, 5, gen)
+        cums = np.concatenate([np.cumsum(model.initial),
+                               np.cumsum(model.transition, axis=1).ravel(),
+                               np.cumsum(model.emission, axis=1).ravel()])
+        cums = cums[cums < 1.0]
+        values = np.concatenate([cums, np.nextafter(cums, 0.0)])
+        draws = gen.choice(values, size=2 * 500)
+
+        class Replay:
+            def __init__(self):
+                self.position = 0
+
+            def uniforms(self, count):
+                self.position += count
+                return draws[self.position - count:self.position].copy()
+
+        path, obs = simulate_hmm(model, 500, Replay())
+        states, symbols = reference_simulate_hmm(model, 500, Replay())
+        assert path.states.tobytes() == states.tobytes()
+        assert obs.values.tobytes() == symbols.tobytes()
 
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
