@@ -53,6 +53,25 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(1.0 / np.add.reduce(w * w, axis=None))
 
 
+def _last_positive(p: np.ndarray) -> int:
+    """Index of the last positive entry of a nonnegative vector."""
+    last = p.shape[0] - 1
+    return last if p[last] > 0.0 else int(np.flatnonzero(p)[-1])
+
+
+def _capped_cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums of a probability vector, 1.0 from its last positive
+    entry onward.
+
+    The entries sum to 1 only to rounding, so a uniform on [0, 1) can fall
+    at or past their sum; searched against this CDF it then goes to the
+    last positive entry, never to a zero one or past the end.
+    """
+    cdf = np.cumsum(p)
+    cdf[_last_positive(p):] = 1.0
+    return cdf
+
+
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """(M + M.T) / 2, forcing exact symmetry after accumulated roundoff."""
     return 0.5 * (mat + mat.T)

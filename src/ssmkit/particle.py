@@ -9,10 +9,12 @@ internal execution schedule.  Time indices in errors are 1-based.
 
 Costs per step are linear in N.  The linear-Gaussian observation density
 multiplies by the inverse Cholesky factor of R, computed once when the
-model is built; multinomial resampling searches its draws in sorted order.
-The fixed-lag smoother carries each particle's last lag positions and
-resamples them with it: O(lag*N*d_x) memory, and each resampling copies
-them, so its cost per resampling grows with the lag.
+model is built, and products with an inner size of 1 (a scalar state, or
+a scalar observation's noise factor) are taken elementwise with matmul's
+bytes.  Multinomial resampling searches its draws in the order of their
+top 16 bits.  The fixed-lag smoother carries each particle's last lag
+positions and resamples them with it: O(lag*N*d_x) memory, and each
+resampling copies them, so its cost per resampling grows with the lag.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from .models import (
     _row_faults,
     require_valid,
 )
-from .numerics import effective_sample_size, log_sum_exp, psd_sampling_factor
+from .numerics import (
+    _capped_cdf,
+    _last_positive,
+    effective_sample_size,
+    log_sum_exp,
+    psd_sampling_factor,
+)
 from .rng import SeededGenerator
 
 __all__ = [
@@ -80,22 +88,6 @@ def _check_weights(weights) -> np.ndarray:
     return w
 
 
-def _last_positive(w: np.ndarray) -> int:
-    last = w.shape[0] - 1
-    return last if w[last] > 0.0 else int(np.flatnonzero(w)[-1])
-
-
-def _weight_cdf(w: np.ndarray) -> np.ndarray:
-    """Cumulative weights, 1.0 from the last positive weight onward.
-
-    The weights sum to 1 only within 1e-9, so a draw can fall past their
-    sum; it then goes to the last positive weight, never to a zero one.
-    """
-    cdf = np.cumsum(w)
-    cdf[_last_positive(w):] = 1.0
-    return cdf
-
-
 def systematic_resample(weights, u: float, n: int | None = None) -> np.ndarray:
     """Parent indices at stratified positions (i + u)/n on the weight CDF.
 
@@ -114,7 +106,8 @@ def systematic_resample(weights, u: float, n: int | None = None) -> np.ndarray:
     elif n < 1:
         raise ValueError("n must be at least 1")
     positions = (np.arange(n) + u) / n
-    idx = np.searchsorted(_weight_cdf(w), positions, side="right").astype(np.int64)
+    cdf = _capped_cdf(w)
+    idx = np.searchsorted(cdf, positions, side="right").astype(np.int64, copy=False)
     # The output is sorted: if any index lies past the CDF, the last does.
     if idx[-1] == w.shape[0]:
         np.minimum(idx, _last_positive(w), out=idx)
@@ -129,11 +122,13 @@ def multinomial_resample(weights, rng: SeededGenerator, n: int | None = None) ->
         n = w.shape[0]
     elif n < 1:
         raise ValueError("n must be at least 1")
-    cdf = _weight_cdf(w)
+    cdf = _capped_cdf(w)
     u = rng.uniforms(n)
-    # On sorted draws each search starts where the previous one ended; a
-    # draw lands on the same index in any order, so the result is unchanged.
-    order = np.argsort(u)
+    # A draw lands on the same index in any order, so the order only serves
+    # the search: on draws sorted by their top 16 bits, successive searches
+    # touch nearby parts of the CDF.  A stable sort of 16-bit keys is a
+    # radix sort, about half the cost of sorting the doubles themselves.
+    order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")
     idx = np.empty(n, dtype=np.int64)
     idx[order] = np.searchsorted(cdf, u[order], side="right")
     return idx
@@ -287,6 +282,18 @@ def fixed_lag_smoother(
     return smoothed
 
 
+def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for a stack of row vectors x, with the same bytes.
+
+    With an inner size of 1, matmul runs a slow generic loop, several times
+    the cost of the broadcast product at large N.  That loop starts its sum
+    at 0.0, so a -0.0 product comes out +0.0; adding 0.0 does the same here.
+    """
+    if m.shape[0] == 1:
+        return x * m[0] + 0.0
+    return x @ m
+
+
 def lgssm_as_generic(model: LinearGaussianModel) -> GenericStateSpaceModel:
     """Express a linear-Gaussian model through the generic callbacks.
 
@@ -305,16 +312,16 @@ def lgssm_as_generic(model: LinearGaussianModel) -> GenericStateSpaceModel:
 
     def init_sampler(n: int, rng: SeededGenerator) -> np.ndarray:
         z = rng.normals(n * d_x).reshape(n, d_x)
-        return model.mu0 + z @ l_init.T
+        return model.mu0 + _times(z, l_init.T)
 
     def transition_sampler(states: np.ndarray, t: int, rng: SeededGenerator) -> np.ndarray:
         n = states.shape[0]
         z = rng.normals(n * d_x).reshape(n, d_x)
-        return states @ model.A.T + z @ l_state.T
+        return _times(states, model.A.T) + _times(z, l_state.T)
 
     def observation_logdensity(states: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:
-        resid = y[None, :] - states @ model.C.T
-        z = resid @ inv_chol_r_t
+        resid = y[None, :] - _times(states, model.C.T)
+        z = _times(resid, inv_chol_r_t)
         return log_norm - 0.5 * np.add.reduce(z * z, axis=1)
 
     return GenericStateSpaceModel(

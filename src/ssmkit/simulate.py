@@ -20,7 +20,7 @@ from .models import (
     StatePath,
     require_valid,
 )
-from .numerics import psd_sampling_factor
+from .numerics import _capped_cdf, psd_sampling_factor
 from .rng import SeededGenerator
 
 __all__ = ["simulate_hmm", "simulate_lgssm"]
@@ -33,27 +33,23 @@ def simulate_hmm(
     require_valid(model)
     if T < 1:
         raise ValueError("T must be at least 1")
-    cum_emit = np.cumsum(model.emission, axis=1)
-
-    # Each state is the index of the first cumulative entry exceeding its
-    # uniform, clipped so roundoff in the final entry cannot produce an
-    # out-of-range index.  The chain runs on Python floats, which hold the
-    # same values, since a numpy call per step costs more than its search.
-    last = model.K - 1
-    cum_trans = np.cumsum(model.transition, axis=1).tolist()
+    # Each draw is the index of the first cumulative entry exceeding its
+    # uniform; the rows are capped at 1.0 from their last positive entry, so
+    # a uniform past a row's rounded sum cannot draw an entry of probability
+    # 0 or fall off the row.  The chain runs on Python floats, which hold
+    # the same values, since a numpy call per step costs more than its search.
+    cum_trans = [_capped_cdf(row).tolist() for row in model.transition]
     u_states = rng.uniforms(T).tolist()
-    state = min(bisect_right(np.cumsum(model.initial).tolist(), u_states[0]), last)
+    state = bisect_right(_capped_cdf(model.initial).tolist(), u_states[0])
     chain = [state]
     for u in u_states[1:]:
-        state = min(bisect_right(cum_trans[state], u), last)
+        state = bisect_right(cum_trans[state], u)
         chain.append(state)
     states = np.array(chain, dtype=np.int64)
 
     u_obs = rng.uniforms(T)
-    rows = cum_emit[states]
-    symbols = np.minimum(
-        np.sum(u_obs[:, None] >= rows, axis=1), model.M - 1
-    ).astype(np.int64)
+    cum_emit = np.array([_capped_cdf(row) for row in model.emission])
+    symbols = np.sum(u_obs[:, None] >= cum_emit[states], axis=1).astype(np.int64)
     return StatePath(states), ObservationSeries(symbols, kind="symbolic")
 
 

@@ -1,6 +1,7 @@
-"""The particle layer against its plain forms, compared byte for byte: the
-observation density through a triangular solve on every step, multinomial
-search on unsorted draws, and a separate ancestry walk for every smoothed row."""
+"""The particle layer against its plain forms, compared byte for byte: every
+product through matmul, the observation density through a triangular solve
+on every step, multinomial search on unsorted draws, and a separate ancestry
+walk for every smoothed row."""
 
 import numpy as np
 import pytest
@@ -18,18 +19,27 @@ from ssmkit import (
     simulate_lgssm,
     systematic_resample,
 )
-from ssmkit.numerics import effective_sample_size, log_sum_exp
+from ssmkit.numerics import effective_sample_size, log_sum_exp, psd_sampling_factor
 from ssmkit import particle
 from ssmkit.particle import _check_weights
 
 
 def reference_generic(model):
-    """lgssm_as_generic with the density solving against the Cholesky factor
-    of R on every call."""
-    generic = lgssm_as_generic(model)
+    """lgssm_as_generic with every product a plain matmul and the density
+    solving against the Cholesky factor of R on every call."""
+    l_init = psd_sampling_factor(model.Sigma0, "Sigma0")
+    l_state = psd_sampling_factor(model.Q, "Q")
     chol_r = np.linalg.cholesky(model.R)
     log_det_r = 2.0 * float(np.sum(np.log(np.diag(chol_r))))
     log_norm = -0.5 * (model.d_y * np.log(2.0 * np.pi) + log_det_r)
+
+    def init_sampler(n, rng):
+        return model.mu0 + rng.normals(n * model.d_x).reshape(n, model.d_x) @ l_init.T
+
+    def transition_sampler(states, t, rng):
+        n = states.shape[0]
+        z = rng.normals(n * model.d_x).reshape(n, model.d_x)
+        return states @ model.A.T + z @ l_state.T
 
     def observation_logdensity(states, y, t):
         resid = y[None, :] - states @ model.C.T
@@ -37,9 +47,9 @@ def reference_generic(model):
         return log_norm - 0.5 * np.sum(z * z, axis=0)
 
     return GenericStateSpaceModel(
-        d_x=generic.d_x,
-        init_sampler=generic.init_sampler,
-        transition_sampler=generic.transition_sampler,
+        d_x=model.d_x,
+        init_sampler=init_sampler,
+        transition_sampler=transition_sampler,
         observation_logdensity=observation_logdensity,
     )
 
@@ -272,6 +282,59 @@ class TestMultinomialMatchesReference:
         for seed in range(5):
             assert same_bytes(multinomial_resample(w, SeededGenerator(seed), 400),
                               reference_multinomial(w, SeededGenerator(seed), 400))
+
+    def test_many_draws_per_bucket(self):
+        # About 3 draws per 1/65536 of [0, 1), so draws that share their
+        # top 16 bits reach the search out of order.
+        gen = np.random.default_rng(9)
+        w = gen.random(1000)
+        w[gen.random(1000) < 0.3] = 0.0
+        w /= w.sum()
+        idx = multinomial_resample(w, SeededGenerator(22), 200_000)
+        assert same_bytes(idx, reference_multinomial(w, SeededGenerator(22), 200_000))
+        assert np.all(w[idx] > 0)
+
+    def test_draws_on_and_just_below_cdf_entries(self):
+        gen = np.random.default_rng(10)
+        w = gen.random(300)
+        w[gen.random(300) < 0.3] = 0.0
+        w /= w.sum()
+        cdf = np.cumsum(w)
+        cdf = cdf[cdf < 1.0]
+        draws = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, 1.0 - 2.0**-53]])
+        draws = np.repeat(draws, 2)
+        gen.shuffle(draws)
+
+        class Replay:
+            def uniforms(self, count):
+                assert count == draws.size
+                return draws.copy()
+
+        idx = multinomial_resample(w, Replay(), draws.size)
+        assert same_bytes(idx, reference_multinomial(w, Replay(), draws.size))
+        assert np.all(w[idx] > 0)
+
+
+class TestProductMatchesMatmul:
+    """particle._times against the installed numpy's matmul, so a numpy
+    whose loop rounds or signs zeros differently fails here."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        2.2250738585072014e-308 / 3, 1e308, -1.5])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 200, 10_000, 100_000])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_inner_size_one(self, n, k):
+        gen = np.random.default_rng(n * 10 + k)
+        x = gen.standard_normal((n, 1))
+        special = gen.random((n, 1)) < 0.5
+        x[special] = gen.choice(self.SPECIAL, size=int(special.sum()))
+        x[0] = -0.0
+        for m_row in [gen.standard_normal(k), gen.choice(self.SPECIAL, size=k),
+                      np.full(k, -0.0), np.full(k, 5e-324)]:
+            for m in (m_row[None, :], m_row[:, None].T):  # contiguous and a view
+                with np.errstate(all="ignore"):
+                    assert same_bytes(particle._times(x, m), x @ m)
 
 
 class TestDenseObservationNoise:

@@ -13,22 +13,29 @@ from ssmkit import (
 )
 
 
+def capped_cumsum(rows):
+    """Cumulative sums along each row, 1.0 from its last positive entry on."""
+    rows = np.atleast_2d(rows)
+    cum = np.cumsum(rows, axis=1)
+    for c, p in zip(cum, rows):
+        c[np.flatnonzero(p)[-1]:] = 1.0
+    return cum
+
+
 def reference_simulate_hmm(model, T, rng):
     """simulate_hmm with one sorted search per step of the state chain."""
-    cum_init = np.cumsum(model.initial)
-    cum_trans = np.cumsum(model.transition, axis=1)
-    cum_emit = np.cumsum(model.emission, axis=1)
+    cum_init = capped_cumsum(model.initial)[0]
+    cum_trans = capped_cumsum(model.transition)
+    cum_emit = capped_cumsum(model.emission)
     u_states = rng.uniforms(T)
     states = np.empty(T, dtype=np.int64)
-    states[0] = min(int(np.searchsorted(cum_init, u_states[0], side="right")),
-                    model.K - 1)
+    states[0] = np.searchsorted(cum_init, u_states[0], side="right")
     for t in range(1, T):
         row = cum_trans[states[t - 1]]
-        states[t] = min(int(np.searchsorted(row, u_states[t], side="right")),
-                        model.K - 1)
+        states[t] = np.searchsorted(row, u_states[t], side="right")
     u_obs = rng.uniforms(T)
     rows = cum_emit[states]
-    symbols = np.minimum(np.sum(u_obs[:, None] >= rows, axis=1), model.M - 1)
+    symbols = np.sum(u_obs[:, None] >= rows, axis=1)
     return states, symbols.astype(np.int64)
 
 
@@ -113,6 +120,25 @@ class TestSimulateHmm:
 
         path, obs = simulate_hmm(model, 500, Replay())
         states, symbols = reference_simulate_hmm(model, 500, Replay())
+        assert path.states.tobytes() == states.tobytes()
+        assert obs.values.tobytes() == symbols.tobytes()
+
+    def test_top_uniform_never_draws_probability_zero(self):
+        # Each cumulative row ends at 0.9999999999999999, which is the
+        # largest uniform, 1 - 2**-53; that draw goes to the last positive
+        # entry, not past the row.
+        p = [0.7, 0.2, 0.1, 0.0]
+        model = DiscreteHMM(p, [p] * 4, [p] * 4)
+        assert np.cumsum(p)[-1] == 1.0 - 2.0**-53
+
+        class Top:
+            def uniforms(self, count):
+                return np.full(count, 1.0 - 2.0**-53)
+
+        path, obs = simulate_hmm(model, 3, Top())
+        assert path.states.tolist() == [2, 2, 2]
+        assert obs.values.tolist() == [2, 2, 2]
+        states, symbols = reference_simulate_hmm(model, 3, Top())
         assert path.states.tobytes() == states.tobytes()
         assert obs.values.tobytes() == symbols.tobytes()
 
