@@ -7,6 +7,11 @@ from the stream derived as (seed, "step", t), with the resampling uniform
 drawn from (seed, "resample", t), so outputs are independent of any
 internal execution schedule.  Time indices in errors are 1-based.
 
+At small N a step's cost is numpy's fixed cost per call.  So when steps keep
+drawing the same number of normals first, that draw is formed for a block of
+steps in one batched call (``rng._KeyedStreams``, with each step's bytes),
+and the systematic resampling uniform is computed on Python ints.
+
 Costs per step are linear in N.  The linear-Gaussian observation density
 multiplies by the inverse Cholesky factor of R, computed once when the
 model is built, and products with an inner size of 1 (a scalar state, or
@@ -38,7 +43,7 @@ from .numerics import (
     log_sum_exp,
     psd_sampling_factor,
 )
-from .rng import SeededGenerator
+from .rng import SeededGenerator, _first_uniform, _KeyedStreams
 
 __all__ = [
     "ParticleSet",
@@ -134,12 +139,9 @@ def multinomial_resample(weights, rng: SeededGenerator, n: int | None = None) ->
     return idx
 
 
-def _step_stream(rng: SeededGenerator, t: int) -> SeededGenerator:
-    return rng.derive("step", t)
-
-
 def _resample_uniform(rng: SeededGenerator, t: int) -> float:
-    return float(rng.derive("resample", t).uniforms(1)[0])
+    """rng.derive("resample", t).uniforms(1)[0] as a Python float."""
+    return _first_uniform(rng.derive("resample", t).seed)
 
 
 def _run_filter(
@@ -170,8 +172,9 @@ def _run_filter(
     if T < 1:
         raise ValueError("observation series must have at least one entry")
 
+    step_stream = _KeyedStreams(rng, "step", T)
     particles = np.asarray(
-        model.init_sampler(N, _step_stream(rng, 0)), dtype=float
+        model.init_sampler(N, step_stream(0)), dtype=float
     ).reshape(N, model.d_x)
     log_w = np.full(N, -np.log(N))  # carried normalized log-weights
     filtered_means = np.empty((T, model.d_x))
@@ -189,7 +192,7 @@ def _run_filter(
     for t in range(T):
         if t > 0:
             particles = np.asarray(
-                model.transition_sampler(particles, t + 1, _step_stream(rng, t)),
+                model.transition_sampler(particles, t + 1, step_stream(t)),
                 dtype=float,
             ).reshape(N, model.d_x)
         log_g = np.asarray(
@@ -221,7 +224,7 @@ def _run_filter(
                 idx = systematic_resample(weights, _resample_uniform(rng, t))
             else:
                 idx = multinomial_resample(weights, rng.derive("resample", t))
-            particles = particles[idx]
+            particles = particles.take(idx, axis=0)
             log_w = np.full(N, -np.log(N))
             resample_events.append(t + 1)
             if lag is not None:
@@ -322,7 +325,11 @@ def lgssm_as_generic(model: LinearGaussianModel) -> GenericStateSpaceModel:
     def observation_logdensity(states: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:
         resid = y[None, :] - _times(states, model.C.T)
         z = _times(resid, inv_chol_r_t)
-        return log_norm - 0.5 * np.add.reduce(z * z, axis=1)
+        squares = z * z
+        # One term per row when d_y = 1: a reshape, not a reduction.
+        if d_y == 1:
+            return log_norm - 0.5 * squares.reshape(-1)
+        return log_norm - 0.5 * np.add.reduce(squares, axis=1)
 
     return GenericStateSpaceModel(
         d_x=d_x,

@@ -22,6 +22,7 @@ from ssmkit import (
 from ssmkit.numerics import effective_sample_size, log_sum_exp, psd_sampling_factor
 from ssmkit import particle
 from ssmkit.particle import _check_weights
+from ssmkit.rng import _BLOCK_VALUES
 
 
 def reference_generic(model):
@@ -174,6 +175,30 @@ N = 200
 # 0.5 / N: ESS never drops below half a particle, so nothing is resampled.
 THRESHOLDS = [0.5, 1.0, 0.5 / N]
 
+# Step noise is drawn a block of B = _BLOCK_VALUES // (N * d_x) steps at a
+# time.  Particle counts for several steps per block, for two, for one (no
+# block) and for none, so N * d_x falls on both sides of the block size.
+PARTICLES = ["several", "two", "one", "none"]
+# Series lengths around the block boundaries.
+STEPS = ["1", "2", "B", "B+1", "2B+1"]
+
+
+def block_case(particles, steps, d_x):
+    """(N, T) for a PARTICLES entry and a STEPS entry."""
+    n = {"several": N, "two": _BLOCK_VALUES // (2 * d_x), "one": _BLOCK_VALUES // d_x,
+         "none": _BLOCK_VALUES // d_x + 1}[particles]
+    b = max(_BLOCK_VALUES // (n * d_x), 1)
+    return n, {"1": 1, "2": 2, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}[steps]
+
+
+def assert_same_run(run, ref):
+    assert same_bytes(run.filtered_means, ref["filtered_means"])
+    assert same_bytes(run.ess_trace, ref["ess_trace"])
+    assert run.log_likelihood_estimate == ref["log_likelihood_estimate"]
+    assert run.resample_events == ref["resample_events"]
+    assert same_bytes(run.final_set.particles, ref["particles"])
+    assert same_bytes(run.final_set.log_weights, ref["log_weights"])
+
 
 class TestFilterMatchesReference:
     @pytest.mark.parametrize("scheme", ["systematic", "multinomial"])
@@ -184,16 +209,23 @@ class TestFilterMatchesReference:
         run = bootstrap_filter(lgssm_as_generic(model), obs, N, SeededGenerator(11),
                                resample_threshold=threshold, scheme=scheme)
         ref = reference_filter(reference_generic(model), obs, N, 11, threshold, scheme)
-        assert same_bytes(run.filtered_means, ref["filtered_means"])
-        assert same_bytes(run.ess_trace, ref["ess_trace"])
-        assert run.log_likelihood_estimate == ref["log_likelihood_estimate"]
-        assert run.resample_events == ref["resample_events"]
-        assert same_bytes(run.final_set.particles, ref["particles"])
-        assert same_bytes(run.final_set.log_weights, ref["log_weights"])
+        assert_same_run(run, ref)
         if threshold == 0.5 / N:
             assert run.resample_events == []
         if threshold == 1.0:
             assert run.resample_events == list(range(1, 41))
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("particles", PARTICLES)
+    @pytest.mark.parametrize("model", [SCALAR, diagonal_model()], ids=["scalar", "diagonal_R"])
+    def test_block_boundaries(self, model, particles, steps):
+        n, T = block_case(particles, steps, model.d_x)
+        obs = simulated(model, T, 6)
+        for threshold, scheme in [(0.5, "systematic"), (1.0, "multinomial")]:
+            run = bootstrap_filter(lgssm_as_generic(model), obs, n, SeededGenerator(15),
+                                   resample_threshold=threshold, scheme=scheme)
+            ref = reference_filter(reference_generic(model), obs, n, 15, threshold, scheme)
+            assert_same_run(run, ref)
 
 
 class TestSmootherMatchesReference:
@@ -220,6 +252,111 @@ class TestSmootherMatchesReference:
         ref = reference_filter(reference_generic(model), obs, N, 13, threshold,
                                "systematic")
         assert same_bytes(rows, reference_smoother(ref, 4))
+
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("particles", PARTICLES)
+    @pytest.mark.parametrize("lag", [0, 3])
+    def test_block_boundaries(self, lag, particles, steps):
+        n, T = block_case(particles, steps, SCALAR.d_x)
+        obs = simulated(SCALAR, T, 7)
+        rows = fixed_lag_smoother(lgssm_as_generic(SCALAR), obs, n, lag, SeededGenerator(16))
+        ref = reference_filter(reference_generic(SCALAR), obs, n, 16, 0.5, "systematic")
+        assert same_bytes(rows, reference_smoother(ref, lag))
+
+
+def varying_model(kind):
+    """A scalar random walk whose steps draw their noise in ways the block
+    rule does not cover, or covers only in part."""
+
+    def noise(n, t, rng):
+        if kind == "alternating_count":
+            return rng.normals(n + t % 2)[:n]
+        if kind == "count_changes":
+            # Inside a block formed for n normals, the count doubles, and
+            # every value of the longer draw is used.
+            if t < 6:
+                return rng.normals(n)
+            z = rng.normals(2 * n)
+            return z[:n] - z[n:]
+        if kind == "two_calls":
+            return 0.6 * rng.normals(n) + 0.8 * rng.normals(n)
+        if kind == "uniforms_only":
+            return rng.uniforms(n) - 0.5
+        if kind == "uniforms_first":
+            return rng.uniforms(1)[0] + rng.normals(n)
+        if kind == "later_position":
+            return rng.normal_at(3, n)
+        if kind == "written_in_place":
+            z = rng.normals(n)
+            z *= 0.5
+            return z
+        if kind == "indexed_twice":
+            z = rng.normal_at(0, n)
+            z *= 2.0  # the second draw must not see this
+            return z - rng.normal_at(0, n)
+        raise AssertionError(kind)
+
+    return GenericStateSpaceModel(
+        d_x=1,
+        init_sampler=lambda n, rng: noise(n, 0, rng)[:, None],
+        transition_sampler=lambda states, t, rng: (
+            0.9 * states + noise(states.shape[0], t, rng)[:, None]
+        ),
+        observation_logdensity=lambda states, y, t: -0.5 * (y[0] - states[:, 0]) ** 2,
+    )
+
+
+class TestStepDrawsThatVary:
+    """Models whose per-step draws change against the reference loop, whose
+    streams are plain derived generators."""
+
+    @pytest.mark.parametrize("kind", ["alternating_count", "count_changes", "two_calls",
+                                      "uniforms_only", "uniforms_first", "later_position",
+                                      "written_in_place", "indexed_twice"])
+    @pytest.mark.parametrize("threshold, scheme", [(0.5, "systematic"), (1.0, "multinomial")])
+    def test_filter_and_smoother(self, kind, threshold, scheme):
+        model = varying_model(kind)
+        obs = simulated(SCALAR, 2 * (_BLOCK_VALUES // N) + 5, 8)
+        run = bootstrap_filter(model, obs, N, SeededGenerator(17),
+                               resample_threshold=threshold, scheme=scheme)
+        ref = reference_filter(model, obs, N, 17, threshold, scheme)
+        assert_same_run(run, ref)
+        rows = fixed_lag_smoother(model, obs, N, 2, SeededGenerator(17),
+                                  resample_threshold=threshold, scheme=scheme)
+        assert same_bytes(rows, reference_smoother(ref, 2))
+
+
+class TestPublicCalls:
+    """The loop derives every stream through SeededGenerator.derive and
+    resamples through the public resamplers, once each, blocks or not:
+    perfbench's tracer counts and times the run through these names."""
+
+    @pytest.mark.parametrize("scheme", ["systematic", "multinomial"])
+    @pytest.mark.parametrize("n", [N, _BLOCK_VALUES + 1], ids=["blocks", "no_blocks"])
+    def test_derive_and_resample_calls(self, monkeypatch, scheme, n):
+        T = 2 * (_BLOCK_VALUES // N) + 5
+        obs = simulated(SCALAR, T, 9)
+        keys, resamplings = [], []
+        derive = SeededGenerator.derive
+        public = getattr(particle, scheme + "_resample")
+
+        def counted_derive(self, *k):
+            keys.append(k)
+            return derive(self, *k)
+
+        def counted_resample(*args, **kwargs):
+            resamplings.append(1)
+            return public(*args, **kwargs)
+
+        monkeypatch.setattr(SeededGenerator, "derive", counted_derive)
+        monkeypatch.setattr(particle, scheme + "_resample", counted_resample)
+        run = bootstrap_filter(lgssm_as_generic(SCALAR), obs, n, SeededGenerator(18),
+                               resample_threshold=0.5, scheme=scheme)
+        events = run.resample_events
+        assert len(resamplings) == len(events) > 0
+        assert sorted(keys) == sorted([("step", t) for t in range(T)]
+                                      + [("resample", t - 1) for t in events])
 
 
 class TestLineages:
