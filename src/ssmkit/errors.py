@@ -6,6 +6,8 @@ codes: usage mistakes (plain ValueError, exit 1), bad models or data files
 during inference (NumericalError subclasses, exit 3).
 """
 
+import operator
+
 
 class SsmError(Exception):
     """Base class for all toolkit-specific errors."""
@@ -75,3 +77,13 @@ class SimplexInitError(NumericalError):
 
 class EnumerationSizeError(SsmError):
     """K**T exceeds the brute-force enumeration guard."""
+
+
+def _integer(value, name: str, error: type[Exception] = ValueError) -> int:
+    """value as an int: Python and numpy integers pass through
+    operator.index, and anything else, a float of integral value too,
+    raises error naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {type(value).__name__}") from None

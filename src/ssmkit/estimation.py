@@ -26,6 +26,7 @@ from .errors import (
     ModelValidationError,
     NumericalError,
     SimplexInitError,
+    _integer,
 )
 from .hmm import _check_symbols, _expected_counts, backward_smooth, forward_filter
 from .kalman import _adjoint, _check_rows, kalman_filter
@@ -388,7 +389,7 @@ def _checked_start(x0, step: float, tol: float, max_iter: int) -> np.ndarray:
         raise ValueError("step must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
+    if _integer(max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:

@@ -279,13 +279,12 @@ def _fill_blocks(fill, n, overlap, first, other, floor, prepare, take, fill_bloc
     is all its steps and every other lane's its last _LANE_BLOCK steps;
     there are as many lanes as it takes for the blocks to cover the series.
     Steps past the series, in the last lane, repeat its last row and are
-    never taken.  prepare(steps, in_place), where steps[s, b] is lane b's
-    step at batched step s, returns out, indexed like steps, and the
-    batched step: step(s, rows, out[s], values[s]) returns the lanes' rows
-    at batched step s from their rows before it, and writes what the pass
-    keeps of each step to out[s] and each row's sum or maximum to
-    values[s].  in_place is True for these lanes, laid out as above, and
-    False for repair lanes.
+    never taken.  prepare(steps), where steps[s, b] is lane b's step at
+    batched step s, returns out, a buffer of the lanes' own indexed like
+    steps, and the batched step: step(s, rows, out[s], values[s]) returns
+    the lanes' rows at batched step s from their rows before it, and
+    writes what the pass keeps of each step to out[s] and each row's sum
+    or maximum to values[s].  Repair lanes are prepared the same way.
 
     Each row is a function of the row before it, and the recursion forgets
     where it started: a lane whose row equals the true row bit for bit at
@@ -293,16 +292,16 @@ def _fill_blocks(fill, n, overlap, first, other, floor, prepare, take, fill_bloc
     every _LANE_CHECK steps of its block, at its checkpoints.  A block is
     certified from its first checkpoint where the lane's row equals the
     true row and every value from there on is above floor: lane b's steps
-    i:j go to take(lo, hi, out[i:j, b], values[i:j, b]) for the block's
-    rows lo:hi from there on.  Before that checkpoint, the rows run on
-    fill_block from the true row, to the next checkpoint that could
-    certify, unless a repair lane gives them.  One batched round, before
-    the blocks are walked in order, reruns every lane whose row before its
-    block differs from its predecessor's row there, from that row, up to
-    its first checkpoint equal to its lane's or its block's end.  Where the
-    true row before the block equals the predecessor's, the repair lane ran
-    the kernel's steps, and its rows are taken when its values are above
-    floor.
+    i:j go to take(lo, hi, out[i:j, b], values[i:j, b]), which copies them
+    to the block's rows lo:hi from there on.  Before that checkpoint, the
+    rows run on fill_block from the true row, to the next checkpoint that
+    could certify, unless a repair lane gives them.  One batched round,
+    before the blocks are walked in order, reruns every lane whose row
+    before its block differs from its predecessor's row there, from that
+    row, up to its first checkpoint equal to its lane's or its block's end.
+    Where the true row before the block equals the predecessor's, the
+    repair lane ran the kernel's steps, and its rows are taken when its
+    values are above floor.
     """
     if fill != "lanes":
         row = first
@@ -312,11 +311,11 @@ def _fill_blocks(fill, n, overlap, first, other, floor, prepare, take, fill_bloc
                 return None
         return row
 
-    def run(lows, rows, count, in_place, marks, done=lambda m, rows: False):
+    def run(lows, rows, count, marks, done=lambda m, rows: False):
         # Lanes from rows at steps lows for count batched steps, and their
         # rows after m steps for each m in marks, until done(m, rows).
         steps = np.minimum(np.add.outer(np.arange(count), lows), n - 1)
-        (out, step), values = prepare(steps, in_place), np.empty(steps.shape)
+        (out, step), values = prepare(steps), np.empty(steps.shape)
         kept = {0: rows}
         for s, (written, value) in enumerate(zip(out, values), 1):
             rows = step(s - 1, rows, written, value)
@@ -337,7 +336,7 @@ def _fill_blocks(fill, n, overlap, first, other, floor, prepare, take, fill_bloc
     lanes[0] = first
     marks = {*range(0, span, _LANE_CHECK), *range(overlap, span, _LANE_CHECK)}
     marks |= {span, n - starts[-1]}
-    out, values, checks = run(starts, lanes, span, True, marks)
+    out, values, checks = run(starts, lanes, span, marks)
     # A lane whose block is empty (a series of one step) ends on its start.
     ends = [checks[hi - start][b] for b, (hi, start) in enumerate(zip(his, starts))]
     missed = [
@@ -357,7 +356,7 @@ def _fill_blocks(fill, n, overlap, first, other, floor, prepare, take, fill_bloc
         # block is shorter than the batch.
         marks = {*range(_LANE_CHECK, _LANE_BLOCK, _LANE_CHECK), *stops.tolist()}
         mended_out, mended_values, mended = run(
-            los[missed], np.array([ends[b - 1] for b in missed]), stops.max(), False, marks, met
+            los[missed], np.array([ends[b - 1] for b in missed]), stops.max(), marks, met
         )
     repairs = {b: r for r, b in enumerate(missed)}
     row = first
@@ -418,7 +417,7 @@ def _row_recursion(
             return 0, rescued
         rows[0], rescued[0] = product[0][0], product[1]
 
-    def prepare(steps, in_place):
+    def prepare(steps):
         predicted = np.empty((steps.shape[1], 1, k))
 
         def step(s, previous, lane, lane_sum):
@@ -674,8 +673,10 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
     Scores equal in floating point go to the lower state index.
     _fill_blocks runs the steps after the first, on lanes from rows of
     zeros _VITERBI_OVERLAP steps before their blocks where _block_fill
-    gives the series to them; the rows that no certified lane or repair
-    lane gives, and every block of a shorter series, run on the kernel
+    gives the series to them.  Every lane, of round 0 or of repair, writes
+    its backpointers to a buffer of its own, and the rows certified are
+    copied into back; the rows that no certified lane or repair lane
+    gives, and every block of a shorter series, run on the kernel
     (_viterbi_block) from the deltas before them.  So the path equals the
     per-step normalized recursion's byte for byte.  log_joint is the sum
     of the path's log terms, added left to right as the plain unnormalized
@@ -696,29 +697,13 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
         raise ImpossibleObservationError(1)
     first -= top
     fill = _block_fill(K, T, scan=False)
-    # Lanes write backpointers up to _VITERBI_OVERLAP + _LANE_BLOCK rows
-    # past the series.
-    back = np.empty((T + _VITERBI_OVERLAP + _LANE_BLOCK, K), dtype=np.int64)
+    back = np.empty((T, K), dtype=np.int64)
 
-    def prepare(steps, in_place):
+    def prepare(steps):
         count = steps.shape[1]
         symbols, scores = y.take(steps), np.empty((count, K, K))
         # scores[b, j, i] is flat[offsets[b, j] + i].
         flat, offsets = scores.reshape(-1), np.arange(0, count * K * K, K).reshape(count, K)
-        if in_place:
-            # Lane b writes the backpointers of its step 1 + b * _LANE_BLOCK
-            # + s in place.  Every lane runs the same number of batched
-            # steps, so the lane whose block holds a step writes its row
-            # last.
-            row, item = back.strides
-            pointers = np.lib.stride_tricks.as_strided(
-                back[1:], (len(steps), count, K), (row, _LANE_BLOCK * row, item)
-            )
-        else:
-            # A repair lane's rows are kept only where its start was the true
-            # row, which the walk decides, so its pointers wait in a buffer of
-            # their own.
-            pointers = np.empty((len(steps), count, K), dtype=np.int64)
 
         def step(s, previous, written, maxima):
             # _viterbi_block's step, operation for operation: the maximum
@@ -732,13 +717,10 @@ def viterbi(model: DiscreteHMM, obs: ObservationSeries) -> tuple[StatePath, floa
             rows -= np.maximum.reduce(rows, axis=1, out=maxima)[:, None]
             return rows
 
-        return pointers, step
+        return np.empty((*steps.shape, K), dtype=np.int64), step
 
     def take(lo, hi, pointers, _):
-        # A certified lane's pointers are in place already; a repair lane's
-        # are copied.
-        if not np.may_share_memory(pointers, back):
-            back[lo:hi] = pointers
+        back[lo:hi] = pointers
 
     def fill_block(lo, hi, delta):
         return _viterbi_block(back, lo, trans_t, emit_cols.take(y[lo:hi], axis=0), delta)

@@ -57,12 +57,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _numbers_only(value) -> bool:
+    """Whether every leaf of value, nested lists from json.load, is a JSON
+    number: an int or a float, and not a bool, which numpy would convert
+    to one as it would a string of digits."""
+    if type(value) is list:
+        return all(map(_numbers_only, value))
+    return type(value) is int or type(value) is float
+
+
 def _field_array(doc: dict, key: str, ndim: int) -> np.ndarray:
     if key not in doc:
         raise DataFormatError(f'missing field "{key}"')
+    if not _numbers_only(doc[key]):
+        raise DataFormatError(
+            f'field "{key}" is not a numeric array: its entries must be JSON numbers'
+        )
     try:
         arr = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise DataFormatError(f'field "{key}" is not a numeric array: {err}') from None
     if arr.ndim != ndim:
         raise DataFormatError(
@@ -226,8 +239,15 @@ def write_table(path: str, header: list[str], values, first_t: int = 1) -> None:
     values is a 2-D array, one row per step (1-D: one column).  An integer
     array is written as integers, a float array with 17 significant
     digits.  Columns are formatted whole and rows joined by map and zip.
+    header names the t column and then each column of values; a header of
+    another length raises ValueError, and no file is written.
     """
     values = np.asarray(values)
+    width = values.shape[1] if values.ndim == 2 else 1
+    if len(header) != 1 + width:
+        raise ValueError(
+            f"header has {len(header)} names for a t column and {width} value columns"
+        )
     # _fmt is looked up on every call, so a replaced formatter takes effect.
     fmt = str if np.issubdtype(values.dtype, np.integer) else _fmt
     columns = values.T.tolist() if values.ndim == 2 else [values.tolist()]

@@ -14,7 +14,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import ModelValidationError
+from .errors import ModelValidationError, _integer
 
 __all__ = [
     "ObservationSeries",
@@ -232,9 +232,10 @@ class GenericStateSpaceModel:
     observation_logdensity: Callable[..., np.ndarray]
 
     def __post_init__(self):
-        if int(self.d_x) < 1:
+        d_x = _integer(self.d_x, "d_x", ModelValidationError)
+        if d_x < 1:
             raise ModelValidationError("d_x must be at least 1")
-        object.__setattr__(self, "d_x", int(self.d_x))
+        object.__setattr__(self, "d_x", d_x)
 
 
 def _row_faults(rows: np.ndarray, tol: float = ROW_SUM_TOL):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelValidationError, ParticleCollapseError
+from .errors import ModelValidationError, ParticleCollapseError, _integer
 from .models import (
     GenericStateSpaceModel,
     LinearGaussianModel,
@@ -108,7 +108,7 @@ def systematic_resample(weights, u: float, n: int | None = None) -> np.ndarray:
         raise ValueError("u must lie in [0, 1)")
     if n is None:
         n = w.shape[0]
-    elif n < 1:
+    elif _integer(n, "n") < 1:
         raise ValueError("n must be at least 1")
     positions = (np.arange(n) + u) / n
     cdf = _capped_cdf(w)
@@ -125,7 +125,7 @@ def multinomial_resample(weights, rng: SeededGenerator, n: int | None = None) ->
     w = _check_weights(weights)
     if n is None:
         n = w.shape[0]
-    elif n < 1:
+    elif _integer(n, "n") < 1:
         raise ValueError("n must be at least 1")
     cdf = _capped_cdf(w)
     u = rng.uniforms(n)
@@ -155,7 +155,7 @@ def _run_filter(
 ) -> tuple[ParticleFilterResult, np.ndarray | None]:
     """One filter run giving bootstrap_filter's result and, unless lag is
     None, fixed_lag_smoother's rows for the same arguments."""
-    if N < 1:
+    if _integer(N, "N") < 1:
         raise ValueError("N must be at least 1")
     if not 0.0 < resample_threshold <= 1.0:
         raise ValueError("resample_threshold must lie in (0, 1]")

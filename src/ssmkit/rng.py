@@ -15,6 +15,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import _integer
+
 __all__ = ["SeededGenerator"]
 
 _U64_MASK = (1 << 64) - 1
@@ -97,13 +99,15 @@ def _first_uniform(seed: int) -> float:
     return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
-def _check_span(start: int, count: int) -> None:
+def _check_span(start: int, count: int) -> tuple[int, int]:
+    start, count = _integer(start, "start"), _integer(count, "count")
     if count < 0:
         raise ValueError("count must be non-negative")
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
     if count and start + count > _U64_MASK:
         raise ValueError(f"outputs {start}..{start + count - 1} run past index 2**64 - 2")
+    return start, count
 
 
 class SeededGenerator:
@@ -116,9 +120,7 @@ class SeededGenerator:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-        self._seed = np.uint64(int(seed) & _U64_MASK)
+        self._seed = np.uint64(_integer(seed, "seed") & _U64_MASK)
         self._position = 0
 
     @property
@@ -134,7 +136,7 @@ class SeededGenerator:
 
     def raw_at(self, start: int, count: int) -> np.ndarray:
         """uint64 outputs for indices start, ..., start+count-1."""
-        _check_span(start, count)
+        start, count = _check_span(start, count)
         # Array arithmetic on uint64 wraps modulo 2**64 without a warning.
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         idx *= _GOLDEN
@@ -147,7 +149,9 @@ class SeededGenerator:
 
     def normal_at(self, start: int, count: int) -> np.ndarray:
         """Standard normals; pair j consumes outputs start+2j, start+2j+1."""
-        _check_span(start, 2 * count)
+        # count is checked before it is doubled, which could make it whole.
+        count = _integer(count, "count")
+        start, _ = _check_span(start, 2 * count)
         if count == 0:
             return np.empty(0)
         return _box_muller(self._seed, start, count)
@@ -169,8 +173,7 @@ class SeededGenerator:
 
         high is an integer from 1 to 2**53: a uniform carries 53 bits.
         """
-        if not isinstance(high, (int, np.integer)):
-            raise ValueError(f"high must be an integer, got {type(high).__name__}")
+        _integer(high, "high")
         if not 0 < high <= _MAX_HIGH:
             raise ValueError(f"high must lie in [1, 2**53], got {high}")
         return np.minimum((self.uniforms(count) * high).astype(np.int64), high - 1)

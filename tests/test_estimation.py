@@ -416,6 +416,10 @@ class TestNelderMead:
             nelder_mead(quad, [1.0], max_iter=0)
         with pytest.raises(ValueError):
             nelder_mead(quad, np.zeros((2, 2)))
+        for max_iter in (2.5, 2.0, np.float64(3.0), "2"):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                nelder_mead(quad, [1.0], max_iter=max_iter)
+        assert nelder_mead(quad, [1.0], max_iter=np.int64(2)).iterations == 2
 
 
 class TestFitMle:
@@ -795,6 +799,10 @@ class TestQuasiNewton:
             quasi_newton(rosenbrock, [1.0, 1.0], tol=float("nan"))
         with pytest.raises(ValueError):
             quasi_newton(rosenbrock, [1.0, 1.0], max_iter=0)
+        for max_iter in (2.5, 2.0, np.float64(3.0), "2"):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                quasi_newton(rosenbrock, [-1.2, 1.0], max_iter=max_iter)
+        assert quasi_newton(rosenbrock, [-1.2, 1.0], max_iter=np.int64(2)).iterations == 2
 
 
 class TestFitMleByScore:

@@ -90,14 +90,17 @@ class TestModelDocuments:
             parse_model(dump(tmp_path, "m.json", doc))
 
     def test_non_numeric_field(self, tmp_path):
-        doc = {
-            "type": "discrete_hmm",
-            "initial": ["a"],
-            "transition": [[1.0]],
-            "emission": [[1.0]],
-        }
-        with pytest.raises(DataFormatError, match='"initial"'):
-            parse_model(dump(tmp_path, "m.json", doc))
+        # JSON strings and booleans are not numbers, even where numpy
+        # would convert them.
+        for initial in (["a"], ["0.5", "0.5"], [True, False], [0.5, None], [10**400, 0]):
+            doc = {
+                "type": "discrete_hmm",
+                "initial": initial,
+                "transition": [[1.0, 0.0], [0.0, 1.0]],
+                "emission": [[1.0], [1.0]],
+            }
+            with pytest.raises(DataFormatError, match='field "initial" is not a numeric array'):
+                parse_model(dump(tmp_path, "m.json", doc))
 
     def test_wrong_dimensions(self, tmp_path):
         doc = {
@@ -365,6 +368,22 @@ class TestWriters:
         write_table(path, ["t", "v"], np.array([0.75]))  # overwrite in place
         assert glob.glob(str(tmp_path / "*.tmp")) == []
         assert open(path).read() == "t,v\n1,0.75\n"
+
+    @pytest.mark.parametrize(
+        "header, values",
+        [
+            (["t", "a"], np.ones((2, 3))),
+            (["t", "a", "b", "c", "d"], np.ones((2, 3))),
+            (["t"], np.ones(2)),
+            (["t", "a", "b"], np.ones(2, dtype=np.int64)),
+            (["t", "a"], np.empty((1, 0))),
+        ],
+    )
+    def test_header_must_match_the_columns(self, tmp_path, header, values):
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(ValueError, match="header"):
+            write_table(path, header, values)
+        assert os.listdir(tmp_path) == []
 
     def test_missing_directory_raises_oserror(self, tmp_path):
         target = str(tmp_path / "no_such_dir" / "t.csv")

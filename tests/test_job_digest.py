@@ -25,6 +25,7 @@ def test_two_runs_give_equal_digests(workload, tmp_path):
     for entry in first.values():
         assert entry["differs"] == [] and entry["problems"] == []
         assert entry["minflt"] >= 0
+        assert entry["peak_kb"] > 0
     if workload == "cli_mix":
         assert "pf.csv" in first["pf"]["files"]
 

@@ -187,6 +187,14 @@ class TestGenericModel:
                 transition_sampler=lambda x, t, rng: x,
                 observation_logdensity=lambda x, y, t: np.zeros(x.shape[0]),
             )
+        for d_x in (2.5, 1.0, np.float64(2.0), "3", None):
+            with pytest.raises(ModelValidationError, match="d_x must be an integer"):
+                GenericStateSpaceModel(
+                    d_x=d_x,
+                    init_sampler=lambda n, rng: np.zeros((n, 1)),
+                    transition_sampler=lambda x, t, rng: x,
+                    observation_logdensity=lambda x, y, t: np.zeros(x.shape[0]),
+                )
 
     def test_passes_validation(self):
         m = GenericStateSpaceModel(

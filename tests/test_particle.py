@@ -118,6 +118,10 @@ class TestSystematicResample:
             systematic_resample([0.6, 0.6], 0.5)
         with pytest.raises(ValueError):
             systematic_resample([1.2, -0.2], 0.5)
+        for n in (2.5, 3.0, np.float64(2.0), "2"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                systematic_resample([0.5, 0.5], 0.5, n=n)
+        assert systematic_resample([0.5, 0.5], 0.5, n=np.int64(3)).tolist() == [0, 1, 1]
 
 
 class TestMultinomialResample:
@@ -142,6 +146,20 @@ class TestMultinomialResample:
         idx = multinomial_resample([0.2, 0.8], SeededGenerator(101), n=100_000)
         freq = np.mean(idx == 1)
         assert abs(freq - 0.8) < 0.005
+
+    def test_input_validation(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                multinomial_resample([0.5, 0.5], SeededGenerator(5), n=n)
+        for n in (2.5, 3.0, np.float64(2.0), "2"):
+            rng = SeededGenerator(5)
+            with pytest.raises(ValueError, match="n must be an integer"):
+                multinomial_resample([0.5, 0.5], rng, n=n)
+            assert rng.position == 0
+        np.testing.assert_array_equal(
+            multinomial_resample([0.2, 0.3, 0.5], SeededGenerator(17), n=np.int64(3)),
+            multinomial_resample([0.2, 0.3, 0.5], SeededGenerator(17), n=3),
+        )
 
 
 class TestBootstrapFilter:
@@ -208,6 +226,8 @@ class TestBootstrapFilter:
         rng = SeededGenerator(0)
         with pytest.raises(ValueError):
             bootstrap_filter(model, obs, 0, rng)
+        with pytest.raises(ValueError, match="N must be an integer"):
+            bootstrap_filter(model, obs, 10.5, rng)
         with pytest.raises(ValueError):
             bootstrap_filter(model, obs, 10, rng, resample_threshold=0.0)
         with pytest.raises(ValueError):

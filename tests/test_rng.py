@@ -87,6 +87,31 @@ class TestRawOutputs:
             SeededGenerator(1.5)
 
     @pytest.mark.parametrize("method", ["raw_at", "uniform_at", "normal_at"])
+    @pytest.mark.parametrize(
+        "start, count, name",
+        [(0.5, 2, "start"), (0, 2.5, "count"), (0, 1.5, "count"), (0, 0.5, "count"),
+         (np.float64(1.0), 2, "start"), (0, "2", "count"), (None, 2, "start")],
+    )
+    def test_non_integer_span_rejected(self, method, start, count, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            getattr(SeededGenerator(4), method)(start, count)
+
+    @pytest.mark.parametrize("method", ["uniforms", "normals"])
+    @pytest.mark.parametrize("count", [2.5, 1.5, 0.5, 2.0, "2"])
+    def test_non_integer_count_leaves_the_cursor(self, method, count):
+        gen = SeededGenerator(4)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            getattr(gen, method)(count)
+        assert gen.position == 0
+
+    def test_numpy_integer_span_gives_the_same_values(self):
+        gen = SeededGenerator(4)
+        for method in ("raw_at", "uniform_at", "normal_at"):
+            want = getattr(gen, method)(3, 5)
+            got = getattr(gen, method)(np.int64(3), np.uint8(5))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", ["raw_at", "uniform_at", "normal_at"])
     @pytest.mark.parametrize("start", [-1, -3, -(2**70)])
     def test_negative_start_rejected(self, method, start):
         with pytest.raises(ValueError, match="start must be non-negative"):
@@ -230,6 +255,13 @@ class TestIntegers:
         gen = SeededGenerator(3)
         with pytest.raises(ValueError, match="high must be an integer"):
             gen.integers(3, high)
+        assert gen.position == 0
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(2.0), "3"])
+    def test_count_must_be_an_integer(self, count):
+        gen = SeededGenerator(3)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            gen.integers(count, 3)
         assert gen.position == 0
 
     @pytest.mark.parametrize("high", [2**53 + 1, 2**64, 2**70, np.uint64(2**63)])

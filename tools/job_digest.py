@@ -4,10 +4,12 @@
                                 [--size full|smoke] [--cycles C]
 
 Builds the workload from perfbench/workloads.py at the given seed and size,
-with its files in DIR, and runs its cycle of jobs C times.  For each job kind
-it prints the SHA-256 of the job's return value and of every file the job
-writes, and the median over the cycles of the minor page faults (ru_minflt)
-the job's run took.  The last line is one SHA-256 over all output digests.
+with its files in DIR, and runs its cycle of jobs C times, then once more
+under tracemalloc.  For each job kind it prints the SHA-256 of the job's
+return value and of every file the job writes, the median over the C cycles
+of the minor page faults (ru_minflt) the job's run took, and the peak of
+the memory that Python and numpy allocated during the job in the traced
+cycle, above what they held before it (peak_kb, in KiB).  The last line is one SHA-256 over all output digests.
 
 Two source trees give the same bytes on a workload when their digests match
 at the same seed, size and work directory (CLI jobs print paths under it).
@@ -15,8 +17,8 @@ The fault counts tell a change in the code from a change in how the heap
 is laid out: a run whose jobs fault hundreds of times more per cycle than
 another's is in a different memory mode, whatever its code.
 
-The exit status is 1 when a later cycle's digest differs from the first
-cycle's, or when a job's own check reports a problem.
+The exit status is 1 when a later cycle's digest, the traced cycle's too,
+differs from the first cycle's, or when a job's own check reports a problem.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -101,8 +104,10 @@ def _minflt() -> int:
 
 def digest(name: str, seed: int, size: str, workdir: str, cycles: int = 3) -> dict:
     """Per job kind: the return and file digests of the first cycle, the
-    median minor faults per cycle, the cycles whose digests differed from
-    the first, and the problems the job's check reported."""
+    median minor faults per cycle, the peak traced KiB of one more cycle
+    run under tracemalloc, the cycles whose digests differed from the
+    first, and the problems the job's check reported.  Tracing slows the
+    jobs and allocates, so the traced cycle's faults are not counted."""
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
     workdir = os.path.abspath(workdir)
@@ -111,23 +116,36 @@ def digest(name: str, seed: int, size: str, workdir: str, cycles: int = 3) -> di
     if len(set(kinds)) != len(kinds):
         raise ValueError(f"{name} has repeated job kinds: {kinds}")
     jobs = {kind: dict(files={}, faults=[], differs=[], problems=[]) for kind in kinds}
-    for cycle in range(cycles):
-        for job in workload.jobs:
-            entry = jobs[job.kind]
-            before = _file_states(workdir) if cycle == 0 else None
-            f0 = _minflt()
-            out = job.run()
-            entry["faults"].append(_minflt() - f0)
-            if cycle == 0:
-                after = _file_states(workdir)
-                written = sorted(p for p, s in after.items() if before.get(p) != s)
-                entry["files"] = {p: file_digest(os.path.join(workdir, p)) for p in written}
-                entry["return"] = value_digest(out)
-            elif (value_digest(out) != entry["return"]
-                  or any(file_digest(os.path.join(workdir, p)) != d
-                         for p, d in entry["files"].items())):
-                entry["differs"].append(cycle + 1)
-            entry["problems"] += [f"cycle {cycle + 1}: {p}" for p in job.check(out)]
+    try:
+        for cycle in range(cycles + 1):
+            traced = cycle == cycles
+            if traced:
+                tracemalloc.start()
+            for job in workload.jobs:
+                entry = jobs[job.kind]
+                before = _file_states(workdir) if cycle == 0 else None
+                # The peak above what was traced before the job: the last
+                # job's output is still held.
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                f0 = _minflt()
+                out = job.run()
+                if traced:
+                    entry["peak_kb"] = (tracemalloc.get_traced_memory()[1] - base) / 1024
+                else:
+                    entry["faults"].append(_minflt() - f0)
+                if cycle == 0:
+                    after = _file_states(workdir)
+                    written = sorted(p for p, s in after.items() if before.get(p) != s)
+                    entry["files"] = {p: file_digest(os.path.join(workdir, p)) for p in written}
+                    entry["return"] = value_digest(out)
+                elif (value_digest(out) != entry["return"]
+                      or any(file_digest(os.path.join(workdir, p)) != d
+                             for p, d in entry["files"].items())):
+                    entry["differs"].append(cycle + 1)
+                entry["problems"] += [f"cycle {cycle + 1}: {p}" for p in job.check(out)]
+    finally:
+        tracemalloc.stop()
     for entry in jobs.values():
         entry["minflt"] = statistics.median(entry.pop("faults"))
     return jobs
@@ -153,6 +171,7 @@ def main(argv=None) -> int:
         for path, d in e["files"].items():
             print(f"{kind} file {path} {d}")
         print(f"{kind} minflt {e['minflt']:g}")
+        print(f"{kind} peak_kb {e['peak_kb']:.1f}")
         if e["differs"]:
             failed = True
             print(f"{kind} DIFFERS in cycles {e['differs']}")
